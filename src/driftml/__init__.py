@@ -12,7 +12,6 @@ from .data import (
     Batch,
     DataError,
     Feature,
-    Instance,
     MISSING,
     Schema,
     UNSEEN,
@@ -37,11 +36,8 @@ from .ensemble import (
 )
 from .lifelong import (
     RunReport,
-    RunState,
     Strategy,
-    adapt_add_new,
-    adapt_replacement,
-    adapt_weight_update,
+    adapt,
     run_lifelong,
 )
 from .metrics import ACCURACY, NORMALIZED_AUC, accuracy, normalized_auc, score
@@ -59,8 +55,6 @@ from .pipeline import (
     config_to_text,
     default_config_portfolio,
     fit,
-    predict,
-    predict_proba,
 )
 from .search import (
     LibraryMember,

@@ -51,7 +51,7 @@ from typing import Optional
 from .data import Batch, DataError, load_csv, split_stream
 from .drift import DEFAULT_DELTA, DEFAULT_WINDOW, FhddmState
 from .lifelong import RunReport, Strategy, run_lifelong
-from .metrics import METRICS
+from .metrics import METRICS, midranks
 from .search import SearchBudget
 from .stagger import StaggerConfig, generate_stagger
 
@@ -244,22 +244,6 @@ def _comment_block(text: str) -> str:
     return "".join(f"# {line}\n" for line in text.rstrip("\n").split("\n"))
 
 
-def _midranks(values: list[float]) -> list[float]:
-    """Rank positions (1 = best/highest value), ties get the average rank."""
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + 1 + j + 1) / 2.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunReport]:
     """Execute every configured strategy and write the report files."""
     data = load_dataset(cfg)
@@ -305,7 +289,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunReport]:
         )
 
     means = [r.mean_metric for r in reports]
-    ranks = _midranks([(-math.inf if math.isnan(m) else m) for m in means])
+    ranks = midranks([math.inf if math.isnan(m) else -m for m in means])  # 1 = best
     with open(os.path.join(out_dir, "comparison.tsv"), "w") as fh:
         fh.write(_comment_block(normalized))
         fh.write(f"strategy\tmean_{cfg.metric}\trank\n")

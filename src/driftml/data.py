@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,14 +82,6 @@ class Schema:
         )
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One row; ``values`` aligned to the schema features, label index or None."""
-
-    values: tuple[float, ...]
-    label: Optional[int] = None
-
-
 class Batch:
     """An ordered block of instances sharing one schema.
 
@@ -124,30 +116,11 @@ class Batch:
         return self.X.shape[0]
 
     @property
-    def n_labeled(self) -> int:
-        return int((self.y >= 0).sum())
-
-    @property
     def fully_labeled(self) -> bool:
         return bool((self.y >= 0).all())
 
-    def instance(self, i: int) -> Instance:
-        label = int(self.y[i])
-        return Instance(tuple(self.X[i]), None if label < 0 else label)
-
-    def instances(self) -> Iterable[Instance]:
-        return (self.instance(i) for i in range(len(self)))
-
     def with_index(self, index: int) -> "Batch":
         return Batch(self.schema, self.X, self.y, index)
-
-    @staticmethod
-    def from_instances(schema: Schema, rows: Sequence[Instance], index: int = 0) -> "Batch":
-        X = np.array([r.values for r in rows], dtype=np.float64).reshape(
-            len(rows), schema.n_features
-        )
-        y = np.array([-1 if r.label is None else r.label for r in rows], dtype=np.int64)
-        return Batch(schema, X, y, index)
 
 
 def _parse_numeric(token: str) -> Optional[float]:

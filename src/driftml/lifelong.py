@@ -3,9 +3,11 @@
 Each test batch is scored with the current ensemble before its labels touch
 anything else, then the revealed labels feed the drift detector as
 per-instance correctness in arrival order. When the detector fires (at most
-once per batch; remaining instances of that batch are not fed), the chosen
-strategy adapts the model after the batch is fully scored, and the detector
-is reset. Every processed batch joins the stored data, which never shrinks.
+once per batch; remaining instances of that batch are not fed), ``adapt``
+builds the library the chosen strategy moves to, after the batch is fully
+scored; the loop then reselects the ensemble from it, records the event and
+resets the detector. Every processed batch joins the stored data, which
+never shrinks.
 
 Strategies
 ----------
@@ -14,8 +16,9 @@ Replacement   full new search over all stored data plus the current batch.
 WU-all        re-run ensemble selection with library scores recomputed on a
               capped stratified sample of all stored data; no retraining.
 WU-latest     same, but validation is the current batch only.
-Add-New       fit a small fresh candidate pool on all stored data, extend
-              the library, rescore everything on a fresh holdout, reselect.
+Add-New       fit the first ``ADD_NEW_POOL_SIZE`` portfolio configs on all
+              stored data, extend the library, rescore everything on a
+              fresh holdout, reselect.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import search
 from .data import Batch, DataError, concat_batches
 from .drift import FhddmState, fhddm_reset, fhddm_step
-from .ensemble import EnsembleModel, ensemble_predict_proba, select_ensemble
+from .ensemble import ensemble_predict_proba, select_ensemble
 from .metrics import score
 from .pipeline import PipelineConfig, default_config_portfolio
 from .search import ModelLibrary, SearchBudget, SearchError, run_search, rescore_library, stratified_split
@@ -52,32 +56,10 @@ class Strategy(enum.Enum):
     @staticmethod
     def parse(name: str) -> "Strategy":
         key = name.strip().lower().replace("_", "-")
-        aliases = {
-            "base": Strategy.BASE,
-            "replacement": Strategy.REPLACEMENT,
-            "wu-all": Strategy.WU_ALL,
-            "wu-latest": Strategy.WU_LATEST,
-            "wu-batch": Strategy.WU_LATEST,  # synonym used in comparisons
-            "add-new": Strategy.ADD_NEW,
-            "addnew": Strategy.ADD_NEW,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown strategy {name!r}")
-        return aliases[key]
-
-
-@dataclass
-class RunState:
-    library: ModelLibrary
-    ensemble: EnsembleModel
-    detector: FhddmState
-    stored: list[Batch]
-    metrics_per_batch: list[float] = field(default_factory=list)
-    drift_events: list[tuple[int, int]] = field(default_factory=list)
-    adapt_events: list[tuple[int, str, str]] = field(default_factory=list)
-
-    def stored_with(self, batch: Batch) -> Batch:
-        return concat_batches(self.stored + [batch])
+        for strategy in Strategy:
+            if strategy.value.lower() == key:
+                return strategy
+        raise ValueError(f"unknown strategy {name!r}")
 
 
 @dataclass(frozen=True)
@@ -134,106 +116,74 @@ def _adapt_seed(run_seed: int, batch_index: int) -> int:
     return int(mixed)
 
 
-def adapt_replacement(
-    state: RunState,
-    current_batch: Batch,
+def adapt(
+    strategy: Strategy,
+    library: ModelLibrary,
+    stored: Sequence[Batch],
+    batch: Batch,
     *,
     budget: SearchBudget,
     portfolio: Sequence[PipelineConfig],
-    rounds: int,
     metric: str,
     seed: int,
-    event_index: Optional[int] = None,
-) -> None:
-    """Throw the model away: fresh search over all stored data."""
-    at = current_batch.index if event_index is None else event_index
-    data = state.stored_with(current_batch)
-    try:
-        lib = run_search(data, replace(budget, seed=seed), portfolio, metric)
-    except SearchError as exc:
-        state.adapt_events.append((at, "degraded", f"replacement: {exc}"))
-        return
-    state.library = lib
-    state.ensemble = select_ensemble(lib, rounds, metric)
-    state.adapt_events.append((at, "replacement", f"library={len(lib)}"))
+) -> tuple[str, str, Optional[ModelLibrary]]:
+    """Build the library that ``strategy`` moves to after a drift on
+    ``batch``; ``stored`` holds every earlier batch.
 
-
-def adapt_weight_update(
-    state: RunState,
-    current_batch: Batch,
-    scope: str,
-    *,
-    rounds: int,
-    metric: str,
-    seed: int,
-    validation_cap: int = WU_VALIDATION_CAP,
-    event_index: Optional[int] = None,
-) -> None:
-    """Reweight the existing library (no member is ever retrained)."""
-    at = current_batch.index if event_index is None else event_index
-    if scope == "latest":
-        validation = current_batch
-    elif scope == "all":
-        rng = np.random.default_rng(seed)
-        validation = stratified_sample(state.stored_with(current_batch), validation_cap, rng)
-    else:
-        raise ValueError(f"unknown weight-update scope {scope!r}")
-    if np.unique(validation.y[validation.y >= 0]).size < 2:
-        state.adapt_events.append((at, "degraded", f"wu-{scope}: single-class validation"))
-        return
-    state.library = rescore_library(state.library, validation)
-    state.ensemble = select_ensemble(state.library, rounds, metric)
-    state.adapt_events.append((at, f"wu-{scope}", f"validation={len(validation)}"))
-
-
-def adapt_add_new(
-    state: RunState,
-    current_batch: Batch,
-    *,
-    budget: SearchBudget,
-    portfolio: Sequence[PipelineConfig],
-    pool_size: int,
-    rounds: int,
-    metric: str,
-    seed: int,
-    validation_cap: int = WU_VALIDATION_CAP,
-    event_index: Optional[int] = None,
-) -> None:
-    """Enlarge the library with fresh fits on all stored data, rescore
-    everything on a fresh holdout, reselect. Falls back to a pure weight
-    update when every new fit fails."""
-    from .search import evaluate_candidate  # local import avoids a cycle
-
-    at = current_batch.index if event_index is None else event_index
-    data = state.stored_with(current_batch)
-    rng = np.random.default_rng(seed)
-    fit_idx, val_idx = stratified_split(data, budget.validation_fraction, rng)
-    if val_idx.size == 0:
-        state.adapt_events.append((at, "degraded", "add-new: no holdout"))
-        return
-    fit_batch = Batch(data.schema, data.X[fit_idx], data.y[fit_idx])
-    val_batch = stratified_sample(
-        Batch(data.schema, data.X[val_idx], data.y[val_idx]), validation_cap, rng
-    )
-
-    new_members = []
-    for i, config in enumerate(portfolio[:pool_size]):
+    Returns ``(kind, detail, library)``, or ``("degraded", reason, None)``
+    when the strategy cannot adapt on this data and the old model stays.
+    """
+    if strategy is Strategy.REPLACEMENT:  # throw the model away
+        data = concat_batches([*stored, batch])
         try:
-            new_members.append(evaluate_candidate(config, fit_batch, val_batch, metric, seed=seed + i))
-        except Exception as exc:
-            log.warning("add-new candidate %d failed: %s", i, exc)
-    try:
-        rescored = rescore_library(state.library, val_batch)
-    except DataError as exc:
-        state.adapt_events.append((at, "degraded", f"add-new: {exc}"))
-        return
-    members = rescored.members + tuple(new_members)
-    state.library = replace(rescored, members=members)
-    state.ensemble = select_ensemble(state.library, rounds, metric)
-    kind = "add-new" if new_members else "wu-all"
-    state.adapt_events.append(
-        (at, kind, f"new={len(new_members)} library={len(members)}")
-    )
+            lib = run_search(data, replace(budget, seed=seed), portfolio, metric)
+        except SearchError as exc:
+            return "degraded", f"replacement: {exc}", None
+        return "replacement", f"library={len(lib)}", lib
+
+    if strategy in (Strategy.WU_ALL, Strategy.WU_LATEST):  # no member is retrained
+        if strategy is Strategy.WU_LATEST:
+            kind, validation = "wu-latest", batch
+        else:
+            data = concat_batches([*stored, batch])
+            rng = np.random.default_rng(seed)
+            kind, validation = "wu-all", stratified_sample(data, WU_VALIDATION_CAP, rng)
+        if np.unique(validation.y[validation.y >= 0]).size < 2:
+            return "degraded", f"{kind}: single-class validation", None
+        return kind, f"validation={len(validation)}", rescore_library(library, validation)
+
+    if strategy is Strategy.ADD_NEW:
+        # fresh fits on all stored data join the library; everything is
+        # rescored on a fresh holdout. With every new fit failed this is a
+        # pure weight update.
+        data = concat_batches([*stored, batch])
+        rng = np.random.default_rng(seed)
+        fit_idx, val_idx = stratified_split(data, budget.validation_fraction, rng)
+        if val_idx.size == 0:
+            return "degraded", "add-new: no holdout", None
+        fit_batch = Batch(data.schema, data.X[fit_idx], data.y[fit_idx])
+        val_batch = stratified_sample(
+            Batch(data.schema, data.X[val_idx], data.y[val_idx]), WU_VALIDATION_CAP, rng
+        )
+        new_members = []
+        for i, config in enumerate(portfolio[:ADD_NEW_POOL_SIZE]):
+            try:
+                # looked up on the module, like run_search's own candidates
+                new_members.append(
+                    search.evaluate_candidate(config, fit_batch, val_batch, metric, seed=seed + i)
+                )
+            except Exception as exc:
+                log.warning("add-new candidate %d failed: %s", i, exc)
+        try:
+            rescored = rescore_library(library, val_batch)
+        except DataError as exc:
+            return "degraded", f"add-new: {exc}", None
+        members = rescored.members + tuple(new_members)
+        kind = "add-new" if new_members else "wu-all"
+        detail = f"new={len(new_members)} library={len(members)}"
+        return kind, detail, replace(rescored, members=members)
+
+    raise ValueError(f"strategy {strategy.value} never adapts")
 
 
 def run_lifelong(
@@ -246,8 +196,6 @@ def run_lifelong(
     *,
     portfolio: Optional[Sequence[PipelineConfig]] = None,
     ensemble_rounds: int = 50,
-    add_new_pool: int = ADD_NEW_POOL_SIZE,
-    wu_validation_cap: int = WU_VALIDATION_CAP,
     phase_hook: Optional[Callable[[str, int], None]] = None,
 ) -> RunReport:
     """Run one strategy over the batch stream and report per-batch scores.
@@ -272,76 +220,58 @@ def run_lifelong(
     ensemble = select_ensemble(library, ensemble_rounds, metric)
     timings["search"] = time.perf_counter() - t0
 
-    state = RunState(library, ensemble, detector, stored=[train])
-
+    stored = [train]
+    per_batch, drift_events, adapt_events = [], [], []
     for t, batch in enumerate(test_batches):
         if not batch.schema.compatible_with(train.schema):
             raise DataError(f"schema drift at batch {t}: incompatible with training schema")
 
         hook("predict", t)
         t0 = time.perf_counter()
-        proba = ensemble_predict_proba(state.ensemble, state.library, batch)
+        proba = ensemble_predict_proba(ensemble, library, batch)
         y_pred = proba.argmax(axis=1)
         timings["predict"] += time.perf_counter() - t0
 
         hook("score", t)
-        state.metrics_per_batch.append(score(metric, batch.y, proba))
+        per_batch.append(score(metric, batch.y, proba))
 
         hook("reveal", t)
         t0 = time.perf_counter()
         fired_at = None
-        det = state.detector
         for j, correct in enumerate(y_pred == batch.y):
-            det, signal = fhddm_step(det, bool(correct))
+            detector, signal = fhddm_step(detector, bool(correct))
             if signal.drift:
                 fired_at = j
                 break  # one adaptation per batch; rest of the batch unfed
-        state.detector = det
         timings["detect"] += time.perf_counter() - t0
 
         if fired_at is not None:
-            state.drift_events.append((t, fired_at))
+            drift_events.append((t, fired_at))
             if strategy is not Strategy.BASE:
                 hook("adapt", t)
                 t0 = time.perf_counter()
-                seed = _adapt_seed(budget.seed, t)
-                if strategy is Strategy.REPLACEMENT:
-                    adapt_replacement(
-                        state, batch, budget=budget, portfolio=portfolio,
-                        rounds=ensemble_rounds, metric=metric, seed=seed,
-                        event_index=t,
-                    )
-                elif strategy is Strategy.WU_ALL:
-                    adapt_weight_update(
-                        state, batch, "all", rounds=ensemble_rounds, metric=metric,
-                        seed=seed, validation_cap=wu_validation_cap, event_index=t,
-                    )
-                elif strategy is Strategy.WU_LATEST:
-                    adapt_weight_update(
-                        state, batch, "latest", rounds=ensemble_rounds, metric=metric,
-                        seed=seed, validation_cap=wu_validation_cap, event_index=t,
-                    )
-                else:
-                    adapt_add_new(
-                        state, batch, budget=budget, portfolio=portfolio,
-                        pool_size=add_new_pool, rounds=ensemble_rounds,
-                        metric=metric, seed=seed, validation_cap=wu_validation_cap,
-                        event_index=t,
-                    )
-                state.detector = fhddm_reset(state.detector)
+                kind, detail, adapted = adapt(
+                    strategy, library, stored, batch, budget=budget, portfolio=portfolio,
+                    metric=metric, seed=_adapt_seed(budget.seed, t),
+                )
+                if adapted is not None:
+                    library = adapted
+                    ensemble = select_ensemble(library, ensemble_rounds, metric)
+                adapt_events.append((t, kind, detail))
+                detector = fhddm_reset(detector)
                 timings["adapt"] += time.perf_counter() - t0
 
         hook("store", t)
-        state.stored.append(batch)
+        stored.append(batch)
 
-    mean, excluded = _mean_excluding_nan(state.metrics_per_batch)
+    mean, excluded = _mean_excluding_nan(per_batch)
     return RunReport(
         strategy=strategy.value,
         metric=metric,
-        per_batch=tuple(state.metrics_per_batch),
+        per_batch=tuple(per_batch),
         mean_metric=mean,
-        drift_events=tuple(state.drift_events),
-        adapt_events=tuple(state.adapt_events),
+        drift_events=tuple(drift_events),
+        adapt_events=tuple(adapt_events),
         excluded_batches=excluded,
         timings=timings,
     )

@@ -22,6 +22,18 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float((y_true == y_pred).mean())
 
 
+def midranks(values: np.ndarray) -> np.ndarray:
+    """Ascending ranks from 1; tied values share the average of their ranks."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # tie runs
+    lengths = np.diff(np.r_[starts, values.size])
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat(starts + (lengths + 1) / 2.0, lengths)
+    return ranks
+
+
 def auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     """Rank-based AUC for binary labels (positive class = index 1)."""
     y_true = np.asarray(y_true)
@@ -33,19 +45,7 @@ def auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     n_neg = y_true.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(y_true.size, dtype=np.float64)
-    ranks[order] = np.arange(1, y_true.size + 1)
-    # midranks for tied scores
-    sorted_scores = scores[order]
-    i = 0
-    while i < y_true.size:
-        j = i
-        while j + 1 < y_true.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
+    ranks = midranks(scores)
     rank_sum = ranks[pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -491,14 +491,6 @@ def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:
     )
 
 
-def predict_proba(model: TrainedPipeline, batch: Batch) -> np.ndarray:
-    return model.predict_proba(batch)
-
-
-def predict(model: TrainedPipeline, batch: Batch) -> np.ndarray:
-    return model.predict(batch)
-
-
 def default_config_portfolio() -> list[PipelineConfig]:
     """Fixed starter configurations covering every classifier family.
 

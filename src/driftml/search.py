@@ -38,7 +38,7 @@ from .pipeline import (
 
 log = logging.getLogger(__name__)
 
-LIBRARY_FORMAT_VERSION = 1
+LIBRARY_FORMAT_VERSION = 2
 
 
 class SearchError(Exception):
@@ -70,7 +70,6 @@ class LibraryMember:
 class ModelLibrary:
     members: tuple[LibraryMember, ...]
     validation_set: Batch
-    train_set: Batch
     metric: str = ACCURACY
 
     def __len__(self) -> int:
@@ -207,7 +206,7 @@ def run_search(
             log.warning("candidate %d failed: %s", i, exc)
     if not members:
         raise SearchError("search budget exhausted with zero successful fits")
-    return ModelLibrary(tuple(members), val_batch, train, metric)
+    return ModelLibrary(tuple(members), val_batch, metric)
 
 
 def rescore_library(lib: ModelLibrary, new_validation: Batch) -> ModelLibrary:

@@ -42,4 +42,4 @@ def stub_library(probas, y_true, metric="accuracy"):
         LibraryMember(None, np.asarray(p, dtype=float), score(metric, y, np.asarray(p)))
         for p in probas
     )
-    return ModelLibrary(members, val, val, metric)
+    return ModelLibrary(members, val, metric)

@@ -26,7 +26,6 @@ from driftml.pipeline import (
     NaiveBayesConfig,
     PipelineConfig,
     fit,
-    predict_proba,
 )
 from driftml.search import SearchBudget
 from driftml.stagger import StaggerConfig, generate_stagger
@@ -217,7 +216,7 @@ def test_criterion_5a_probability_rows_fuzz():
         probe_X[rng.random(n) < 0.1, 2] = UNSEEN
         probe = Batch(schema, probe_X, y)
         for cfg in configs:
-            proba = predict_proba(fit(cfg, train, seed=trial), probe)
+            proba = fit(cfg, train, seed=trial).predict_proba(probe)
             assert np.all(proba >= 0)
             assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
             rows += n

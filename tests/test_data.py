@@ -168,15 +168,3 @@ def test_load_electricity():
     schema, batch = load_csv(ELECTRICITY, "class")
     assert len(batch) == 45_312
     assert schema.n_features == 8
-
-
-def test_instances_round_trip():
-    from driftml.data import Instance
-
-    schema = Schema((Feature("a"), Feature("b", ("u", "v"))), "y", ("0", "1"))
-    rows = [Instance((1.5, 0.0), 1), Instance((2.5, 1.0), None)]
-    batch = Batch.from_instances(schema, rows)
-    assert len(batch) == 2
-    assert batch.instance(0) == rows[0]
-    assert batch.instance(1) == rows[1]
-    assert batch.n_labeled == 1

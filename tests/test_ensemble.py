@@ -136,7 +136,7 @@ def test_single_member_prediction_identity(numeric_schema):
     model = pl.fit(pl.PipelineConfig(), train, 0)
     proba = model.predict_proba(train)
     member = LibraryMember(model, proba, 1.0)
-    lib = ModelLibrary((member,), train, train, "accuracy")
+    lib = ModelLibrary((member,), train, "accuracy")
     ens = EnsembleModel((0,), (1.0,), 1, (0,))
     assert np.array_equal(ensemble_predict_proba(ens, lib, train), proba)
     assert np.array_equal(ensemble_predict(ens, lib, train), train.y)
@@ -160,7 +160,7 @@ def test_errors():
         ensemble_validation_proba(dangling, lib)
     from driftml.search import ModelLibrary
 
-    empty = ModelLibrary((), lib.validation_set, lib.train_set, "accuracy")
+    empty = ModelLibrary((), lib.validation_set, "accuracy")
     with pytest.raises(EnsembleError):
         select_ensemble(empty, rounds=1)
     with pytest.raises(EnsembleError):

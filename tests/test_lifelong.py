@@ -1,17 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from driftml.data import Batch, DataError, Feature, Schema, split_stream
-from driftml.drift import FhddmState
 from driftml.ensemble import ensemble_predict_proba, select_ensemble
 from driftml.lifelong import (
-    RunState,
+    WU_VALIDATION_CAP,
     Strategy,
-    adapt_add_new,
-    adapt_replacement,
-    adapt_weight_update,
+    adapt,
     run_lifelong,
     stratified_sample,
 )
@@ -33,10 +31,13 @@ def stagger_stream(n, drift_points, schedule, batch_size, seed=1):
     return split_stream(data, batch_size)
 
 
-def fresh_state(train, seed=3, metric="accuracy"):
-    lib = run_search(train, SearchBudget(max_candidates=3, seed=seed), TREES, metric)
-    ens = select_ensemble(lib, rounds=10, metric=metric)
-    return RunState(lib, ens, FhddmState(), stored=[train])
+def initial_library(train, seed=3):
+    return run_search(train, SearchBudget(max_candidates=3, seed=seed), TREES, "accuracy")
+
+
+def adapt_on(strategy, library, stored, batch, seed=0, portfolio=TREES):
+    return adapt(strategy, library, stored, batch, budget=BUDGET, portfolio=portfolio,
+                 metric="accuracy", seed=seed)
 
 
 def test_zero_test_batches():
@@ -126,15 +127,10 @@ def test_replacement_drift_event_near_midpoint_inversion():
 
 def test_adapt_replacement_keeps_all_stored_batches():
     stream = stagger_stream(2_000, (), ((1, False),), 250)
-    state = fresh_state(stream[0])
-    state.stored.extend(stream[1:4])
-    before = list(state.stored)
-    adapt_replacement(
-        state, stream[4], budget=BUDGET, portfolio=TREES, rounds=5,
-        metric="accuracy", seed=0,
-    )
-    assert state.stored == before  # storage is the loop's job, not the adapter's
-    assert state.adapt_events[-1][1] == "replacement"
+    stored = list(stream[:4])
+    kind, detail, lib = adapt_on(Strategy.REPLACEMENT, initial_library(stream[0]), stored, stream[4])
+    assert stored == list(stream[:4])  # storage is the loop's job, not the adapter's
+    assert (kind, detail) == ("replacement", f"library={len(lib)}")
 
 
 def test_weight_update_prefers_member_matching_new_data():
@@ -157,80 +153,126 @@ def test_weight_update_prefers_member_matching_new_data():
         LibraryMember(Stub(wrong), wrong, 0.0),
         LibraryMember(Stub(right), right, 1.0),
     )
-    lib = ModelLibrary(members, validation, validation, "accuracy")
-    state = RunState(lib, select_ensemble(lib, 5), FhddmState(), stored=[validation])
-    adapt_weight_update(state, validation, "latest", rounds=5, metric="accuracy", seed=0)
-    weights = dict(zip(state.ensemble.member_refs, state.ensemble.weights))
+    lib = ModelLibrary(members, validation, "accuracy")
+    _, _, lib = adapt_on(Strategy.WU_LATEST, lib, [validation], validation)
+    ensemble = select_ensemble(lib, 5)
+    weights = dict(zip(ensemble.member_refs, ensemble.weights))
     assert weights.get(1, 0.0) == max(weights.values())
-    assert state.library.members[1].validation_score == 1.0
+    assert lib.members[1].validation_score == 1.0
 
 
 def test_weight_update_never_retrains():
     stream = stagger_stream(2_500, (), ((2, False),), 250)
-    state = fresh_state(stream[0])
-    prints_before = [m.pipeline.train_fingerprint for m in state.library.members]
-    adapt_weight_update(state, stream[3], "all", rounds=5, metric="accuracy", seed=1)
-    prints_after = [m.pipeline.train_fingerprint for m in state.library.members]
+    lib = initial_library(stream[0])
+    _, _, rescored = adapt_on(Strategy.WU_ALL, lib, [stream[0]], stream[3], seed=1)
+    prints_before = [m.pipeline.train_fingerprint for m in lib.members]
+    prints_after = [m.pipeline.train_fingerprint for m in rescored.members]
     assert prints_before == prints_after
 
 
 def test_weight_update_same_distribution_is_metric_equivalent():
     stream = stagger_stream(3_000, (), ((1, False),), 300, seed=8)
-    state = fresh_state(stream[0])
+    old_lib = initial_library(stream[0])
+    old_ens = select_ensemble(old_lib, rounds=10, metric="accuracy")
     current = stream[1]
-    old_ens, old_lib = state.ensemble, state.library
     old_score = score("accuracy", current.y,
                       ensemble_predict_proba(old_ens, old_lib, current))
-    adapt_weight_update(state, current, "latest", rounds=10, metric="accuracy", seed=2)
-    assert state.ensemble.validation_score >= old_score - 1e-9
+    _, _, lib = adapt_on(Strategy.WU_LATEST, old_lib, [stream[0]], current, seed=2)
+    ensemble = select_ensemble(lib, rounds=10, metric="accuracy")
+    assert ensemble.validation_score >= old_score - 1e-9
     # dominant member is unchanged on same-distribution data -> scores agree
-    assert state.ensemble.validation_score == pytest.approx(old_score, abs=1e-9)
+    assert ensemble.validation_score == pytest.approx(old_score, abs=1e-9)
 
 
 def test_weight_update_single_class_validation_degrades_gracefully():
     stream = stagger_stream(2_000, (), ((1, False),), 200)
-    state = fresh_state(stream[0])
-    ens_before = state.ensemble
     single = Batch(stream[1].schema, stream[1].X, np.zeros(len(stream[1]), dtype=int))
-    adapt_weight_update(state, single, "latest", rounds=5, metric="accuracy", seed=0)
-    assert state.ensemble is ens_before
-    assert state.adapt_events[-1][1] == "degraded"
+    outcome = adapt_on(Strategy.WU_LATEST, initial_library(stream[0]), [stream[0]], single)
+    assert outcome == ("degraded", "wu-latest: single-class validation", None)
 
 
 def test_add_new_grows_library_and_never_scores_worse():
     stream = stagger_stream(4_000, (2_000,), ((1, False), (2, False)), 400, seed=9)
-    state = fresh_state(stream[0])
-    state.stored.extend(stream[1:5])
-    old_size = len(state.library)
-    old_ens, old_lib = state.ensemble, state.library
-    adapt_add_new(
-        state, stream[5], budget=BUDGET, portfolio=default_config_portfolio(),
-        pool_size=4, rounds=10, metric="accuracy", seed=3,
-    )
-    grown = len(state.library) - old_size
-    assert state.adapt_events[-1][1] in ("add-new", "wu-all")
-    if state.adapt_events[-1][1] == "add-new":
+    old_lib = initial_library(stream[0])
+    old_ens = select_ensemble(old_lib, rounds=10, metric="accuracy")
+    kind, _, lib = adapt_on(Strategy.ADD_NEW, old_lib, stream[:5], stream[5], seed=3,
+                            portfolio=default_config_portfolio()[:4])
+    grown = len(lib) - len(old_lib)
+    assert kind in ("add-new", "wu-all")
+    if kind == "add-new":
         assert grown >= 1
     # superset library plus best-prefix selection cannot lose to the old
     # ensemble on the very validation set used for reselection
-    new_val = state.library.validation_set
+    new_val = lib.validation_set
     old_on_new = score("accuracy", new_val.y,
                        ensemble_predict_proba(old_ens, old_lib, new_val))
-    assert state.ensemble.validation_score >= old_on_new - 1e-9
+    assert select_ensemble(lib, 10, "accuracy").validation_score >= old_on_new - 1e-9
 
 
 def test_add_new_old_member_can_keep_winning():
     stream = stagger_stream(3_000, (), ((1, False),), 300, seed=10)
-    state = fresh_state(stream[0])
     # same-concept batch: the established members stay best
-    adapt_add_new(
-        state, stream[2], budget=BUDGET, portfolio=default_config_portfolio(),
-        pool_size=2, rounds=10, metric="accuracy", seed=4,
-    )
+    _, _, lib = adapt_on(Strategy.ADD_NEW, initial_library(stream[0]), [stream[0]], stream[2],
+                         seed=4, portfolio=default_config_portfolio()[:2])
+    ensemble = select_ensemble(lib, 10, "accuracy")
     old_members = range(3)  # indexes of the original members
-    weights = dict(zip(state.ensemble.member_refs, state.ensemble.weights))
+    weights = dict(zip(ensemble.member_refs, ensemble.weights))
     best_ref = max(weights, key=weights.get)
     assert best_ref in old_members
+
+
+def test_base_never_reaches_adapt():
+    stream = stagger_stream(1_000, (), ((1, False),), 250)
+    with pytest.raises(ValueError):
+        adapt_on(Strategy.BASE, initial_library(stream[0]), [stream[0]], stream[1])
+
+
+@pytest.fixture(scope="module")
+def drifting():
+    """Three abrupt drifts; every adapting arm fires at test batches 2 and 8."""
+    schedule = ((1, False), (1, True), (2, False), (3, False))
+    return stagger_stream(3_000, (750, 1_500, 2_250), schedule, 250)
+
+
+def adapt_events(stream, strategy):
+    """The adaptation events of one arm, after checking they line up with
+    the drift events: one per drift, indexed by test batch (``Batch.index``
+    of those batches is one higher, because batch 0 trains)."""
+    report = run_lifelong(stream[0], stream[1:], strategy, "accuracy", BUDGET)
+    assert report.drift_events
+    assert [t for t, _, _ in report.adapt_events] == [t for t, _ in report.drift_events]
+    assert all(stream[1 + t].index == t + 1 for t, _, _ in report.adapt_events)
+    return report.adapt_events
+
+
+def test_replacement_events_name_the_new_library_size(drifting):
+    events = adapt_events(drifting, Strategy.REPLACEMENT)
+    expected = ("replacement", f"library={BUDGET.max_candidates}")
+    assert [e[1:] for e in events] == [expected] * len(events)
+
+
+def test_wu_all_events_name_the_capped_stored_rows(drifting):
+    events = adapt_events(drifting, Strategy.WU_ALL)
+    stored_rows = [sum(len(b) for b in drifting[: t + 2]) for t, _, _ in events]
+    assert [e[1:] for e in events] == [
+        ("wu-all", f"validation={min(WU_VALIDATION_CAP, rows)}") for rows in stored_rows
+    ]
+
+
+def test_wu_latest_events_name_the_batch_size(drifting):
+    events = adapt_events(drifting, Strategy.WU_LATEST)
+    assert [e[1:] for e in events] == [
+        ("wu-latest", f"validation={len(drifting[1 + t])}") for t, _, _ in events
+    ]
+
+
+def test_add_new_events_count_new_members_and_the_grown_library(drifting):
+    size = BUDGET.max_candidates
+    for _, kind, detail in adapt_events(drifting, Strategy.ADD_NEW):
+        new, total = map(int, re.fullmatch(r"new=(\d+) library=(\d+)", detail).groups())
+        assert kind == ("add-new" if new else "wu-all")
+        assert total == size + new
+        size = total
 
 
 def test_schema_drift_is_fatal():
@@ -279,7 +321,6 @@ def test_stratified_sample_caps_and_keeps_classes():
 
 def test_strategy_parsing():
     assert Strategy.parse("wu_all") is Strategy.WU_ALL
-    assert Strategy.parse("WU-batch") is Strategy.WU_LATEST  # documented synonym
     assert Strategy.parse("Add-New") is Strategy.ADD_NEW
     with pytest.raises(ValueError):
         Strategy.parse("bagging")

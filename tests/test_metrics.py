@@ -2,8 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftml.metrics import ACCURACY, NORMALIZED_AUC, accuracy, auc, normalized_auc, score
+from driftml.metrics import (
+    ACCURACY,
+    NORMALIZED_AUC,
+    accuracy,
+    auc,
+    midranks,
+    normalized_auc,
+    score,
+)
 
 
 def pairwise_auc(y, s):
@@ -15,6 +25,58 @@ def pairwise_auc(y, s):
         for n in neg:
             total += 1.0 if p > n else (0.5 if p == n else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def reference_midranks(values):
+    """Reference for ``midranks``: ranks from a stable argsort, then one
+    Python pass that gives each run of equal values its average rank."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.arange(1, n + 1)
+    ordered = values[order]
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and ordered[j + 1] == ordered[i]:
+            j += 1
+        if j > i:
+            ranks[order[i : j + 1]] = (i + 1 + j + 1) / 2.0
+        i = j + 1
+    return ranks
+
+
+def reference_auc(y, s):
+    pos = y == 1
+    n_pos = int(pos.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return float("nan")
+    rank_sum = reference_midranks(s)[pos].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+@st.composite
+def tie_heavy(draw):
+    """Binary labels and 1-2,000 scores drawn from at most four levels."""
+    levels = np.array(draw(st.lists(st.floats(width=64), min_size=1, max_size=4)))
+    n = draw(st.integers(1, 2_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, 2, n), levels[rng.integers(0, levels.size, n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy())
+def test_midranks_and_auc_equal_the_reference_exactly(case):
+    y, s = case
+    assert np.array_equal(midranks(s), reference_midranks(s))
+    assert np.array_equal([auc(y, s)], [reference_auc(y, s)], equal_nan=True)
+
+
+def test_midranks_share_tied_ranks():
+    assert midranks([3.0, 1.0, 3.0, 2.0]).tolist() == [3.5, 1.0, 3.5, 2.0]
+    assert midranks([]).size == 0
 
 
 def test_accuracy_basics():

@@ -15,8 +15,6 @@ from driftml.pipeline import (
     config_to_text,
     default_config_portfolio,
     fit,
-    predict,
-    predict_proba,
 )
 
 BIN_SCHEMA = Schema((Feature("x"),), "y", ("0", "1"))
@@ -41,7 +39,7 @@ ALL_FAMILIES = [
 def test_stump_reproduces_separable_labels():
     cfg = PipelineConfig(classifier=DecisionTreeConfig(max_depth=1, min_leaf=1))
     model = fit(cfg, separable_1d(), seed=0)
-    assert predict(model, separable_1d()).tolist() == [0, 0, 1, 1]
+    assert model.predict(separable_1d()).tolist() == [0, 0, 1, 1]
 
 
 def test_naive_bayes_matches_hand_computed_posterior():
@@ -56,7 +54,7 @@ def test_naive_bayes_matches_hand_computed_posterior():
     cfg = PipelineConfig(classifier=NaiveBayesConfig(laplace_alpha=1.0))
     model = fit(cfg, batch_of(BIN_SCHEMA, X, y), seed=0)
     probe = batch_of(BIN_SCHEMA, [[1.0], [0.0]], [0, 0])
-    proba = predict_proba(model, probe)
+    proba = model.predict_proba(probe)
     p1_num = (3 / 7) * 0.4, (4 / 7) * (2 / 3)
     expect_x1 = p1_num[0] / sum(p1_num)
     p0_num = (3 / 7) * 0.6, (4 / 7) * (1 / 3)
@@ -71,8 +69,8 @@ def test_refit_is_byte_identical(cfg):
     schema = Schema((Feature("a"), Feature("b")), "y", ("0", "1", "2"))
     train = batch_of(schema, rng.normal(size=(60, 2)), rng.integers(0, 3, 60))
     probe = batch_of(schema, rng.normal(size=(20, 2)), rng.integers(0, 3, 20))
-    a = predict_proba(fit(cfg, train, seed=9), probe)
-    b = predict_proba(fit(cfg, train, seed=9), probe)
+    a = fit(cfg, train, seed=9).predict_proba(probe)
+    b = fit(cfg, train, seed=9).predict_proba(probe)
     assert a.tobytes() == b.tobytes()
 
 
@@ -80,7 +78,7 @@ def test_refit_is_byte_identical(cfg):
 def test_single_class_training_gives_one_hot(cfg):
     schema = Schema((Feature("a"),), "y", ("0", "1", "2"))
     train = batch_of(schema, [[0.5], [1.5], [2.5]], [1, 1, 1])
-    proba = predict_proba(fit(cfg, train, seed=0), train)
+    proba = fit(cfg, train, seed=0).predict_proba(train)
     assert np.array_equal(proba, np.tile([0.0, 1.0, 0.0], (3, 1)))
 
 
@@ -90,7 +88,7 @@ def test_unseen_level_predicts_valid_distribution():
     cfg = PipelineConfig(one_hot=True, classifier=NaiveBayesConfig())
     model = fit(cfg, train, seed=0)
     probe = batch_of(schema, [[UNSEEN], [0.0]], [0, 0])
-    proba = predict_proba(model, probe)
+    proba = model.predict_proba(probe)
     assert proba.shape == (2, 2)
     assert np.all(proba >= 0)
     assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
@@ -102,7 +100,7 @@ def test_knn_k1_recovers_training_labels():
     train = batch_of(schema, rng.normal(size=(30, 2)), rng.integers(0, 2, 30))
     cfg = PipelineConfig(classifier=KnnConfig(k=1))
     model = fit(cfg, train, seed=0)
-    assert np.array_equal(predict(model, train), train.y)
+    assert np.array_equal(model.predict(train), train.y)
 
 
 def test_predict_tie_breaks_to_lowest_class():
@@ -112,9 +110,9 @@ def test_predict_tie_breaks_to_lowest_class():
     cfg = PipelineConfig(classifier=NaiveBayesConfig(laplace_alpha=1.0))
     model = fit(cfg, batch_of(BIN_SCHEMA, X, y), seed=0)
     probe = batch_of(BIN_SCHEMA, [[0.0], [1.0]], [0, 0])
-    proba = predict_proba(model, probe)
+    proba = model.predict_proba(probe)
     assert np.allclose(proba, 0.5)
-    assert predict(model, probe).tolist() == [0, 0]
+    assert model.predict(probe).tolist() == [0, 0]
 
 
 def test_probability_rows_fuzz():
@@ -151,7 +149,7 @@ def test_probability_rows_fuzz():
         probe_X[rng.random(n) < 0.05, 2] = UNSEEN  # unseen levels too
         probe = batch_of(schema, probe_X, y)
         for cfg in configs:
-            proba = predict_proba(fit(cfg, train, seed=trial), probe)
+            proba = fit(cfg, train, seed=trial).predict_proba(probe)
             assert proba.shape == (n, 3)
             assert np.all(proba >= 0)
             assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
@@ -167,7 +165,7 @@ def test_tree_invariant_under_standardization():
         PipelineConfig(standardize=True, classifier=DecisionTreeConfig(max_depth=6)),
         train, 0,
     )
-    assert np.array_equal(predict(plain, probe), predict(scaled, probe))
+    assert np.array_equal(plain.predict(probe), scaled.predict(probe))
 
 
 def test_logistic_loss_non_increasing_on_separable_data():
@@ -226,7 +224,7 @@ def test_predict_rejects_schema_mismatch():
     other = Schema((Feature("x"), Feature("z")), "y", ("0", "1"))
     probe = Batch(other, np.zeros((1, 2)), np.array([0]))
     with pytest.raises(PipelineError):
-        predict_proba(model, probe)
+        model.predict_proba(probe)
 
 
 def test_config_invariants_enforced():
@@ -247,7 +245,7 @@ def test_selector_k_clipped_to_width():
     cfg = PipelineConfig(selector=TopKMutualInfoConfig(k=64),
                          classifier=DecisionTreeConfig(max_depth=3))
     model = fit(cfg, train, seed=0)  # must not raise
-    assert predict_proba(model, train).shape == (40, 2)
+    assert model.predict_proba(train).shape == (40, 2)
 
 
 def test_one_hot_caps_levels():
@@ -265,7 +263,7 @@ def test_all_missing_column_falls_back():
     schema = Schema((Feature("a"), Feature("b")), "y", ("0", "1"))
     X = np.array([[np.nan, 1.0], [np.nan, 2.0], [np.nan, 3.0], [np.nan, 4.0]])
     model = fit(PipelineConfig(), batch_of(schema, X, [0, 0, 1, 1]), seed=0)
-    proba = predict_proba(model, batch_of(schema, X, [0, 0, 1, 1]))
+    proba = model.predict_proba(batch_of(schema, X, [0, 0, 1, 1]))
     assert np.allclose(proba.sum(axis=1), 1.0)
 
 
