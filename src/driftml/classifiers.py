@@ -274,17 +274,19 @@ def reservoir_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
         return np.arange(n)
     res = np.arange(k)
     draws = rng.integers(0, np.arange(k, n) + 1)
-    for i, j in zip(range(k, n), draws):
-        if j < k:
-            res[j] = i
+    hit = draws < k
+    # row i replaces slot draws[i - k]; the last (largest) i to hit a slot wins
+    np.maximum.at(res, draws[hit], np.arange(k, n)[hit])
     return np.sort(res)
 
 
 class KnnClassifier:
     """k nearest neighbors with a bounded, seeded reservoir of references.
 
-    Distance ties resolve toward the lower reference index (stable sort), so
-    predictions are reproducible.
+    Each row votes over its k nearest references ordered by (squared
+    distance, reference index): at a tied k-th distance the lower reference
+    indices are taken, so predictions are reproducible. Class probabilities
+    are the vote shares.
     """
 
     CHUNK = 1024
@@ -317,8 +319,29 @@ class KnnClassifier:
                 - 2.0 * xb @ self.ref_X_.T
                 + self.ref_sq_
             )
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            votes = self.ref_y_[nearest]
+            take = _nearest_mask(d2, k)
             for c in range(self.n_classes):
-                out[start : start + self.CHUNK, c] = (votes == c).mean(axis=1)
+                out[start : start + self.CHUNK, c] = (
+                    np.count_nonzero(take & (self.ref_y_ == c), axis=1) / k
+                )
         return out
+
+
+def _nearest_mask(d2: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each row's k smallest entries by (value, column index): the
+    set a stable argsort puts first, found without sorting."""
+    # copied so the partitioned matrix is freed at once
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
+    take = d2 < kth[:, None]
+    tie = d2 == kth[:, None]
+    need = k - np.count_nonzero(take, axis=1)
+    over = np.nonzero(np.count_nonzero(tie, axis=1) > need)[0]
+    if over.size:  # fill from the ties, lowest column first
+        tie[over] &= np.cumsum(tie[over], axis=1, dtype=np.int32) <= need[over, None]
+    take |= tie
+    # a NaN k-th value means fewer than k comparable entries; every comparison
+    # above was false on such a row, so it takes the argsort's choice instead
+    lost = np.nonzero(np.isnan(kth))[0]
+    if lost.size:
+        take[lost[:, None], np.argsort(d2[lost], axis=1, kind="stable")[:, :k]] = True
+    return take

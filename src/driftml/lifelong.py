@@ -172,7 +172,7 @@ def adapt(
                 new_members.append(
                     search.evaluate_candidate(config, fit_batch, val_batch, metric, seed=seed + i)
                 )
-            except Exception as exc:
+            except search.CANDIDATE_ERRORS as exc:
                 log.warning("add-new candidate %d failed: %s", i, exc)
         try:
             rescored = rescore_library(library, val_batch)

@@ -4,7 +4,9 @@ Candidates come from a fixed portfolio first, then from seeded random draws
 over the configuration space. Each successful fit is retained in a
 ``ModelLibrary`` together with its holdout predictions, because ensemble
 selection and the weight-update adaptation strategies need those
-predictions later. Failed fits are logged and skipped, never fatal.
+predictions later. A candidate that fails on a bad config or degenerate
+data (``CANDIDATE_ERRORS``) is logged and skipped; any other error
+propagates.
 
 With ``max_seconds`` unset, results are bit-deterministic under a fixed
 seed; candidate evaluations are independent and assembled by candidate
@@ -29,6 +31,7 @@ from .pipeline import (
     LogisticSgdConfig,
     NaiveBayesConfig,
     PipelineConfig,
+    PipelineError,
     TopKMutualInfoConfig,
     TrainedPipeline,
     VarianceThresholdConfig,
@@ -39,6 +42,11 @@ from .pipeline import (
 log = logging.getLogger(__name__)
 
 LIBRARY_FORMAT_VERSION = 2
+
+# What a bad candidate config or degenerate data raises from fit, predict or
+# scoring; a candidate that raises one is logged and skipped. Anything else
+# is a bug and ends the run.
+CANDIDATE_ERRORS = (PipelineError, DataError, np.linalg.LinAlgError, FloatingPointError)
 
 
 class SearchError(Exception):
@@ -202,7 +210,7 @@ def run_search(
         config = portfolio[i] if i < len(portfolio) else sample_config(rng)
         try:
             members.append(evaluate_candidate(config, fit_batch, val_batch, metric, seed=budget.seed + i))
-        except Exception as exc:  # candidate failures are logged, not fatal
+        except CANDIDATE_ERRORS as exc:
             log.warning("candidate %d failed: %s", i, exc)
     if not members:
         raise SearchError("search budget exhausted with zero successful fits")

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from driftml.data import Batch, Feature, Schema
 from driftml.search import LibraryMember, ModelLibrary
+
+# Every run draws the same examples (derandomize also turns off the example
+# database, so nothing depends on a local .hypothesis/ directory); property
+# tests over large arrays must not trip a per-example deadline.
+settings.register_profile("driftml", derandomize=True, deadline=None)
+settings.load_profile("driftml")
 
 
 @pytest.fixture

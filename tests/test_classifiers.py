@@ -1,0 +1,100 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driftml.classifiers import KnnClassifier, reservoir_sample
+
+
+def reference_knn_proba(model, X):
+    """Reference for ``KnnClassifier.predict_proba``: a full stable argsort
+    of every chunk's distances, then the vote over the first k columns."""
+    X = np.asarray(X, dtype=np.float64)
+    k = min(model.k, model.ref_X_.shape[0])
+    out = np.empty((X.shape[0], model.n_classes))
+    for start in range(0, X.shape[0], model.CHUNK):
+        xb = X[start : start + model.CHUNK]
+        d2 = (
+            np.square(xb).sum(axis=1, keepdims=True)
+            - 2.0 * xb @ model.ref_X_.T
+            + model.ref_sq_
+        )
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        votes = model.ref_y_[nearest]
+        for c in range(model.n_classes):
+            out[start : start + model.CHUNK, c] = (votes == c).mean(axis=1)
+    return out
+
+
+def reference_reservoir_sample(n, k, rng):
+    """Reference for ``reservoir_sample``: algorithm R as a Python loop."""
+    if k >= n:
+        return np.arange(n)
+    res = np.arange(k)
+    draws = rng.integers(0, np.arange(k, n) + 1)
+    for i, j in zip(range(k, n), draws):
+        if j < k:
+            res[j] = i
+    return np.sort(res)
+
+
+def fitted_knn(X, y, n_classes, k):
+    model = KnnClassifier(n_classes, k=k, max_reference_points=max(len(X), 1))
+    return model.fit(X, y, np.random.default_rng(0))
+
+
+@st.composite
+def knn_case(draw):
+    """A fitted k-NN and query rows: tie-heavy integer grids (as on STAGGER)
+    or tie-free floats, 1-3,000 references (below k and above ``CHUNK``),
+    0-2,500 query rows (across a chunk boundary), and in half the cases a few
+    NaN and inf entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_ref = draw(st.one_of(st.integers(1, 40), st.integers(1_000, 3_000)))
+    n_rows = draw(st.one_of(st.integers(0, 60), st.integers(1_000, 2_500)))
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 3))
+    k = draw(st.sampled_from([1, 3, 5, 7, 25]))
+    if draw(st.booleans()):
+        levels = draw(st.integers(2, 3))
+        X_ref = rng.integers(0, levels, (n_ref, d)).astype(np.float64)
+        X = rng.integers(0, levels, (n_rows, d)).astype(np.float64)
+    else:
+        X_ref = rng.normal(size=(n_ref, d))
+        X = rng.normal(size=(n_rows, d))
+    if draw(st.booleans()):
+        for arr in (X_ref, X):
+            n_bad = draw(st.integers(0, 3))
+            if arr.size and n_bad:
+                cells = rng.integers(0, arr.size, n_bad)
+                arr.flat[cells] = rng.choice([np.nan, np.inf, -np.inf], n_bad)
+    y = rng.integers(0, n_classes, n_ref)
+    return fitted_knn(X_ref, y, n_classes, k), X
+
+
+@settings(max_examples=60)
+@given(knn_case())
+def test_knn_proba_equals_the_argsort_reference_exactly(case):
+    model, X = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = model.predict_proba(X)
+        want = reference_knn_proba(model, X)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_knn_rows_with_a_nan_kth_distance_still_vote_over_k():
+    # a NaN reference and an inf query feature each leave fewer than k
+    # comparable distances in a row; the row still takes k references
+    X_ref = np.array([[0.0], [np.nan], [1.0], [np.nan]])
+    y = np.array([0, 1, 0, 1])
+    model = fitted_knn(X_ref, y, 2, k=3)
+    with np.errstate(invalid="ignore"):
+        proba = model.predict_proba(np.array([[0.0], [np.inf]]))
+    assert proba.tolist() == [[2 / 3, 1 / 3], [2 / 3, 1 / 3]]
+
+
+def test_reservoir_sample_equals_algorithm_r():
+    for n, k, seed in [(70_000, 2_048, 0), (5_000, 2_048, 1), (10, 3, 2),
+                       (2_048, 2_048, 3), (5, 9, 4), (1, 1, 5)]:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(reservoir_sample(n, k, rng), reference_reservoir_sample(n, k, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

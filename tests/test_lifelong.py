@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from driftml import search
 from driftml.data import Batch, DataError, Feature, Schema, split_stream
 from driftml.ensemble import ensemble_predict_proba, select_ensemble
 from driftml.lifelong import (
@@ -219,6 +220,23 @@ def test_add_new_old_member_can_keep_winning():
     weights = dict(zip(ensemble.member_refs, ensemble.weights))
     best_ref = max(weights, key=weights.get)
     assert best_ref in old_members
+
+
+def test_add_new_skips_failed_candidates_but_not_bugs(monkeypatch):
+    stream = stagger_stream(2_000, (), ((1, False),), 250)
+    library = initial_library(stream[0])
+
+    def failing_fit(error):
+        def fit(*args, **kwargs):
+            raise error
+        return fit
+
+    monkeypatch.setattr(search, "fit", failing_fit(FloatingPointError("overflow")))
+    kind, detail, _ = adapt_on(Strategy.ADD_NEW, library, stream[:4], stream[4])
+    assert (kind, detail) == ("wu-all", f"new=0 library={len(library)}")
+    monkeypatch.setattr(search, "fit", failing_fit(TypeError("bug")))
+    with pytest.raises(TypeError):
+        adapt_on(Strategy.ADD_NEW, library, stream[:4], stream[4])
 
 
 def test_base_never_reaches_adapt():

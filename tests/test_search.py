@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftml import search
 from driftml.data import Batch, Feature, Schema
 from driftml.metrics import score
 from driftml.pipeline import (
@@ -137,6 +138,15 @@ def test_search_errors():
     poison = [PipelineConfig(classifier=KnnConfig(k=2))]  # even k fails validate at fit
     with pytest.raises(SearchError):
         run_search(two_class_batch(), SearchBudget(max_candidates=1, seed=0), poison)
+
+
+def test_a_bug_inside_a_candidate_propagates(monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(search, "fit", broken_fit)
+    with pytest.raises(TypeError):
+        run_search(two_class_batch(), SearchBudget(max_candidates=1, seed=0), SMALL_PORTFOLIO)
 
 
 def test_budget_validation():
