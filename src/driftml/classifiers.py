@@ -214,11 +214,8 @@ class NaiveBayesClassifier:
 
 
 class LogisticSgdClassifier:
-    """Multinomial logistic regression trained with seeded mini-batch SGD.
-
-    The cross-entropy (plus L2 on the weights, not the bias) is recorded
-    after every epoch in ``loss_history_``.
-    """
+    """Multinomial logistic regression trained with seeded mini-batch SGD
+    (L2 on the weights, not the bias)."""
 
     MINIBATCH = 32
 
@@ -235,11 +232,6 @@ class LogisticSgdClassifier:
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
 
-    def _loss(self, X, y_onehot):
-        p = self._softmax(X @ self.W_ + self.b_)
-        ce = -np.log(np.maximum((p * y_onehot).sum(axis=1), 1e-300)).mean()
-        return float(ce + 0.5 * self.l2 * np.square(self.W_).sum())
-
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
@@ -248,7 +240,6 @@ class LogisticSgdClassifier:
         y_onehot[np.arange(n), y] = 1.0
         self.W_ = np.zeros((d, self.n_classes))
         self.b_ = np.zeros(self.n_classes)
-        self.loss_history_ = []
         m = min(self.MINIBATCH, n)
         for _ in range(self.epochs):
             perm = rng.permutation(n)
@@ -259,7 +250,6 @@ class LogisticSgdClassifier:
                 err = (p - yb) / take.size
                 self.W_ -= self.learning_rate * (xb.T @ err + self.l2 * self.W_)
                 self.b_ -= self.learning_rate * err.sum(axis=0)
-            self.loss_history_.append(self._loss(X, y_onehot))
         self._fitted = True
         return self
 

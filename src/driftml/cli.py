@@ -244,6 +244,17 @@ def _comment_block(text: str) -> str:
     return "".join(f"# {line}\n" for line in text.rstrip("\n").split("\n"))
 
 
+def _phase_seconds(started: float, marks: list, returned: float) -> dict[str, float]:
+    """Wall seconds per phase from ``run_lifelong``'s ``phase_hook`` marks:
+    ``search`` lasts from the call to the first mark, each marked phase
+    until the next mark, the last one until the return."""
+    seconds = dict.fromkeys(("search", "predict", "score", "reveal", "adapt", "store"), 0.0)
+    times = [started] + [t for _, t in marks] + [returned]
+    for phase, t, t_next in zip(["search"] + [p for p, _ in marks], times, times[1:]):
+        seconds[phase] += t_next - t
+    return seconds
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunReport]:
     """Execute every configured strategy and write the report files."""
     data = load_dataset(cfg)
@@ -268,12 +279,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunReport]:
     reports = []
     log_lines = []
     for strategy in cfg.strategies:
+        marks = []
         started = time.perf_counter()
         report = run_lifelong(
             train, test, strategy, cfg.metric, budget, detector,
             ensemble_rounds=cfg.ensemble_rounds,
+            phase_hook=lambda phase, t: marks.append((phase, time.perf_counter())),
         )
-        elapsed = time.perf_counter() - started
+        returned = time.perf_counter()
+        seconds = _phase_seconds(started, marks, returned)
         reports.append(report)
         path = os.path.join(out_dir, f"report_{strategy.value}.tsv")
         with open(path, "w") as fh:
@@ -283,7 +297,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunReport]:
             fh.write(f"# mean_{report.metric} = {mean}\n")
             fh.write("\n".join(report.table_lines()) + "\n")
         log_lines.append(
-            f"{strategy.value}: {elapsed:.1f}s total, timings={report.timings}, "
+            f"{strategy.value}: {returned - started:.1f}s total, "
+            f"phase_s={ {phase: round(sec, 3) for phase, sec in seconds.items()} }, "
             f"drift_events={list(report.drift_events)}, "
             f"adapt_events={list(report.adapt_events)}"
         )
@@ -350,10 +365,7 @@ def cmd_run(config_path: str, seed: Optional[int], out_dir: Optional[str]) -> in
             cfg = parse_config(fh.read())
         if seed is not None:
             cfg.run_seed = seed
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -26,8 +26,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from . import search
 from .data import Batch, DataError, concat_batches
 from .drift import FhddmState, fhddm_reset, fhddm_step
 from .ensemble import ensemble_predict_proba, select_ensemble
-from .metrics import score
+from .metrics import NORMALIZED_AUC, score
 from .pipeline import PipelineConfig, default_config_portfolio
 from .search import ModelLibrary, SearchBudget, SearchError, run_search, rescore_library, stratified_split
 
@@ -71,7 +70,6 @@ class RunReport:
     drift_events: tuple[tuple[int, int], ...]
     adapt_events: tuple[tuple[int, str, str], ...]
     excluded_batches: tuple[int, ...]
-    timings: dict = field(compare=False)  # wall clock: excluded from equality
 
     def table_lines(self) -> list[str]:
         """Deterministic per-batch table: index, metric, drift flag, adapted
@@ -194,7 +192,6 @@ def run_lifelong(
     budget: SearchBudget,
     detector: Optional[FhddmState] = None,
     *,
-    portfolio: Optional[Sequence[PipelineConfig]] = None,
     ensemble_rounds: int = 50,
     phase_hook: Optional[Callable[[str, int], None]] = None,
 ) -> RunReport:
@@ -202,23 +199,24 @@ def run_lifelong(
 
     Scores are recorded strictly before the batch's labels reach the
     detector or any adaptation. The mean excludes NaN-scored batches (these
-    are listed in the report).
+    are listed in the report). ``phase_hook(phase, t)`` marks test batch
+    ``t`` entering ``predict``, ``score``, ``reveal``, ``adapt`` (only when
+    the arm adapts) and ``store``; the initial search precedes the first.
     """
     if not train.fully_labeled:
         raise DataError("training batch must be fully labeled")
     for b in test_batches:
         if not b.fully_labeled:
             raise DataError(f"test batch {b.index} is not fully labeled")
+    if metric == NORMALIZED_AUC and train.schema.n_classes != 2:
+        raise DataError(f"normalized_auc needs 2 classes, the data has {train.schema.n_classes}")
 
     hook = phase_hook or (lambda phase, index: None)
-    portfolio = list(portfolio) if portfolio is not None else default_config_portfolio()
+    portfolio = default_config_portfolio()
     detector = detector if detector is not None else FhddmState()
-    timings = {"search": 0.0, "predict": 0.0, "detect": 0.0, "adapt": 0.0}
 
-    t0 = time.perf_counter()
     library = run_search(train, budget, portfolio, metric)
     ensemble = select_ensemble(library, ensemble_rounds, metric)
-    timings["search"] = time.perf_counter() - t0
 
     stored = [train]
     per_batch, drift_events, adapt_events = [], [], []
@@ -227,29 +225,24 @@ def run_lifelong(
             raise DataError(f"schema drift at batch {t}: incompatible with training schema")
 
         hook("predict", t)
-        t0 = time.perf_counter()
         proba = ensemble_predict_proba(ensemble, library, batch)
         y_pred = proba.argmax(axis=1)
-        timings["predict"] += time.perf_counter() - t0
 
         hook("score", t)
         per_batch.append(score(metric, batch.y, proba))
 
         hook("reveal", t)
-        t0 = time.perf_counter()
         fired_at = None
         for j, correct in enumerate(y_pred == batch.y):
             detector, signal = fhddm_step(detector, bool(correct))
             if signal.drift:
                 fired_at = j
                 break  # one adaptation per batch; rest of the batch unfed
-        timings["detect"] += time.perf_counter() - t0
 
         if fired_at is not None:
             drift_events.append((t, fired_at))
             if strategy is not Strategy.BASE:
                 hook("adapt", t)
-                t0 = time.perf_counter()
                 kind, detail, adapted = adapt(
                     strategy, library, stored, batch, budget=budget, portfolio=portfolio,
                     metric=metric, seed=_adapt_seed(budget.seed, t),
@@ -259,7 +252,6 @@ def run_lifelong(
                     ensemble = select_ensemble(library, ensemble_rounds, metric)
                 adapt_events.append((t, kind, detail))
                 detector = fhddm_reset(detector)
-                timings["adapt"] += time.perf_counter() - t0
 
         hook("store", t)
         stored.append(batch)
@@ -273,5 +265,4 @@ def run_lifelong(
         drift_events=tuple(drift_events),
         adapt_events=tuple(adapt_events),
         excluded_batches=excluded,
-        timings=timings,
     )

@@ -15,9 +15,8 @@ files can pin exact portfolios::
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -148,114 +147,82 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 # config text form
 
-def _params_to_text(obj, fields: tuple[str, ...]) -> str:
-    parts = []
-    for f in fields:
-        v = getattr(obj, f)
-        parts.append(f"{f}={v}" if not isinstance(v, float) else f"{f}={v!r}")
-    return ",".join(parts)
+_SELECTORS = {c.kind: c for c in (VarianceThresholdConfig, TopKMutualInfoConfig)}
+_CLASSIFIERS = {
+    c.kind: c for c in (DecisionTreeConfig, NaiveBayesConfig, LogisticSgdConfig, KnnConfig)
+}
+_CONVERT = {"int": int, "float": float, "str": str}  # annotations are strings here
+
+
+def _call_to_text(stage) -> str:
+    """``kind(field=value,...)`` in field order."""
+    params = ",".join(f"{f.name}={getattr(stage, f.name)}" for f in fields(stage))
+    return f"{stage.kind}({params})"
 
 
 def config_to_text(cfg: PipelineConfig) -> str:
     pre = "standardize" if cfg.standardize else "none"
-    if cfg.selector is None:
-        sel = "none"
-    elif isinstance(cfg.selector, VarianceThresholdConfig):
-        sel = f"variance_threshold(tau={cfg.selector.tau!r})"
-    else:
-        sel = f"top_k_mutual_info(k={cfg.selector.k})"
-    c = cfg.classifier
-    if isinstance(c, DecisionTreeConfig):
-        clf = f"decision_tree({_params_to_text(c, ('max_depth', 'min_leaf', 'split_criterion'))})"
-    elif isinstance(c, NaiveBayesConfig):
-        clf = f"naive_bayes({_params_to_text(c, ('laplace_alpha',))})"
-    elif isinstance(c, LogisticSgdConfig):
-        clf = f"logistic_sgd({_params_to_text(c, ('learning_rate', 'l2', 'epochs'))})"
-    else:
-        clf = f"knn({_params_to_text(c, ('k', 'max_reference_points'))})"
+    sel = "none" if cfg.selector is None else _call_to_text(cfg.selector)
     return (
         f"preprocessor={pre} imputation={cfg.imputation} "
-        f"one_hot={'true' if cfg.one_hot else 'false'} selector={sel} classifier={clf}"
+        f"one_hot={'true' if cfg.one_hot else 'false'} selector={sel} "
+        f"classifier={_call_to_text(cfg.classifier)}"
     )
 
 
 _CALL_RE = re.compile(r"^(\w+)\((.*)\)$")
 
 
-def _parse_params(text: str) -> dict:
-    out = {}
-    if not text.strip():
-        return out
-    for part in text.split(","):
-        key, _, val = part.partition("=")
-        out[key.strip()] = val.strip()
-    return out
+def _call_from_text(text: str, stage: str, kinds: dict):
+    """Parse ``kind(field=value,...)``: every field of the kind exactly once."""
+    m = _CALL_RE.match(text)
+    if not m:
+        raise PipelineError(f"bad {stage} {text!r}")
+    name, args = m.groups()
+    if name not in kinds:
+        raise PipelineError(f"unknown {stage} {name!r}")
+    params = {}
+    for part in args.split(",") if args.strip() else []:
+        key, _, value = (s.strip() for s in part.partition("="))
+        if key in params:
+            raise PipelineError(f"{stage} {name!r} repeats parameter {key!r}")
+        params[key] = value
+    converters = {f.name: _CONVERT[f.type] for f in fields(kinds[name])}
+    unknown = set(params) - set(converters)
+    if unknown:
+        raise PipelineError(f"{stage} {name!r} has unknown parameters {sorted(unknown)}")
+    try:
+        return kinds[name](**{key: convert(params[key]) for key, convert in converters.items()})
+    except KeyError as exc:
+        raise PipelineError(f"{stage} {name!r} missing parameter {exc}") from exc
+    except ValueError as exc:
+        raise PipelineError(f"{stage} {name!r}: {exc}") from exc
 
 
 def config_from_text(text: str) -> PipelineConfig:
     """Inverse of ``config_to_text``; raises PipelineError on bad input."""
-    fields = {}
+    tokens = {}
     for token in text.split():
         key, sep, val = token.partition("=")
         if not sep:
             raise PipelineError(f"bad config token {token!r}")
-        fields[key] = val
-    missing = {"preprocessor", "imputation", "one_hot", "selector", "classifier"} - set(fields)
+        tokens[key] = val
+    missing = {"preprocessor", "imputation", "one_hot", "selector", "classifier"} - set(tokens)
     if missing:
         raise PipelineError(f"config text missing keys: {sorted(missing)}")
 
-    sel_text = fields["selector"]
-    if sel_text == "none":
-        selector: SelectorConfig = None
-    else:
-        m = _CALL_RE.match(sel_text)
-        if not m:
-            raise PipelineError(f"bad selector {sel_text!r}")
-        name, params = m.group(1), _parse_params(m.group(2))
-        if name == "variance_threshold":
-            selector = VarianceThresholdConfig(tau=float(params["tau"]))
-        elif name == "top_k_mutual_info":
-            selector = TopKMutualInfoConfig(k=int(params["k"]))
-        else:
-            raise PipelineError(f"unknown selector {name!r}")
-
-    m = _CALL_RE.match(fields["classifier"])
-    if not m:
-        raise PipelineError(f"bad classifier {fields['classifier']!r}")
-    name, params = m.group(1), _parse_params(m.group(2))
-    try:
-        if name == "decision_tree":
-            classifier: ClassifierConfig = DecisionTreeConfig(
-                max_depth=int(params["max_depth"]),
-                min_leaf=int(params["min_leaf"]),
-                split_criterion=params["split_criterion"],
-            )
-        elif name == "naive_bayes":
-            classifier = NaiveBayesConfig(laplace_alpha=float(params["laplace_alpha"]))
-        elif name == "logistic_sgd":
-            classifier = LogisticSgdConfig(
-                learning_rate=float(params["learning_rate"]),
-                l2=float(params["l2"]),
-                epochs=int(params["epochs"]),
-            )
-        elif name == "knn":
-            classifier = KnnConfig(
-                k=int(params["k"]),
-                max_reference_points=int(params["max_reference_points"]),
-            )
-        else:
-            raise PipelineError(f"unknown classifier {name!r}")
-    except KeyError as exc:
-        raise PipelineError(f"classifier {name!r} missing parameter {exc}") from exc
-
-    if fields["preprocessor"] not in ("standardize", "none"):
-        raise PipelineError(f"unknown preprocessor {fields['preprocessor']!r}")
-    if fields["one_hot"] not in ("true", "false"):
-        raise PipelineError(f"one_hot must be true or false")
+    selector = None
+    if tokens["selector"] != "none":
+        selector = _call_from_text(tokens["selector"], "selector", _SELECTORS)
+    classifier = _call_from_text(tokens["classifier"], "classifier", _CLASSIFIERS)
+    if tokens["preprocessor"] not in ("standardize", "none"):
+        raise PipelineError(f"unknown preprocessor {tokens['preprocessor']!r}")
+    if tokens["one_hot"] not in ("true", "false"):
+        raise PipelineError("one_hot must be true or false")
     return PipelineConfig(
-        standardize=fields["preprocessor"] == "standardize",
-        imputation=fields["imputation"],
-        one_hot=fields["one_hot"] == "true",
+        standardize=tokens["preprocessor"] == "standardize",
+        imputation=tokens["imputation"],
+        one_hot=tokens["one_hot"] == "true",
         selector=selector,
         classifier=classifier,
     ).validate()
@@ -393,8 +360,7 @@ class _Selector:
 class TrainedPipeline:
     """Frozen result of ``fit``: stages plus classifier; never mutated."""
 
-    def __init__(self, config, schema, imputer, encoder, standardizer, selector,
-                 classifier, train_fingerprint, rng_seed):
+    def __init__(self, config, schema, imputer, encoder, standardizer, selector, classifier):
         self.config = config
         self.schema = schema
         self._imputer = imputer
@@ -402,8 +368,6 @@ class TrainedPipeline:
         self._standardizer = standardizer
         self._selector = selector
         self._classifier = classifier
-        self.train_fingerprint = train_fingerprint
-        self.rng_seed = rng_seed
 
     def _transform(self, X: np.ndarray) -> np.ndarray:
         X = self._imputer.transform(X)
@@ -420,14 +384,6 @@ class TrainedPipeline:
 
     def predict(self, batch: Batch) -> np.ndarray:
         return self.predict_proba(batch).argmax(axis=1)
-
-
-def data_fingerprint(batch: Batch) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(batch.X).tobytes())
-    h.update(np.ascontiguousarray(batch.y).tobytes())
-    h.update(repr(batch.schema).encode())
-    return h.hexdigest()
 
 
 def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:
@@ -486,8 +442,6 @@ def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:
         standardizer=standardizer,
         selector=selector,
         classifier=classifier,
-        train_fingerprint=data_fingerprint(train),
-        rng_seed=seed,
     )
 
 

@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +148,44 @@ def test_exit_codes(tmp_path):
         "gone.conf",
     )
     assert main(["run", gone]) == EXIT_DATA
+
+
+RUN_LOG_LINE = re.compile(
+    r"(?P<arm>[\w-]+): (?P<total>[\d.]+)s total, phase_s=(?P<phases>\{.*?\}), "
+    r"drift_events=\[.*\], adapt_events=(?P<adapts>\[.*\])"
+)
+
+
+def test_run_log_lists_seconds_per_phase(tmp_path):
+    cfg = parse_config(SMALL_STAGGER.format(strategies="Base, Replacement"))
+    out = tmp_path / "out"
+    run_experiment(cfg, str(out))
+    adapted = {}
+    for line in (out / "run_log.txt").read_text().splitlines():
+        m = RUN_LOG_LINE.fullmatch(line)
+        phases = ast.literal_eval(m["phases"])
+        adapted[m["arm"]] = bool(ast.literal_eval(m["adapts"]))
+        assert list(phases) == ["search", "predict", "score", "reveal", "adapt", "store"]
+        assert all(sec >= 0.0 for sec in phases.values())
+        assert (phases["adapt"] > 0.0) == adapted[m["arm"]], line
+        # the phases split the arm's time; the total is printed to 0.1 s and
+        # each phase to 0.001 s
+        assert sum(phases.values()) <= float(m["total"]) + 0.05 + 0.0005 * len(phases)
+    assert adapted == {"Base": False, "Replacement": True}
+
+
+def test_normalized_auc_on_three_classes_is_a_data_error(tmp_path):
+    rng = np.random.default_rng(0)
+    rows = ["f1,y"] + [f"{rng.normal()},{c}" for c in rng.integers(0, 3, 300)]
+    csv_path = tmp_path / "three.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    conf = config_file(
+        tmp_path,
+        f"[dataset]\nkind = csv\npath = {csv_path}\nlabel_column = y\n\n"
+        "[run]\nbatch_size = 100\nmetric = normalized_auc\n",
+        "three.conf",
+    )
+    assert main(["run", conf, "--out", str(tmp_path / "three_out")]) == EXIT_DATA
 
 
 def test_csv_dataset_end_to_end(tmp_path):

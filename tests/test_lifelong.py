@@ -145,7 +145,6 @@ def test_weight_update_prefers_member_matching_new_data():
     class Stub:
         def __init__(self, proba):
             self._p = proba
-            self.train_fingerprint = "stub"
 
         def predict_proba(self, batch):
             return self._p[: len(batch)]
@@ -166,9 +165,8 @@ def test_weight_update_never_retrains():
     stream = stagger_stream(2_500, (), ((2, False),), 250)
     lib = initial_library(stream[0])
     _, _, rescored = adapt_on(Strategy.WU_ALL, lib, [stream[0]], stream[3], seed=1)
-    prints_before = [m.pipeline.train_fingerprint for m in lib.members]
-    prints_after = [m.pipeline.train_fingerprint for m in rescored.members]
-    assert prints_before == prints_after
+    assert len(rescored.members) == len(lib.members)
+    assert all(new.pipeline is old.pipeline for new, old in zip(rescored.members, lib.members))
 
 
 def test_weight_update_same_distribution_is_metric_equivalent():
@@ -307,6 +305,19 @@ def test_unlabeled_test_batch_rejected():
     unlabeled = Batch(x.schema, x.X, np.full(len(x), -1))
     with pytest.raises(DataError):
         run_lifelong(stream[0], [unlabeled], Strategy.BASE, "accuracy", BUDGET)
+
+
+def test_normalized_auc_on_three_classes_fails_before_the_search(monkeypatch):
+    schema = Schema((Feature("x"),), "y", ("a", "b", "c"))
+    rng = np.random.default_rng(0)
+    train = Batch(schema, rng.normal(size=(30, 1)), np.arange(30) % 3)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("driftml.lifelong.run_search", no_search)
+    with pytest.raises(DataError, match="normalized_auc"):
+        run_lifelong(train, [], Strategy.BASE, "normalized_auc", BUDGET)
 
 
 def test_nan_metric_batches_excluded_from_mean():

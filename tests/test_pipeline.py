@@ -174,13 +174,15 @@ def test_logistic_loss_non_increasing_on_separable_data():
     X = np.vstack([rng.normal(-2.0, 0.3, (n // 2, 2)), rng.normal(2.0, 0.3, (n // 2, 2))])
     y = np.array([0] * (n // 2) + [1] * (n // 2))
     schema = Schema((Feature("a"), Feature("b")), "y", ("0", "1"))
-    cfg = PipelineConfig(
-        standardize=True,
-        classifier=LogisticSgdConfig(learning_rate=0.05, l2=0.0, epochs=25),
-    )
-    model = fit(cfg, batch_of(schema, X, y), seed=1)
-    losses = model._classifier.loss_history_
-    assert len(losses) == 25
+    train = batch_of(schema, X, y)
+    losses = []
+    for epochs in range(1, 26):  # one seed: each fit extends the same SGD trajectory
+        cfg = PipelineConfig(
+            standardize=True,
+            classifier=LogisticSgdConfig(learning_rate=0.05, l2=0.0, epochs=epochs),
+        )
+        p = fit(cfg, train, seed=1).predict_proba(train)
+        losses.append(-np.log(np.maximum(p[np.arange(n), y], 1e-300)).mean())
     for earlier, later in zip(losses, losses[1:]):
         assert later <= earlier + 1e-6
 
@@ -207,6 +209,27 @@ def test_config_text_round_trip():
             "preprocessor=none imputation=mean one_hot=true selector=none "
             "classifier=perceptron(lr=1)"
         )
+
+
+KNN_TEXT = "knn(k=5,max_reference_points=5)"
+
+
+def pipeline_text(selector, classifier):
+    return f"preprocessor=none imputation=mean one_hot=false selector={selector} classifier={classifier}"
+
+
+@pytest.mark.parametrize("selector, classifier", [
+    ("none", "knn(k=abc,max_reference_points=5)"),
+    ("none", "knn(k=5.0,max_reference_points=5)"),
+    ("variance_threshold()", KNN_TEXT),
+    ("variance_threshold(tau=x)", KNN_TEXT),
+    ("none", "knn(k=5,max_reference_points=5,bogus=1)"),
+    ("none", "knn(k=5,max_reference_points=5,k=7)"),
+])
+def test_config_text_bad_parameters_raise_pipeline_error(selector, classifier):
+    assert config_from_text(pipeline_text("none", KNN_TEXT)).classifier == KnnConfig(5, 5)
+    with pytest.raises(PipelineError):
+        config_from_text(pipeline_text(selector, classifier))
 
 
 def test_fit_rejects_bad_input():
@@ -266,11 +289,3 @@ def test_all_missing_column_falls_back():
     proba = model.predict_proba(batch_of(schema, X, [0, 0, 1, 1]))
     assert np.allclose(proba.sum(axis=1), 1.0)
 
-
-def test_fingerprint_tracks_training_data():
-    a = fit(PipelineConfig(), separable_1d(), 0)
-    b = fit(PipelineConfig(), separable_1d(), 0)
-    assert a.train_fingerprint == b.train_fingerprint
-    other = batch_of(BIN_SCHEMA, [[0.0], [1.0], [10.0], [12.0]], [0, 0, 1, 1])
-    c = fit(PipelineConfig(), other, 0)
-    assert c.train_fingerprint != a.train_fingerprint
