@@ -143,7 +143,11 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
-        sections[current][key.strip()] = (value.strip(), lineno)
+        key = key.strip()
+        if key in sections[current]:
+            first = sections[current][key][1]
+            raise ConfigError(f"line {lineno}: key {key!r} in [{current}] repeats line {first}")
+        sections[current][key] = (value.strip(), lineno)
     return sections
 
 

@@ -232,15 +232,10 @@ def run_lifelong(
         per_batch.append(score(metric, batch.y, proba))
 
         hook("reveal", t)
-        fired_at = None
-        for j, correct in enumerate(y_pred == batch.y):
-            detector, signal = fhddm_step(detector, bool(correct))
-            if signal.drift:
-                fired_at = j
-                break  # one adaptation per batch; rest of the batch unfed
-
-        if fired_at is not None:
-            drift_events.append((t, fired_at))
+        seen_before = detector.seen
+        detector, signal = fhddm_step(detector, y_pred == batch.y)
+        if signal.drift:  # one adaptation per batch; rest of the batch unfed
+            drift_events.append((t, signal.at_instance - seen_before - 1))
             if strategy is not Strategy.BASE:
                 hook("adapt", t)
                 kind, detail, adapted = adapt(

@@ -206,6 +206,8 @@ def config_from_text(text: str) -> PipelineConfig:
         key, sep, val = token.partition("=")
         if not sep:
             raise PipelineError(f"bad config token {token!r}")
+        if key in tokens:
+            raise PipelineError(f"config text repeats key {key!r}")
         tokens[key] = val
     missing = {"preprocessor", "imputation", "one_hot", "selector", "classifier"} - set(tokens)
     if missing:

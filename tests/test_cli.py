@@ -66,6 +66,9 @@ def test_parse_errors_carry_line_numbers():
             "metric = accuracy", "metric = rmse"))
     with pytest.raises(ConfigError):
         parse_config(SMALL_STAGGER.format(strategies="Base, Base"))
+    with pytest.raises(ConfigError, match=r"line 11: key 'batch_size' in \[run\] repeats line 10"):
+        parse_config(SMALL_STAGGER.format(strategies="Base").replace(
+            "batch_size = 400", "batch_size = 100\nbatch_size = 300"))
 
 
 def test_run_base_only(tmp_path):

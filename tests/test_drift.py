@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from driftml.drift import (
+    DriftSignal,
     FhddmState,
     fhddm_reset,
     fhddm_step,
@@ -24,6 +27,31 @@ def brute_force_fire_step(bits, n=25, delta=1e-7):
         if mu_max - mu >= eps:
             return i + 1
     return None
+
+
+def reference_step(state, correct):
+    """The per-flag step the batch kernel replaced: one flag, one tuple copy."""
+    window = (state.window + (bool(correct),))[-state.n :]
+    seen = state.seen + 1
+    if len(window) < state.n:
+        return FhddmState(state.n, state.delta, window, state.mu_max, seen), DriftSignal(False)
+    mu = sum(window) / state.n
+    mu_max = mu if mu > state.mu_max else state.mu_max
+    drift = (mu_max - mu) >= state.epsilon
+    new = FhddmState(state.n, state.delta, window, mu_max, seen)
+    return new, DriftSignal(drift, seen if drift else None)
+
+
+def reference_fold(state, flags):
+    """Push ``flags`` through ``reference_step`` one at a time until the first
+    drift; returns the state, the last signal and the 0-based index of the
+    flag that fired (None without a drift)."""
+    signal = DriftSignal(False)
+    for j, flag in enumerate(np.atleast_1d(flags)):
+        state, signal = reference_step(state, flag)
+        if signal.drift:
+            return state, signal, j
+    return state, signal, None
 
 
 def run_stream(state, bits):
@@ -77,6 +105,8 @@ def test_matches_brute_force_on_random_streams():
         state = FhddmState()
         _, fired = run_stream(state, bits)
         assert fired == brute_force_fire_step(bits)
+        _, signal = fhddm_step(state, np.array(bits))
+        assert signal.at_instance == fired
 
 
 def test_detection_after_abrupt_drop():
@@ -133,3 +163,59 @@ def test_state_validation():
         FhddmState(delta=1.0)
     with pytest.raises(ValueError):
         FhddmState(window=(True, True), n=1)
+    with pytest.raises(ValueError):
+        fhddm_step(FhddmState(), np.ones((2, 25), dtype=bool))
+
+
+@st.composite
+def start_states(draw):
+    """Any reachable-looking state: a partly or fully filled window, a
+    ``mu_max`` that is 0, a window rate or any rate, and any count seen.
+    Half the deltas put epsilon at (about) ``k / n``, so a rate drop can
+    equal it exactly and the ``>=`` comparison is exercised."""
+    n = draw(st.integers(1, 40))
+    delta = draw(st.one_of(
+        st.floats(1e-12, 0.99), st.integers(1, n).map(lambda k: math.exp(-2.0 * k * k / n)),
+    ))
+    window = tuple(draw(st.lists(st.booleans(), max_size=n)))
+    mu_max = draw(st.one_of(
+        st.just(0.0), st.integers(0, n).map(lambda c: c / n), st.floats(0.0, 1.0),
+    ))
+    seen = len(window) + draw(st.integers(0, 10_000))
+    return FhddmState(n, delta, window, mu_max, seen)
+
+
+# runs of equal flags, so streams hold both sustained rates and sudden drops
+flag_streams = st.lists(st.tuples(st.booleans(), st.integers(1, 60)), min_size=1, max_size=12).map(
+    lambda runs: np.array([flag for flag, length in runs for _ in range(length)], dtype=bool)
+)
+
+
+@given(start_states(), flag_streams)
+def test_batch_step_equals_the_per_flag_fold(state, flags):
+    expected_state, expected_signal, fired_at = reference_fold(state, flags)
+    new, signal = fhddm_step(state, flags)
+    assert new == expected_state
+    assert type(new.mu_max) is float and all(type(f) is bool for f in new.window)
+    assert signal == expected_signal
+    offset = signal.at_instance - state.seen - 1 if signal.drift else None
+    assert offset == fired_at
+
+
+@given(start_states(), st.booleans())
+def test_single_flag_and_empty_batch(state, flag):
+    assert fhddm_step(state, flag) == reference_step(state, flag)
+    assert fhddm_step(state, np.bool_(flag)) == reference_step(state, flag)
+    assert fhddm_step(state, np.array([], dtype=bool)) == (state, DriftSignal(False))
+    assert fhddm_step(state, []) == (state, DriftSignal(False))
+
+
+@given(start_states(), flag_streams, st.lists(st.integers(0, 800), max_size=8))
+def test_chunked_stream_equals_one_call(state, flags, cuts):
+    whole = fhddm_step(state, flags)
+    chunked, signal = state, DriftSignal(False)
+    for chunk in np.split(flags, sorted(cuts)):
+        chunked, signal = fhddm_step(chunked, chunk)
+        if signal.drift:
+            break
+    assert (chunked, signal) == whole

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from driftml import search
+from driftml import lifelong, search
 from driftml.data import Batch, DataError, Feature, Schema, split_stream
 from driftml.ensemble import ensemble_predict_proba, select_ensemble
 from driftml.lifelong import (
@@ -18,6 +18,7 @@ from driftml.metrics import score
 from driftml.pipeline import DecisionTreeConfig, PipelineConfig, default_config_portfolio
 from driftml.search import LibraryMember, ModelLibrary, SearchBudget, run_search
 from driftml.stagger import StaggerConfig, generate_stagger
+from test_drift import reference_fold
 
 BUDGET = SearchBudget(max_candidates=6, seed=13)
 TREES = [
@@ -259,6 +260,28 @@ def adapt_events(stream, strategy):
     assert [t for t, _, _ in report.adapt_events] == [t for t, _ in report.drift_events]
     assert all(stream[1 + t].index == t + 1 for t, _, _ in report.adapt_events)
     return report.adapt_events
+
+
+@pytest.mark.parametrize("strategy", [Strategy.BASE, Strategy.WU_LATEST])
+def test_batch_detector_call_matches_the_per_flag_loop(drifting, strategy, monkeypatch):
+    """One ``fhddm_step`` call per test batch gives the report that pushing
+    each flag through the per-flag reference gives: Base never resets its
+    detector, WU-latest resets it after every adaptation. Each drift event's
+    offset is the index of the flag that fired within its batch."""
+    fired_at = []
+
+    def per_flag(state, flags):
+        state, signal, j = reference_fold(state, flags)
+        if j is not None:
+            fired_at.append(j)
+        return state, signal
+
+    batched = run_lifelong(drifting[0], drifting[1:], strategy, "accuracy", BUDGET)
+    monkeypatch.setattr(lifelong, "fhddm_step", per_flag)
+    per_flag_report = run_lifelong(drifting[0], drifting[1:], strategy, "accuracy", BUDGET)
+    assert batched == per_flag_report
+    assert [j for _, j in batched.drift_events] == fired_at
+    assert len(fired_at) >= 2
 
 
 def test_replacement_events_name_the_new_library_size(drifting):

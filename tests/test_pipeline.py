@@ -225,6 +225,7 @@ def pipeline_text(selector, classifier):
     ("variance_threshold(tau=x)", KNN_TEXT),
     ("none", "knn(k=5,max_reference_points=5,bogus=1)"),
     ("none", "knn(k=5,max_reference_points=5,k=7)"),
+    ("none", f"{KNN_TEXT} classifier=knn(k=7,max_reference_points=9)"),
 ])
 def test_config_text_bad_parameters_raise_pipeline_error(selector, classifier):
     assert config_from_text(pipeline_text("none", KNN_TEXT)).classifier == KnnConfig(5, 5)
