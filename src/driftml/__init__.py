@@ -30,7 +30,6 @@ from .drift import (
 from .ensemble import (
     EnsembleError,
     EnsembleModel,
-    ensemble_predict,
     ensemble_predict_proba,
     select_ensemble,
 )
@@ -61,11 +60,9 @@ from .search import (
     ModelLibrary,
     SearchBudget,
     SearchError,
-    load_library,
     rescore_library,
     run_search,
     sample_config,
-    save_library,
 )
 from .stagger import StaggerConfig, default_acceptance_config, generate_stagger
 

@@ -152,7 +152,8 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 
 def _take(sections, section, key, convert, default=None, required=False):
-    entry = sections.get(section, {}).get(key)
+    """Convert and remove one key; ``parse_config`` rejects what is left."""
+    entry = sections.get(section, {}).pop(key, None)
     if entry is None:
         if required:
             raise ConfigError(f"missing required key {key!r} in [{section}]")
@@ -222,6 +223,9 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.detector_delta = _take(sections, "detector", "delta", float, cfg.detector_delta)
     cfg.ensemble_rounds = _take(sections, "ensemble", "rounds", int, cfg.ensemble_rounds)
 
+    for section, entries in sections.items():
+        for key, (_, lineno) in entries.items():
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
     if cfg.batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     if len(set(cfg.strategies)) != len(cfg.strategies):

@@ -86,12 +86,13 @@ class Batch:
     """An ordered block of instances sharing one schema.
 
     Arrival order is preserved exactly (the drift detector consumes
-    correctness in this order). The backing arrays are read-only.
+    correctness in this order). The backing arrays are read-only. The
+    constructor validates and copies its input; ``take`` does neither.
     """
 
-    __slots__ = ("schema", "X", "y", "index")
+    __slots__ = ("schema", "X", "y")
 
-    def __init__(self, schema: Schema, X: np.ndarray, y: np.ndarray, index: int = 0):
+    def __init__(self, schema: Schema, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if X.ndim != 2 or X.shape[1] != schema.n_features:
@@ -110,7 +111,6 @@ class Batch:
         self.schema = schema
         self.X = X
         self.y = y
-        self.index = int(index)
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -119,8 +119,17 @@ class Batch:
     def fully_labeled(self) -> bool:
         return bool((self.y >= 0).all())
 
-    def with_index(self, index: int) -> "Batch":
-        return Batch(self.schema, self.X, self.y, index)
+    def take(self, rows) -> "Batch":
+        """The instances at ``rows`` (a slice or an index array), same schema.
+
+        A slice shares this batch's read-only memory; an index array copies
+        the selected rows once.
+        """
+        cut = Batch.__new__(Batch)  # the rows of a valid batch need no checks
+        cut.schema, cut.X, cut.y = self.schema, self.X[rows], self.y[rows]
+        cut.X.setflags(write=False)
+        cut.y.setflags(write=False)
+        return cut
 
 
 def _parse_numeric(token: str) -> Optional[float]:
@@ -221,7 +230,7 @@ def load_csv(
             y[i] = class_map[cell]
         else:
             raise DataError(f"{path}: row {i + 2}: unknown class {cell!r}")
-    return schema, Batch(schema, X, y, index=0)
+    return schema, Batch(schema, X, y)
 
 
 def write_csv(batch: Batch, path: str) -> None:
@@ -253,21 +262,20 @@ def split_stream(data: Batch, batch_size: int) -> list[Batch]:
     """
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
-    out = []
-    for i, start in enumerate(range(0, len(data), batch_size)):
-        stop = min(start + batch_size, len(data))
-        out.append(Batch(data.schema, data.X[start:stop], data.y[start:stop], index=i))
-    return out
+    return [data.take(slice(start, start + batch_size))
+            for start in range(0, len(data), batch_size)]
 
 
-def concat_batches(batches: Sequence[Batch], index: int = 0) -> Batch:
-    """Concatenate batches (same schema) preserving order."""
+def concat_batches(batches: Sequence[Batch]) -> Batch:
+    """Concatenate batches preserving order. Every batch must be compatible
+    with the first (``Schema.compatible_with``), whose schema the result
+    keeps."""
     if not batches:
         raise DataError("cannot concatenate zero batches")
     schema = batches[0].schema
-    for b in batches[1:]:
-        if b.schema is not schema and b.schema != schema:
-            raise DataError("cannot concatenate batches with differing schemas")
+    for i, b in enumerate(batches):
+        if not b.schema.compatible_with(schema):
+            raise DataError(f"batch {i} has a schema incompatible with the first batch's")
     X = np.concatenate([b.X for b in batches], axis=0)
     y = np.concatenate([b.y for b in batches], axis=0)
-    return Batch(schema, X, y, index)
+    return Batch(schema, X, y)

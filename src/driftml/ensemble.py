@@ -90,33 +90,16 @@ def select_ensemble(lib: ModelLibrary, rounds: int = 50, metric: str | None = No
     )
 
 
-def ensemble_validation_proba(ens: EnsembleModel, lib: ModelLibrary) -> np.ndarray:
-    """Weighted average of the stored holdout predictions."""
-    _check_refs(ens, lib)
-    out = np.zeros_like(np.asarray(lib.members[ens.member_refs[0]].validation_proba))
-    for ref, w in zip(ens.member_refs, ens.weights):
-        out += w * np.asarray(lib.members[ref].validation_proba)
-    return out
-
-
 def ensemble_predict_proba(ens: EnsembleModel, lib: ModelLibrary, batch: Batch
                            ) -> np.ndarray:
     """Weighted average of member probabilities on a new batch."""
-    _check_refs(ens, lib)
+    if not ens.member_refs:
+        raise EnsembleError("ensemble references no members")
+    if max(ens.member_refs) >= len(lib) or min(ens.member_refs) < 0:
+        raise EnsembleError("ensemble references members outside the library")
     out = None
     for ref, w in zip(ens.member_refs, ens.weights):
         p = lib.members[ref].pipeline.predict_proba(batch)
         out = w * p if out is None else out + w * p
     return out
 
-
-def ensemble_predict(ens: EnsembleModel, lib: ModelLibrary, batch: Batch) -> np.ndarray:
-    """Hard labels: argmax with ties to the lowest class index."""
-    return ensemble_predict_proba(ens, lib, batch).argmax(axis=1)
-
-
-def _check_refs(ens: EnsembleModel, lib: ModelLibrary) -> None:
-    if not ens.member_refs:
-        raise EnsembleError("ensemble references no members")
-    if max(ens.member_refs) >= len(lib) or min(ens.member_refs) < 0:
-        raise EnsembleError("ensemble references members outside the library")

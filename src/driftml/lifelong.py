@@ -6,13 +6,14 @@ per-instance correctness in arrival order. When the detector fires (at most
 once per batch; remaining instances of that batch are not fed), ``adapt``
 builds the library the chosen strategy moves to, after the batch is fully
 scored; the loop then reselects the ensemble from it, records the event and
-resets the detector. Every processed batch joins the stored data, which
-never shrinks.
+resets the detector. The stored data is a prefix of the stream (the
+training batch, then the test batches, concatenated once per run): every
+instance up to and including the current batch.
 
 Strategies
 ----------
 Base          control arm; never adapts.
-Replacement   full new search over all stored data plus the current batch.
+Replacement   full new search over all stored data.
 WU-all        re-run ensemble selection with library scores recomputed on a
               capped stratified sample of all stored data; no retraining.
 WU-latest     same, but validation is the current batch only.
@@ -106,7 +107,7 @@ def stratified_sample(data: Batch, cap: int, rng: np.random.Generator) -> Batch:
         quota = min(quota, rows.size)
         take.append(rng.choice(rows, size=quota, replace=False))
     idx = np.sort(np.concatenate(take))
-    return Batch(data.schema, data.X[idx], data.y[idx])
+    return data.take(idx)
 
 
 def _adapt_seed(run_seed: int, batch_index: int) -> int:
@@ -117,7 +118,7 @@ def _adapt_seed(run_seed: int, batch_index: int) -> int:
 def adapt(
     strategy: Strategy,
     library: ModelLibrary,
-    stored: Sequence[Batch],
+    data: Batch,
     batch: Batch,
     *,
     budget: SearchBudget,
@@ -126,13 +127,12 @@ def adapt(
     seed: int,
 ) -> tuple[str, str, Optional[ModelLibrary]]:
     """Build the library that ``strategy`` moves to after a drift on
-    ``batch``; ``stored`` holds every earlier batch.
+    ``batch``; ``data`` is the stored data, the stream through ``batch``.
 
     Returns ``(kind, detail, library)``, or ``("degraded", reason, None)``
     when the strategy cannot adapt on this data and the old model stays.
     """
     if strategy is Strategy.REPLACEMENT:  # throw the model away
-        data = concat_batches([*stored, batch])
         try:
             lib = run_search(data, replace(budget, seed=seed), portfolio, metric)
         except SearchError as exc:
@@ -143,7 +143,6 @@ def adapt(
         if strategy is Strategy.WU_LATEST:
             kind, validation = "wu-latest", batch
         else:
-            data = concat_batches([*stored, batch])
             rng = np.random.default_rng(seed)
             kind, validation = "wu-all", stratified_sample(data, WU_VALIDATION_CAP, rng)
         if np.unique(validation.y[validation.y >= 0]).size < 2:
@@ -154,15 +153,12 @@ def adapt(
         # fresh fits on all stored data join the library; everything is
         # rescored on a fresh holdout. With every new fit failed this is a
         # pure weight update.
-        data = concat_batches([*stored, batch])
         rng = np.random.default_rng(seed)
         fit_idx, val_idx = stratified_split(data, budget.validation_fraction, rng)
         if val_idx.size == 0:
             return "degraded", "add-new: no holdout", None
-        fit_batch = Batch(data.schema, data.X[fit_idx], data.y[fit_idx])
-        val_batch = stratified_sample(
-            Batch(data.schema, data.X[val_idx], data.y[val_idx]), WU_VALIDATION_CAP, rng
-        )
+        fit_batch = data.take(fit_idx)
+        val_batch = stratified_sample(data.take(val_idx), WU_VALIDATION_CAP, rng)
         new_members = []
         for i, config in enumerate(portfolio[:ADD_NEW_POOL_SIZE]):
             try:
@@ -205,25 +201,23 @@ def run_lifelong(
     """
     if not train.fully_labeled:
         raise DataError("training batch must be fully labeled")
-    for b in test_batches:
+    for t, b in enumerate(test_batches):
         if not b.fully_labeled:
-            raise DataError(f"test batch {b.index} is not fully labeled")
+            raise DataError(f"test batch {t} is not fully labeled")
     if metric == NORMALIZED_AUC and train.schema.n_classes != 2:
         raise DataError(f"normalized_auc needs 2 classes, the data has {train.schema.n_classes}")
 
     hook = phase_hook or (lambda phase, index: None)
     portfolio = default_config_portfolio()
     detector = detector if detector is not None else FhddmState()
+    stream = concat_batches([train, *test_batches])  # checks every schema against train's
 
     library = run_search(train, budget, portfolio, metric)
     ensemble = select_ensemble(library, ensemble_rounds, metric)
 
-    stored = [train]
+    end = len(train)  # rows of the stream stored before batch t
     per_batch, drift_events, adapt_events = [], [], []
     for t, batch in enumerate(test_batches):
-        if not batch.schema.compatible_with(train.schema):
-            raise DataError(f"schema drift at batch {t}: incompatible with training schema")
-
         hook("predict", t)
         proba = ensemble_predict_proba(ensemble, library, batch)
         y_pred = proba.argmax(axis=1)
@@ -239,8 +233,9 @@ def run_lifelong(
             if strategy is not Strategy.BASE:
                 hook("adapt", t)
                 kind, detail, adapted = adapt(
-                    strategy, library, stored, batch, budget=budget, portfolio=portfolio,
-                    metric=metric, seed=_adapt_seed(budget.seed, t),
+                    strategy, library, stream.take(slice(0, end + len(batch))), batch,
+                    budget=budget, portfolio=portfolio, metric=metric,
+                    seed=_adapt_seed(budget.seed, t),
                 )
                 if adapted is not None:
                     library = adapted
@@ -249,7 +244,7 @@ def run_lifelong(
                 detector = fhddm_reset(detector)
 
         hook("store", t)
-        stored.append(batch)
+        end += len(batch)
 
     mean, excluded = _mean_excluding_nan(per_batch)
     return RunReport(

@@ -209,7 +209,10 @@ def config_from_text(text: str) -> PipelineConfig:
         if key in tokens:
             raise PipelineError(f"config text repeats key {key!r}")
         tokens[key] = val
-    missing = {"preprocessor", "imputation", "one_hot", "selector", "classifier"} - set(tokens)
+    keys = {"preprocessor", "imputation", "one_hot", "selector", "classifier"}
+    unknown, missing = set(tokens) - keys, keys - set(tokens)
+    if unknown:
+        raise PipelineError(f"config text has unknown keys: {sorted(unknown)}")
     if missing:
         raise PipelineError(f"config text missing keys: {sorted(missing)}")
 
@@ -383,9 +386,6 @@ class TrainedPipeline:
         if not batch.schema.compatible_with(self.schema):
             raise PipelineError("batch schema incompatible with the fitted schema")
         return self._classifier.predict_proba(self._transform(batch.X))
-
-    def predict(self, batch: Batch) -> np.ndarray:
-        return self.predict_proba(batch).argmax(axis=1)
 
 
 def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:

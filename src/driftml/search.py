@@ -16,7 +16,6 @@ index, so a parallel executor could not change the outcome.
 from __future__ import annotations
 
 import logging
-import pickle
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -35,13 +34,10 @@ from .pipeline import (
     TopKMutualInfoConfig,
     TrainedPipeline,
     VarianceThresholdConfig,
-    config_to_text,
     fit,
 )
 
 log = logging.getLogger(__name__)
-
-LIBRARY_FORMAT_VERSION = 2
 
 # What a bad candidate config or degenerate data raises from fit, predict or
 # scoring; a candidate that raises one is logged and skipped. Anything else
@@ -82,23 +78,6 @@ class ModelLibrary:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    @property
-    def best_index(self) -> int:
-        scores = [m.validation_score for m in self.members]
-        return int(np.argmax(scores))
-
-    @property
-    def best_score(self) -> float:
-        return self.members[self.best_index].validation_score
-
-    def manifest(self) -> str:
-        """Human-readable text summary: one member per line."""
-        lines = [f"# model library: {len(self.members)} members, metric={self.metric}"]
-        for i, m in enumerate(self.members):
-            cfg = "<stub>" if m.pipeline is None else config_to_text(m.pipeline.config)
-            lines.append(f"{i}\t{m.validation_score:.6f}\t{cfg}")
-        return "\n".join(lines) + "\n"
 
 
 def stratified_split(batch: Batch, fraction: float, rng: np.random.Generator
@@ -198,8 +177,7 @@ def run_search(
 
     rng = np.random.default_rng(budget.seed)
     fit_idx, val_idx = stratified_split(train, budget.validation_fraction, rng)
-    fit_batch = Batch(train.schema, train.X[fit_idx], train.y[fit_idx])
-    val_batch = Batch(train.schema, train.X[val_idx], train.y[val_idx])
+    fit_batch, val_batch = train.take(fit_idx), train.take(val_idx)
 
     started = time.perf_counter()
     members = []
@@ -235,19 +213,3 @@ def rescore_library(lib: ModelLibrary, new_validation: Batch) -> ModelLibrary:
         )
     return replace(lib, members=tuple(members), validation_set=new_validation)
 
-
-def save_library(lib: ModelLibrary, path: str) -> None:
-    """Persist fitted models in the internal binary format (pickle wrapped
-    with a format version; stable within a minor release only)."""
-    with open(path, "wb") as fh:
-        pickle.dump({"format_version": LIBRARY_FORMAT_VERSION, "library": lib}, fh)
-
-
-def load_library(path: str) -> ModelLibrary:
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if payload.get("format_version") != LIBRARY_FORMAT_VERSION:
-        raise SearchError(
-            f"library format {payload.get('format_version')!r} not supported"
-        )
-    return payload["library"]

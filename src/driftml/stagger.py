@@ -100,7 +100,7 @@ def generate_stagger(cfg: StaggerConfig) -> Batch:
 
     X = np.stack([size, color, shape], axis=1).astype(np.float64)
     y = label.astype(np.int64)  # classes are ("false", "true")
-    return Batch(STAGGER_SCHEMA, X, y, index=0)
+    return Batch(STAGGER_SCHEMA, X, y)
 
 
 def default_acceptance_config(seed: int = 42) -> StaggerConfig:

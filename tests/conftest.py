@@ -30,12 +30,23 @@ def mixed_schema():
     )
 
 
-def make_batch(schema, X, y, index=0):
-    return Batch(schema, np.asarray(X, dtype=float), np.asarray(y, dtype=np.int64), index)
+def make_batch(schema, X, y):
+    return Batch(schema, np.asarray(X, dtype=float), np.asarray(y, dtype=np.int64))
+
+
+class FixedProba:
+    """Pipeline stub: predicts the first ``len(batch)`` of its fixed rows."""
+
+    def __init__(self, proba):
+        self.proba = proba
+
+    def predict_proba(self, batch):
+        return self.proba[: len(batch)]
 
 
 def stub_library(probas, y_true, metric="accuracy"):
-    """Library of prediction-only members for selection tests."""
+    """Library of fixed-probability members, validated on an all-zero batch
+    whose rows the stubs predict."""
     from driftml.metrics import score
 
     schema = Schema(
@@ -45,8 +56,6 @@ def stub_library(probas, y_true, metric="accuracy"):
     )
     y = np.asarray(y_true, dtype=np.int64)
     val = Batch(schema, np.zeros((y.size, 1)), y)
-    members = tuple(
-        LibraryMember(None, np.asarray(p, dtype=float), score(metric, y, np.asarray(p)))
-        for p in probas
-    )
+    probas = [np.asarray(p, dtype=float) for p in probas]
+    members = tuple(LibraryMember(FixedProba(p), p, score(metric, y, p)) for p in probas)
     return ModelLibrary(members, val, metric)

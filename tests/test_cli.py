@@ -69,6 +69,8 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ConfigError, match=r"line 11: key 'batch_size' in \[run\] repeats line 10"):
         parse_config(SMALL_STAGGER.format(strategies="Base").replace(
             "batch_size = 400", "batch_size = 100\nbatch_size = 300"))
+    with pytest.raises(ConfigError, match=r"line 20: unknown key 'roundz' in \[ensemble\]"):
+        parse_config(SMALL_STAGGER.format(strategies="Base") + "roundz = 7\n")
 
 
 def test_run_base_only(tmp_path):

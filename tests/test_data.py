@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from driftml.data import (
     Batch,
@@ -103,7 +104,6 @@ def test_split_sizes():
     data = Batch(schema, np.arange(10.0).reshape(-1, 1), np.zeros(10, dtype=int))
     parts = split_stream(data, 3)
     assert [len(p) for p in parts] == [3, 3, 3, 1]
-    assert [p.index for p in parts] == [0, 1, 2, 3]
 
 
 def test_split_identity_case():
@@ -147,6 +147,56 @@ def test_batch_arrays_read_only():
         batch.X[0, 0] = 5.0
     with pytest.raises(ValueError):
         batch.y[0] = 1
+
+
+@st.composite
+def batch_and_rows(draw):
+    """A batch (NaN cells, unlabeled rows) and a slice or an index array of
+    its rows: sorted or not, with repeats, possibly empty."""
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, 2))
+    X[rng.random((n, 2)) < 0.1] = np.nan
+    schema = Schema((Feature("a"), Feature("b", ("red", "green"))), "y", ("0", "1", "2"))
+    batch = Batch(schema, X, rng.integers(-1, 3, n))
+    if draw(st.booleans()):
+        return batch, draw(st.slices(n))
+    rows = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=50 if n else 0))
+    if draw(st.booleans()):
+        rows.sort()
+    return batch, np.array(rows, dtype=np.intp)
+
+
+@given(batch_and_rows())
+def test_take_equals_a_new_batch_of_the_same_rows(case):
+    batch, rows = case
+    got = batch.take(rows)
+    want = Batch(batch.schema, batch.X[rows], batch.y[rows])
+    assert got.schema is batch.schema
+    assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
+    assert got.y.tobytes() == want.y.tobytes() and got.y.dtype == want.y.dtype
+    assert not got.X.flags.writeable and not got.y.flags.writeable
+    if len(got):  # a slice views the batch's memory, an index array copies
+        shared = isinstance(rows, slice)
+        assert np.shares_memory(got.X, batch.X) == shared
+        assert np.shares_memory(got.y, batch.y) == shared
+
+
+def test_concat_keeps_the_first_schema_and_rejects_incompatible_batches():
+    first = Schema((Feature("a"), Feature("b", ("red", "green"))), "y", ("0", "1"))
+    renamed = Schema((Feature("p"), Feature("q", ("blue",))), "label", ("no", "yes"))
+    a = Batch(first, [[1.0, 0.0]], [0])
+    b = Batch(renamed, [[2.0, 0.0], [3.0, 1.0]], [1, 0])
+    glued = concat_batches([a, b])
+    assert glued.schema is first
+    assert glued.X.tolist() == [[1.0, 0.0], [2.0, 0.0], [3.0, 1.0]]
+    assert glued.y.tolist() == [0, 1, 0]
+    assert not glued.X.flags.writeable and not glued.y.flags.writeable
+    numeric = Schema((Feature("a"), Feature("b")), "y", ("0", "1"))
+    with pytest.raises(DataError, match="batch 1"):
+        concat_batches([a, Batch(numeric, [[1.0, 2.0]], [0])])
+    with pytest.raises(DataError):
+        concat_batches([])
 
 
 def test_schema_validation():

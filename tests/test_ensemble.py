@@ -7,9 +7,7 @@ import pytest
 from driftml.ensemble import (
     EnsembleError,
     EnsembleModel,
-    ensemble_predict,
     ensemble_predict_proba,
-    ensemble_validation_proba,
     select_ensemble,
 )
 from driftml.metrics import score
@@ -119,10 +117,11 @@ def test_prediction_arithmetic():
     ones = np.array([[1.0, 0.0]] * 3)
     zeros = np.array([[0.0, 1.0]] * 3)
     lib = stub_library([ones, zeros], [0, 0, 1])
+    batch = lib.validation_set
     even = EnsembleModel((0, 1), (0.5, 0.5), 2, (0, 1))
-    assert np.allclose(ensemble_validation_proba(even, lib), 0.5)
+    assert np.allclose(ensemble_predict_proba(even, lib, batch), 0.5)
     skew = EnsembleModel((0, 1), (0.75, 0.25), 4, (0, 0, 0, 1))
-    mixed = ensemble_validation_proba(skew, lib)
+    mixed = ensemble_predict_proba(skew, lib, batch)
     assert np.allclose(mixed[:, 0], 0.75)
     assert np.allclose(mixed[:, 1], 0.25)
 
@@ -139,15 +138,16 @@ def test_single_member_prediction_identity(numeric_schema):
     lib = ModelLibrary((member,), train, "accuracy")
     ens = EnsembleModel((0,), (1.0,), 1, (0,))
     assert np.array_equal(ensemble_predict_proba(ens, lib, train), proba)
-    assert np.array_equal(ensemble_predict(ens, lib, train), train.y)
+    assert np.array_equal(ensemble_predict_proba(ens, lib, train).argmax(axis=1), train.y)
 
 
 def test_argmax_tie_breaks_low():
     half = np.full((2, 2), 0.5)
     lib = stub_library([half], [0, 1])
     ens = EnsembleModel((0,), (1.0,), 1, (0,))
-    # validation proba argmax goes to class 0 on exact ties
-    assert ensemble_validation_proba(ens, lib).argmax(axis=1).tolist() == [0, 0]
+    # the predicted class is argmax with ties to class 0
+    proba = ensemble_predict_proba(ens, lib, lib.validation_set)
+    assert proba.argmax(axis=1).tolist() == [0, 0]
 
 
 def test_errors():
@@ -155,9 +155,9 @@ def test_errors():
     lib = stub_library(probas, [0])
     with pytest.raises(EnsembleError):
         select_ensemble(lib, rounds=0)
-    dangling = EnsembleModel((3,), (1.0,), 1, (3,))
+    dangling = EnsembleModel((1,), (1.0,), 1, (1,))  # one past the last member
     with pytest.raises(EnsembleError):
-        ensemble_validation_proba(dangling, lib)
+        ensemble_predict_proba(dangling, lib, lib.validation_set)
     from driftml.search import ModelLibrary
 
     empty = ModelLibrary((), lib.validation_set, "accuracy")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from driftml import lifelong, search
-from driftml.data import Batch, DataError, Feature, Schema, split_stream
+from driftml.data import Batch, DataError, Feature, Schema, concat_batches, split_stream
 from driftml.ensemble import ensemble_predict_proba, select_ensemble
 from driftml.lifelong import (
     WU_VALIDATION_CAP,
@@ -16,7 +16,13 @@ from driftml.lifelong import (
 )
 from driftml.metrics import score
 from driftml.pipeline import DecisionTreeConfig, PipelineConfig, default_config_portfolio
-from driftml.search import LibraryMember, ModelLibrary, SearchBudget, run_search
+from driftml.search import (
+    LibraryMember,
+    ModelLibrary,
+    SearchBudget,
+    run_search,
+    stratified_split,
+)
 from driftml.stagger import StaggerConfig, generate_stagger
 from test_drift import reference_fold
 
@@ -38,8 +44,9 @@ def initial_library(train, seed=3):
 
 
 def adapt_on(strategy, library, stored, batch, seed=0, portfolio=TREES):
-    return adapt(strategy, library, stored, batch, budget=BUDGET, portfolio=portfolio,
-                 metric="accuracy", seed=seed)
+    """``adapt`` on the stored batches followed by ``batch``."""
+    return adapt(strategy, library, concat_batches([*stored, batch]), batch, budget=BUDGET,
+                 portfolio=portfolio, metric="accuracy", seed=seed)
 
 
 def test_zero_test_batches():
@@ -105,11 +112,11 @@ def test_replacement_detects_and_recovers_after_inversion():
     # stored data is mostly post-drift, so the refit must master the
     # inverted concept
     train = generate_stagger(StaggerConfig(300, (), ((1, False),), seed=4))
-    warm = generate_stagger(StaggerConfig(100, (), ((1, False),), seed=14)).with_index(1)
+    warm = generate_stagger(StaggerConfig(100, (), ((1, False),), seed=14))
     inverted = split_stream(
         generate_stagger(StaggerConfig(4_000, (), ((1, True),), seed=5)), 1_000
     )
-    stream = [warm] + [b.with_index(i + 2) for i, b in enumerate(inverted)]
+    stream = [warm] + inverted
     report = run_lifelong(train, stream, Strategy.REPLACEMENT, "accuracy", BUDGET)
     assert len(report.drift_events) >= 1
     first_fire = report.drift_events[0][0]
@@ -129,10 +136,14 @@ def test_replacement_drift_event_near_midpoint_inversion():
 
 def test_adapt_replacement_keeps_all_stored_batches():
     stream = stagger_stream(2_000, (), ((1, False),), 250)
-    stored = list(stream[:4])
-    kind, detail, lib = adapt_on(Strategy.REPLACEMENT, initial_library(stream[0]), stored, stream[4])
-    assert stored == list(stream[:4])  # storage is the loop's job, not the adapter's
+    kind, detail, lib = adapt_on(Strategy.REPLACEMENT, initial_library(stream[0]), stream[:4],
+                                 stream[4], seed=5)
     assert (kind, detail) == ("replacement", f"library={len(lib)}")
+    # the new search held out its validation rows from all five batches
+    data = concat_batches(stream[:5])
+    _, val_idx = stratified_split(data, BUDGET.validation_fraction, np.random.default_rng(5))
+    assert lib.validation_set.X.tobytes() == data.X[val_idx].tobytes()
+    assert lib.validation_set.y.tobytes() == data.y[val_idx].tobytes()
 
 
 def test_weight_update_prefers_member_matching_new_data():
@@ -253,12 +264,27 @@ def drifting():
 
 def adapt_events(stream, strategy):
     """The adaptation events of one arm, after checking they line up with
-    the drift events: one per drift, indexed by test batch (``Batch.index``
-    of those batches is one higher, because batch 0 trains)."""
-    report = run_lifelong(stream[0], stream[1:], strategy, "accuracy", BUDGET)
+    the drift events (one per drift, indexed by test batch) and that each
+    adaptation at test batch ``t`` was handed the stream through that batch,
+    byte for byte what concatenating ``stream[: t + 2]`` gives."""
+    handed = []
+
+    def recording_adapt(arm, library, data, batch, **kwargs):
+        handed.append((data, batch))
+        return adapt(arm, library, data, batch, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lifelong, "adapt", recording_adapt)
+        report = run_lifelong(stream[0], stream[1:], strategy, "accuracy", BUDGET)
     assert report.drift_events
     assert [t for t, _, _ in report.adapt_events] == [t for t, _ in report.drift_events]
-    assert all(stream[1 + t].index == t + 1 for t, _, _ in report.adapt_events)
+    assert len(handed) == len(report.adapt_events)
+    for (t, _, _), (data, batch) in zip(report.adapt_events, handed):
+        assert batch is stream[1 + t]
+        expected = concat_batches(stream[: t + 2])
+        assert data.schema is expected.schema
+        assert data.X.tobytes() == expected.X.tobytes()
+        assert data.y.tobytes() == expected.y.tobytes()
     return report.adapt_events
 
 
@@ -314,12 +340,29 @@ def test_add_new_events_count_new_members_and_the_grown_library(drifting):
         size = total
 
 
-def test_schema_drift_is_fatal():
+def test_schema_drift_is_fatal(monkeypatch):
     stream = stagger_stream(1_000, (), ((1, False),), 250)
     other_schema = Schema((Feature("a"),), "y", ("0", "1"))
     alien = Batch(other_schema, np.zeros((10, 1)), np.zeros(10, dtype=int))
-    with pytest.raises(DataError):
-        run_lifelong(stream[0], [alien], Strategy.BASE, "accuracy", BUDGET)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(lifelong, "run_search", no_search)
+    with pytest.raises(DataError, match="batch 2"):
+        run_lifelong(stream[0], [stream[1], alien], Strategy.BASE, "accuracy", BUDGET)
+
+
+def test_a_compatible_renamed_schema_still_adapts(drifting):
+    """Test batches whose schema matches training's in shape but not in
+    names are scored and adapted on exactly like the originals."""
+    schema = drifting[0].schema
+    renamed = Schema(tuple(Feature(f"renamed_{f.name}", f.levels) for f in schema.features),
+                     "label", schema.classes)
+    test = [Batch(renamed, b.X, b.y) for b in drifting[1:]]
+    report = run_lifelong(drifting[0], test, Strategy.WU_ALL, "accuracy", BUDGET)
+    assert report.adapt_events
+    assert report == run_lifelong(drifting[0], drifting[1:], Strategy.WU_ALL, "accuracy", BUDGET)
 
 
 def test_unlabeled_test_batch_rejected():

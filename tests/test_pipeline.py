@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from driftml.data import Batch, Feature, Schema, UNSEEN
 from driftml.pipeline import (
@@ -16,12 +17,18 @@ from driftml.pipeline import (
     default_config_portfolio,
     fit,
 )
+from driftml.search import sample_config
 
 BIN_SCHEMA = Schema((Feature("x"),), "y", ("0", "1"))
 
 
 def batch_of(schema, X, y):
     return Batch(schema, np.asarray(X, dtype=float), np.asarray(y, dtype=np.int64))
+
+
+def predict(model, batch):
+    """Hard labels: argmax with ties to the lowest class index."""
+    return model.predict_proba(batch).argmax(axis=1)
 
 
 def separable_1d():
@@ -39,7 +46,7 @@ ALL_FAMILIES = [
 def test_stump_reproduces_separable_labels():
     cfg = PipelineConfig(classifier=DecisionTreeConfig(max_depth=1, min_leaf=1))
     model = fit(cfg, separable_1d(), seed=0)
-    assert model.predict(separable_1d()).tolist() == [0, 0, 1, 1]
+    assert predict(model, separable_1d()).tolist() == [0, 0, 1, 1]
 
 
 def test_naive_bayes_matches_hand_computed_posterior():
@@ -100,7 +107,7 @@ def test_knn_k1_recovers_training_labels():
     train = batch_of(schema, rng.normal(size=(30, 2)), rng.integers(0, 2, 30))
     cfg = PipelineConfig(classifier=KnnConfig(k=1))
     model = fit(cfg, train, seed=0)
-    assert np.array_equal(model.predict(train), train.y)
+    assert np.array_equal(predict(model, train), train.y)
 
 
 def test_predict_tie_breaks_to_lowest_class():
@@ -112,7 +119,7 @@ def test_predict_tie_breaks_to_lowest_class():
     probe = batch_of(BIN_SCHEMA, [[0.0], [1.0]], [0, 0])
     proba = model.predict_proba(probe)
     assert np.allclose(proba, 0.5)
-    assert model.predict(probe).tolist() == [0, 0]
+    assert predict(model, probe).tolist() == [0, 0]
 
 
 def test_probability_rows_fuzz():
@@ -165,7 +172,7 @@ def test_tree_invariant_under_standardization():
         PipelineConfig(standardize=True, classifier=DecisionTreeConfig(max_depth=6)),
         train, 0,
     )
-    assert np.array_equal(plain.predict(probe), scaled.predict(probe))
+    assert np.array_equal(predict(plain, probe), predict(scaled, probe))
 
 
 def test_logistic_loss_non_increasing_on_separable_data():
@@ -211,6 +218,12 @@ def test_config_text_round_trip():
         )
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+def test_config_text_round_trips_sampled_configs(seed):
+    cfg = sample_config(np.random.default_rng(seed))
+    assert config_from_text(config_to_text(cfg)) == cfg
+
+
 KNN_TEXT = "knn(k=5,max_reference_points=5)"
 
 
@@ -226,6 +239,7 @@ def pipeline_text(selector, classifier):
     ("none", "knn(k=5,max_reference_points=5,bogus=1)"),
     ("none", "knn(k=5,max_reference_points=5,k=7)"),
     ("none", f"{KNN_TEXT} classifier=knn(k=7,max_reference_points=9)"),
+    ("none", f"{KNN_TEXT} bogus=1"),
 ])
 def test_config_text_bad_parameters_raise_pipeline_error(selector, classifier):
     assert config_from_text(pipeline_text("none", KNN_TEXT)).classifier == KnnConfig(5, 5)
