@@ -18,7 +18,6 @@ from .data import (
     concat_batches,
     load_csv,
     split_stream,
-    write_csv,
 )
 from .drift import (
     DriftSignal,
@@ -50,8 +49,6 @@ from .pipeline import (
     TopKMutualInfoConfig,
     TrainedPipeline,
     VarianceThresholdConfig,
-    config_from_text,
-    config_to_text,
     default_config_portfolio,
     fit,
 )
@@ -64,6 +61,6 @@ from .search import (
     run_search,
     sample_config,
 )
-from .stagger import StaggerConfig, default_acceptance_config, generate_stagger
+from .stagger import StaggerConfig, generate_stagger
 
 __version__ = "0.1.0"

@@ -40,19 +40,18 @@ class DecisionTreeClassifier:
     lower feature index, then the lower threshold, so refits are identical.
     """
 
-    def __init__(self, n_classes: int, max_depth: int = 8, min_leaf: int = 1,
-                 criterion: str = "gini"):
+    def __init__(self, n_classes: int, max_depth: int, min_leaf: int, split_criterion: str):
         self.n_classes = n_classes
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.criterion = criterion
+        self.split_criterion = split_criterion
         self._fitted = False
 
     def _impurity(self, counts: np.ndarray, total) -> np.ndarray:
         """Impurity of count rows (..., n_classes) with row sums ``total``."""
         with np.errstate(divide="ignore", invalid="ignore"):
             p = counts / total
-            if self.criterion == "gini":
+            if self.split_criterion == "gini":
                 val = 1.0 - np.sum(np.square(p), axis=-1)
             else:  # entropy
                 logp = np.where(p > 0, np.log2(np.maximum(p, 1e-300)), 0.0)
@@ -155,9 +154,9 @@ class NaiveBayesClassifier:
     """Hybrid naive Bayes: Bernoulli with Laplace smoothing on binary
     columns (one-hot blocks), Gaussian on everything else."""
 
-    def __init__(self, n_classes: int, laplace_alpha: float = 1.0):
+    def __init__(self, n_classes: int, laplace_alpha: float):
         self.n_classes = n_classes
-        self.alpha = laplace_alpha
+        self.laplace_alpha = laplace_alpha
         self._fitted = False
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng=None):
@@ -179,7 +178,7 @@ class NaiveBayesClassifier:
                 continue
             nc = rows.shape[0]
             ones = rows.sum(axis=0)
-            self.p_one_[c] = (ones + self.alpha) / (nc + 2.0 * self.alpha)
+            self.p_one_[c] = (ones + self.laplace_alpha) / (nc + 2.0 * self.laplace_alpha)
             self.mean_[c] = rows.mean(axis=0)
             self.var_[c] = np.maximum(rows.var(axis=0), 1e-9)
         self._fitted = True
@@ -219,8 +218,7 @@ class LogisticSgdClassifier:
 
     MINIBATCH = 32
 
-    def __init__(self, n_classes: int, learning_rate: float = 0.1,
-                 l2: float = 0.0, epochs: int = 20):
+    def __init__(self, n_classes: int, learning_rate: float, l2: float, epochs: int):
         self.n_classes = n_classes
         self.learning_rate = learning_rate
         self.l2 = l2
@@ -281,7 +279,7 @@ class KnnClassifier:
 
     CHUNK = 1024
 
-    def __init__(self, n_classes: int, k: int = 5, max_reference_points: int = 2048):
+    def __init__(self, n_classes: int, k: int, max_reference_points: int):
         self.n_classes = n_classes
         self.k = k
         self.max_reference_points = max_reference_points

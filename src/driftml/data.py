@@ -233,27 +233,6 @@ def load_csv(
     return schema, Batch(schema, X, y)
 
 
-def write_csv(batch: Batch, path: str) -> None:
-    """Emit a batch in the load_csv format (missing and unlabeled become ``?``)."""
-    schema = batch.schema
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in schema.features] + [schema.label_name])
-        for i in range(len(batch)):
-            row = []
-            for k, f in enumerate(schema.features):
-                v = batch.X[i, k]
-                if math.isnan(v):
-                    row.append("?")
-                elif f.levels is not None:
-                    row.append("?" if v == UNSEEN else f.levels[int(v)])
-                else:
-                    row.append(repr(float(v)))
-            label = int(batch.y[i])
-            row.append("?" if label < 0 else schema.classes[label])
-            writer.writerow(row)
-
-
 def split_stream(data: Batch, batch_size: int) -> list[Batch]:
     """Cut a batch into ceil(N / batch_size) consecutive batches.
 

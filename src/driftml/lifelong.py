@@ -70,7 +70,6 @@ class RunReport:
     mean_metric: float
     drift_events: tuple[tuple[int, int], ...]
     adapt_events: tuple[tuple[int, str, str], ...]
-    excluded_batches: tuple[int, ...]
 
     def table_lines(self) -> list[str]:
         """Deterministic per-batch table: index, metric, drift flag, adapted
@@ -86,11 +85,10 @@ class RunReport:
         return lines
 
 
-def _mean_excluding_nan(values: Sequence[float]) -> tuple[float, tuple[int, ...]]:
+def _mean_excluding_nan(values: Sequence[float]) -> float:
     vals = np.asarray(values, dtype=np.float64)
-    excluded = tuple(int(i) for i in np.nonzero(np.isnan(vals))[0])
     kept = vals[~np.isnan(vals)]
-    return (float(kept.mean()) if kept.size else float("nan")), excluded
+    return float(kept.mean()) if kept.size else float("nan")
 
 
 def stratified_sample(data: Batch, cap: int, rng: np.random.Generator) -> Batch:
@@ -246,13 +244,11 @@ def run_lifelong(
         hook("store", t)
         end += len(batch)
 
-    mean, excluded = _mean_excluding_nan(per_batch)
     return RunReport(
         strategy=strategy.value,
         metric=metric,
         per_batch=tuple(per_batch),
-        mean_metric=mean,
+        mean_metric=_mean_excluding_nan(per_batch),
         drift_events=tuple(drift_events),
         adapt_events=tuple(adapt_events),
-        excluded_batches=excluded,
     )

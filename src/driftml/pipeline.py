@@ -3,20 +3,15 @@
 A ``PipelineConfig`` describes every stage; ``fit`` turns it into an
 immutable ``TrainedPipeline``. Stage order is fixed: impute, one-hot encode,
 standardize, select, classify. Imputation happens before encoding; selection
-operates on the encoded matrix.
-
-Configs have a one-line text form (see ``config_to_text``) so experiment
-files can pin exact portfolios::
-
-    preprocessor=standardize imputation=mean one_hot=true \
-        selector=top_k_mutual_info(k=8) \
-        classifier=decision_tree(max_depth=8,min_leaf=2,split_criterion=gini)
+operates on the encoded matrix. ``fit`` is the one place that order and the
+optional stages are written: the pipeline keeps its fitted preprocessing as
+a tuple in application order, and each classifier config maps to its
+classifier in one table (``_CLASSIFIERS``), built from the config's fields.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -46,8 +41,6 @@ class DecisionTreeConfig:
     min_leaf: int = 2
     split_criterion: str = "gini"
 
-    kind = "decision_tree"
-
     def validate(self):
         if not 1 <= self.max_depth <= 32:
             raise PipelineError(f"max_depth {self.max_depth} outside 1..32")
@@ -61,8 +54,6 @@ class DecisionTreeConfig:
 class NaiveBayesConfig:
     laplace_alpha: float = 1.0
 
-    kind = "naive_bayes"
-
     def validate(self):
         if not self.laplace_alpha > 0:
             raise PipelineError("laplace_alpha must be > 0")
@@ -73,8 +64,6 @@ class LogisticSgdConfig:
     learning_rate: float = 0.1
     l2: float = 1e-4
     epochs: int = 20
-
-    kind = "logistic_sgd"
 
     def validate(self):
         if not self.learning_rate > 0:
@@ -90,8 +79,6 @@ class KnnConfig:
     k: int = 5
     max_reference_points: int = 2048
 
-    kind = "knn"
-
     def validate(self):
         if self.k < 1 or self.k % 2 == 0:
             raise PipelineError("k must be odd and >= 1")
@@ -106,8 +93,6 @@ ClassifierConfig = Union[DecisionTreeConfig, NaiveBayesConfig, LogisticSgdConfig
 class VarianceThresholdConfig:
     tau: float = 0.0
 
-    kind = "variance_threshold"
-
     def validate(self):
         if self.tau < 0:
             raise PipelineError("variance threshold must be >= 0")
@@ -116,8 +101,6 @@ class VarianceThresholdConfig:
 @dataclass(frozen=True)
 class TopKMutualInfoConfig:
     k: int = 8
-
-    kind = "top_k_mutual_info"
 
     def validate(self):
         if self.k < 1:
@@ -142,95 +125,6 @@ class PipelineConfig:
             self.selector.validate()
         self.classifier.validate()
         return self
-
-
-# ---------------------------------------------------------------------------
-# config text form
-
-_SELECTORS = {c.kind: c for c in (VarianceThresholdConfig, TopKMutualInfoConfig)}
-_CLASSIFIERS = {
-    c.kind: c for c in (DecisionTreeConfig, NaiveBayesConfig, LogisticSgdConfig, KnnConfig)
-}
-_CONVERT = {"int": int, "float": float, "str": str}  # annotations are strings here
-
-
-def _call_to_text(stage) -> str:
-    """``kind(field=value,...)`` in field order."""
-    params = ",".join(f"{f.name}={getattr(stage, f.name)}" for f in fields(stage))
-    return f"{stage.kind}({params})"
-
-
-def config_to_text(cfg: PipelineConfig) -> str:
-    pre = "standardize" if cfg.standardize else "none"
-    sel = "none" if cfg.selector is None else _call_to_text(cfg.selector)
-    return (
-        f"preprocessor={pre} imputation={cfg.imputation} "
-        f"one_hot={'true' if cfg.one_hot else 'false'} selector={sel} "
-        f"classifier={_call_to_text(cfg.classifier)}"
-    )
-
-
-_CALL_RE = re.compile(r"^(\w+)\((.*)\)$")
-
-
-def _call_from_text(text: str, stage: str, kinds: dict):
-    """Parse ``kind(field=value,...)``: every field of the kind exactly once."""
-    m = _CALL_RE.match(text)
-    if not m:
-        raise PipelineError(f"bad {stage} {text!r}")
-    name, args = m.groups()
-    if name not in kinds:
-        raise PipelineError(f"unknown {stage} {name!r}")
-    params = {}
-    for part in args.split(",") if args.strip() else []:
-        key, _, value = (s.strip() for s in part.partition("="))
-        if key in params:
-            raise PipelineError(f"{stage} {name!r} repeats parameter {key!r}")
-        params[key] = value
-    converters = {f.name: _CONVERT[f.type] for f in fields(kinds[name])}
-    unknown = set(params) - set(converters)
-    if unknown:
-        raise PipelineError(f"{stage} {name!r} has unknown parameters {sorted(unknown)}")
-    try:
-        return kinds[name](**{key: convert(params[key]) for key, convert in converters.items()})
-    except KeyError as exc:
-        raise PipelineError(f"{stage} {name!r} missing parameter {exc}") from exc
-    except ValueError as exc:
-        raise PipelineError(f"{stage} {name!r}: {exc}") from exc
-
-
-def config_from_text(text: str) -> PipelineConfig:
-    """Inverse of ``config_to_text``; raises PipelineError on bad input."""
-    tokens = {}
-    for token in text.split():
-        key, sep, val = token.partition("=")
-        if not sep:
-            raise PipelineError(f"bad config token {token!r}")
-        if key in tokens:
-            raise PipelineError(f"config text repeats key {key!r}")
-        tokens[key] = val
-    keys = {"preprocessor", "imputation", "one_hot", "selector", "classifier"}
-    unknown, missing = set(tokens) - keys, keys - set(tokens)
-    if unknown:
-        raise PipelineError(f"config text has unknown keys: {sorted(unknown)}")
-    if missing:
-        raise PipelineError(f"config text missing keys: {sorted(missing)}")
-
-    selector = None
-    if tokens["selector"] != "none":
-        selector = _call_from_text(tokens["selector"], "selector", _SELECTORS)
-    classifier = _call_from_text(tokens["classifier"], "classifier", _CLASSIFIERS)
-    if tokens["preprocessor"] not in ("standardize", "none"):
-        raise PipelineError(f"unknown preprocessor {tokens['preprocessor']!r}")
-    if tokens["one_hot"] not in ("true", "false"):
-        raise PipelineError("one_hot must be true or false")
-    return PipelineConfig(
-        standardize=tokens["preprocessor"] == "standardize",
-        imputation=tokens["imputation"],
-        one_hot=tokens["one_hot"] == "true",
-        selector=selector,
-        classifier=classifier,
-    ).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +235,7 @@ def _mutual_information(col: np.ndarray, y: np.ndarray, n_classes: int) -> float
 class _Selector:
     def fit(self, X: np.ndarray, y: np.ndarray, cfg: SelectorConfig, n_classes: int):
         d = X.shape[1]
-        if cfg is None:
-            keep = np.arange(d)
-        elif isinstance(cfg, VarianceThresholdConfig):
+        if isinstance(cfg, VarianceThresholdConfig):
             keep = np.nonzero(X.var(axis=0) > cfg.tau)[0]
             if keep.size == 0:
                 keep = np.arange(d)  # never emit an empty matrix
@@ -362,30 +254,31 @@ class _Selector:
 # ---------------------------------------------------------------------------
 # trained pipeline
 
-class TrainedPipeline:
-    """Frozen result of ``fit``: stages plus classifier; never mutated."""
+_CLASSIFIERS = {
+    DecisionTreeConfig: DecisionTreeClassifier,
+    NaiveBayesConfig: NaiveBayesClassifier,
+    LogisticSgdConfig: LogisticSgdClassifier,
+    KnnConfig: KnnClassifier,
+}
 
-    def __init__(self, config, schema, imputer, encoder, standardizer, selector, classifier):
+
+class TrainedPipeline:
+    """Frozen result of ``fit``: the fitted preprocessing stages in the
+    order they apply, then the classifier; never mutated."""
+
+    def __init__(self, config, schema, stages, classifier):
         self.config = config
         self.schema = schema
-        self._imputer = imputer
-        self._encoder = encoder
-        self._standardizer = standardizer
-        self._selector = selector
-        self._classifier = classifier
-
-    def _transform(self, X: np.ndarray) -> np.ndarray:
-        X = self._imputer.transform(X)
-        if self._encoder is not None:
-            X = self._encoder.transform(X)
-        if self._standardizer is not None:
-            X = self._standardizer.transform(X)
-        return self._selector.transform(X)
+        self.stages = stages
+        self.classifier = classifier
 
     def predict_proba(self, batch: Batch) -> np.ndarray:
         if not batch.schema.compatible_with(self.schema):
             raise PipelineError("batch schema incompatible with the fitted schema")
-        return self._classifier.predict_proba(self._transform(batch.X))
+        X = batch.X
+        for stage in self.stages:
+            X = stage.transform(X)
+        return self.classifier.predict_proba(X)
 
 
 def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:
@@ -399,52 +292,29 @@ def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:
     schema = train.schema
     categorical = np.array([f.is_categorical for f in schema.features])
     rng = np.random.default_rng(seed)
+    stages, X, y = [], train.X, train.y
 
-    imputer = _Imputer().fit(train.X, categorical, config.imputation)
-    X = imputer.transform(train.X)
+    def add(stage):
+        nonlocal X
+        stages.append(stage)
+        X = stage.transform(X)
 
-    encoder = None
+    add(_Imputer().fit(X, categorical, config.imputation))
     if config.one_hot and categorical.any():
-        encoder = _OneHotEncoder().fit(X, categorical)
-        X = encoder.transform(X)
-
-    standardizer = None
+        add(_OneHotEncoder().fit(X, categorical))
     if config.standardize:
-        standardizer = _Standardizer().fit(X)
-        X = standardizer.transform(X)
-
-    y = train.y
-    selector = _Selector().fit(X, y, config.selector, schema.n_classes)
-    X = selector.transform(X)
+        add(_Standardizer().fit(X))
+    if config.selector is not None:
+        add(_Selector().fit(X, y, config.selector, schema.n_classes))
 
     present = np.unique(y)
     if present.size == 1:
         classifier = ConstantClassifier(schema.n_classes, int(present[0]))
     else:
         c = config.classifier
-        if isinstance(c, DecisionTreeConfig):
-            classifier = DecisionTreeClassifier(
-                schema.n_classes, c.max_depth, c.min_leaf, c.split_criterion
-            )
-        elif isinstance(c, NaiveBayesConfig):
-            classifier = NaiveBayesClassifier(schema.n_classes, c.laplace_alpha)
-        elif isinstance(c, LogisticSgdConfig):
-            classifier = LogisticSgdClassifier(
-                schema.n_classes, c.learning_rate, c.l2, c.epochs
-            )
-        else:
-            classifier = KnnClassifier(schema.n_classes, c.k, c.max_reference_points)
+        classifier = _CLASSIFIERS[type(c)](schema.n_classes, **asdict(c))
         classifier.fit(X, y, rng)
-
-    return TrainedPipeline(
-        config=config,
-        schema=schema,
-        imputer=imputer,
-        encoder=encoder,
-        standardizer=standardizer,
-        selector=selector,
-        classifier=classifier,
-    )
+    return TrainedPipeline(config, schema, tuple(stages), classifier)
 
 
 def default_config_portfolio() -> list[PipelineConfig]:

@@ -102,14 +102,3 @@ def generate_stagger(cfg: StaggerConfig) -> Batch:
     y = label.astype(np.int64)  # classes are ("false", "true")
     return Batch(STAGGER_SCHEMA, X, y)
 
-
-def default_acceptance_config(seed: int = 42) -> StaggerConfig:
-    """The stream used by the bundled evaluation configs: 70,000 instances,
-    four equal segments cycling concept 1, inverted 1, 2, 3."""
-    return StaggerConfig(
-        n_instances=70_000,
-        drift_points=(17_500, 35_000, 52_500),
-        concept_schedule=((1, False), (1, True), (2, False), (3, False)),
-        noise_rate=0.0,
-        seed=seed,
-    )

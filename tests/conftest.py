@@ -1,8 +1,11 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from driftml.data import Batch, Feature, Schema
+from driftml.data import UNSEEN, Batch, Feature, Schema
 from driftml.search import LibraryMember, ModelLibrary
 
 # Every run draws the same examples (derandomize also turns off the example
@@ -32,6 +35,27 @@ def mixed_schema():
 
 def make_batch(schema, X, y):
     return Batch(schema, np.asarray(X, dtype=float), np.asarray(y, dtype=np.int64))
+
+
+def write_csv(batch: Batch, path: str) -> None:
+    """Emit a batch in the load_csv format (missing and unlabeled become ``?``)."""
+    schema = batch.schema
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in schema.features] + [schema.label_name])
+        for i in range(len(batch)):
+            row = []
+            for k, f in enumerate(schema.features):
+                v = batch.X[i, k]
+                if math.isnan(v):
+                    row.append("?")
+                elif f.levels is not None:
+                    row.append("?" if v == UNSEEN else f.levels[int(v)])
+                else:
+                    row.append(repr(float(v)))
+            label = int(batch.y[i])
+            row.append("?" if label < 0 else schema.classes[label])
+            writer.writerow(row)
 
 
 class FixedProba:

@@ -1,0 +1,77 @@
+"""Every name the package exports is called from inside the package.
+
+A name that ``driftml/__init__.py`` re-exports but no other module of
+``src/driftml`` refers to is public API that the program itself never
+runs; it should be deleted or moved next to the test that uses it."""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "driftml")
+
+
+def parse(name):
+    with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def exported_names():
+    """``(module, name)`` of every ``from .module import name`` in ``__init__``."""
+    return [
+        (node.module, alias.asname or alias.name)
+        for node in parse("__init__.py").body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def referenced(node) -> set:
+    """Names loaded or read as attributes anywhere under ``node`` (string
+    constants, docstrings among them, are not references)."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        or isinstance(sub, ast.Attribute)
+    }
+
+
+def defined_names(statement) -> set:
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = getattr(statement, "targets", None) or [getattr(statement, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def uses_by_module() -> dict:
+    """Per module: names referenced by each top-level statement, minus the
+    names that statement itself defines (so a definition does not count as
+    its own use)."""
+    uses = {}
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        module = name[:-3]
+        uses[module] = set()
+        for statement in parse(name).body:
+            uses[module] |= referenced(statement) - defined_names(statement)
+    return uses
+
+
+def test_every_export_is_referenced_inside_the_package():
+    uses = uses_by_module()
+    everywhere = set().union(*uses.values())
+    unused = [f"{module}.{name}" for module, name in exported_names() if name not in everywhere]
+    assert unused == []
+
+
+def test_a_definition_alone_is_not_a_use():
+    module = ast.parse(
+        'def lonely(n):\n    """lonely calls itself"""\n    return lonely(n - 1)\n'
+        "def caller():\n    return helper()\n"
+    )
+    used = set()
+    for statement in module.body:
+        used |= referenced(statement) - defined_names(statement)
+    assert "lonely" not in used
+    assert "helper" in used

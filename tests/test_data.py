@@ -14,9 +14,10 @@ from driftml.data import (
     concat_batches,
     load_csv,
     split_stream,
-    write_csv,
 )
 from driftml.stagger import StaggerConfig, generate_stagger
+
+from conftest import write_csv
 
 ELECTRICITY = os.path.join(os.path.dirname(__file__), "..", "data", "electricity.csv")
 

@@ -8,6 +8,8 @@ from driftml.metrics import score
 from driftml.pipeline import (
     DecisionTreeConfig,
     KnnConfig,
+    LogisticSgdConfig,
+    NaiveBayesConfig,
     PipelineConfig,
     default_config_portfolio,
     fit,
@@ -67,12 +69,12 @@ def test_search_on_stagger_concept_one():
 
 def test_sample_config_covers_all_families():
     rng = np.random.default_rng(0)
-    kinds = set()
+    families = set()
     for _ in range(1000):
         cfg = sample_config(rng)
         cfg.validate()
-        kinds.add(cfg.classifier.kind)
-    assert kinds == {"decision_tree", "naive_bayes", "logistic_sgd", "knn"}
+        families.add(type(cfg.classifier))
+    assert families == {DecisionTreeConfig, NaiveBayesConfig, LogisticSgdConfig, KnnConfig}
 
 
 def test_sample_config_deterministic():

@@ -8,7 +8,6 @@ from driftml.stagger import (
     STAGGER_SCHEMA,
     StaggerConfig,
     concept_label,
-    default_acceptance_config,
     generate_stagger,
 )
 
@@ -96,14 +95,6 @@ def test_config_validation():
         StaggerConfig(100, (), ((1, False),), noise_rate=0.5)
 
 
-def test_default_acceptance_config():
-    cfg = default_acceptance_config()
-    assert cfg.n_instances == 70_000
-    assert cfg.drift_points == (17_500, 35_000, 52_500)
-    assert cfg.concept_schedule == ((1, False), (1, True), (2, False), (3, False))
-    assert cfg.noise_rate == 0.0
-
-
 def test_concept_label_vectorized_agrees_with_rule():
     size, color, shape = np.meshgrid(range(3), range(3), range(3), indexing="ij")
     size, color, shape = size.ravel(), color.ravel(), shape.ravel()
@@ -114,7 +105,8 @@ def test_concept_label_vectorized_agrees_with_rule():
 
 
 def test_stream_emits_as_csv(tmp_path):
-    from driftml.data import load_csv, write_csv
+    from conftest import write_csv
+    from driftml.data import load_csv
 
     batch = generate_stagger(StaggerConfig(200, (100,), ((1, False), (2, True)), seed=2))
     path = str(tmp_path / "stagger.csv")
