@@ -14,7 +14,6 @@ from .data import (
     Feature,
     MISSING,
     Schema,
-    UNSEEN,
     concat_batches,
     load_csv,
     split_stream,

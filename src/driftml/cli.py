@@ -52,7 +52,7 @@ from .data import Batch, DataError, load_csv, split_stream
 from .drift import DEFAULT_DELTA, DEFAULT_WINDOW, FhddmState
 from .lifelong import RunReport, Strategy, run_lifelong
 from .metrics import METRICS, midranks
-from .search import SearchBudget
+from .search import SearchBudget, SearchError
 from .stagger import StaggerConfig, generate_stagger
 
 EXIT_OK = 0
@@ -87,44 +87,12 @@ class ExperimentConfig:
     ensemble_rounds: int = 50
 
     def normalized_text(self) -> str:
-        lines = ["[dataset]", f"kind = {self.dataset_kind}"]
-        if self.dataset_kind == "csv":
-            lines += [f"path = {self.csv_path}", f"label_column = {self.label_column}"]
-        else:
-            concepts = ", ".join(
-                f"{cid}i" if inv else str(cid) for cid, inv in self.concepts
-            )
-            lines += [
-                f"n_instances = {self.n_instances}",
-                f"drift_points = {', '.join(str(p) for p in self.drift_points)}",
-                f"concepts = {concepts}",
-                f"noise_rate = {self.noise_rate!r}",
-                f"seed = {self.dataset_seed}",
-            ]
-        lines += [
-            "",
-            "[run]",
-            f"batch_size = {self.batch_size}",
-            f"strategies = {', '.join(s.value for s in self.strategies)}",
-            f"metric = {self.metric}",
-            f"seed = {self.run_seed}",
-            "",
-            "[budget]",
-            f"max_candidates = {self.max_candidates}",
-            f"validation_fraction = {self.validation_fraction!r}",
-        ]
-        if self.max_seconds is not None:
-            lines.append(f"max_seconds = {self.max_seconds!r}")
-        lines += [
-            "",
-            "[detector]",
-            f"window = {self.detector_window}",
-            f"delta = {self.detector_delta!r}",
-            "",
-            "[ensemble]",
-            f"rounds = {self.ensemble_rounds}",
-        ]
-        return "\n".join(lines) + "\n"
+        sections: dict[str, list[str]] = {}
+        for section, key, name, _, show, kind in _KEYS:
+            value = getattr(self, name)
+            if value is not None and kind in (None, self.dataset_kind):
+                sections.setdefault(section, [f"[{section}]"]).append(f"{key} = {show(value)}")
+        return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -151,7 +119,7 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _take(sections, section, key, convert, default=None, required=False):
+def _take(sections, section, key, convert, default, required):
     """Convert and remove one key; ``parse_config`` rejects what is left."""
     entry = sections.get(section, {}).pop(key, None)
     if entry is None:
@@ -178,50 +146,71 @@ def _parse_concepts(value: str) -> tuple[tuple[int, bool], ...]:
     return tuple(out)
 
 
+def _one_of(choices):
+    def parse(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"must be one of {choices}, got {value!r}")
+        return value
+    return parse
+
+
+def _joined(show_item):
+    return lambda values: ", ".join(show_item(v) for v in values)
+
+
+# One row per config key, in normalized-text order: (section, key,
+# ExperimentConfig field, parse, print, the dataset kind the key belongs to
+# or None for every kind).
+_KEYS = (
+    ("dataset", "kind", "dataset_kind", _one_of(("stagger", "csv")), str, None),
+    ("dataset", "path", "csv_path", str, str, "csv"),
+    ("dataset", "label_column", "label_column", str, str, "csv"),
+    ("dataset", "n_instances", "n_instances", int, str, "stagger"),
+    ("dataset", "drift_points", "drift_points",
+     lambda v: tuple(int(x) for x in _csv_list(v)), _joined(str), "stagger"),
+    ("dataset", "concepts", "concepts", _parse_concepts,
+     _joined(lambda c: f"{c[0]}i" if c[1] else str(c[0])), "stagger"),
+    ("dataset", "noise_rate", "noise_rate", float, str, "stagger"),
+    ("dataset", "seed", "dataset_seed", int, str, "stagger"),
+    ("run", "batch_size", "batch_size", int, str, None),
+    ("run", "strategies", "strategies",
+     lambda v: tuple(Strategy.parse(s) for s in _csv_list(v)), _joined(lambda s: s.value), None),
+    ("run", "metric", "metric", _one_of(METRICS), str, None),
+    ("run", "seed", "run_seed", int, str, None),
+    ("budget", "max_candidates", "max_candidates", int, str, None),
+    ("budget", "validation_fraction", "validation_fraction", float, str, None),
+    ("budget", "max_seconds", "max_seconds", float, str, None),
+    ("detector", "window", "detector_window", int, str, None),
+    ("detector", "delta", "detector_delta", float, str, None),
+    ("ensemble", "rounds", "ensemble_rounds", int, str, None),
+)
+
+
+def _search_budget(cfg: ExperimentConfig) -> SearchBudget:
+    return SearchBudget(cfg.max_candidates, cfg.max_seconds, cfg.validation_fraction, cfg.run_seed)
+
+
+def _detector(cfg: ExperimentConfig) -> FhddmState:
+    return FhddmState(cfg.detector_window, cfg.detector_delta)
+
+
+def _stagger(cfg: ExperimentConfig) -> StaggerConfig:
+    return StaggerConfig(cfg.n_instances, cfg.drift_points, cfg.concepts, cfg.noise_rate,
+                         cfg.dataset_seed)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     sections = _parse_sections(text)
-    known = {"dataset", "run", "budget", "detector", "ensemble"}
-    unknown = set(sections) - known
+    unknown = set(sections) - {section for section, *_ in _KEYS}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
     cfg = ExperimentConfig()
-    cfg.dataset_kind = _take(sections, "dataset", "kind", str, required=True)
-    if cfg.dataset_kind not in ("stagger", "csv"):
-        raise ConfigError(f"dataset kind must be stagger or csv, got {cfg.dataset_kind!r}")
-    if cfg.dataset_kind == "csv":
-        cfg.csv_path = _take(sections, "dataset", "path", str, required=True)
-        cfg.label_column = _take(sections, "dataset", "label_column", str, required=True)
-    else:
-        cfg.n_instances = _take(sections, "dataset", "n_instances", int, cfg.n_instances)
-        cfg.drift_points = _take(
-            sections, "dataset", "drift_points",
-            lambda v: tuple(int(x) for x in _csv_list(v)), cfg.drift_points,
-        )
-        cfg.concepts = _take(sections, "dataset", "concepts", _parse_concepts, cfg.concepts)
-        cfg.noise_rate = _take(sections, "dataset", "noise_rate", float, cfg.noise_rate)
-        cfg.dataset_seed = _take(sections, "dataset", "seed", int, cfg.dataset_seed)
-
-    cfg.batch_size = _take(sections, "run", "batch_size", int, cfg.batch_size)
-    cfg.strategies = _take(
-        sections, "run", "strategies",
-        lambda v: tuple(Strategy.parse(s) for s in _csv_list(v)),
-        cfg.strategies,
-    )
-    cfg.metric = _take(sections, "run", "metric", str, cfg.metric)
-    if cfg.metric not in METRICS:
-        raise ConfigError(f"metric must be one of {METRICS}, got {cfg.metric!r}")
-    cfg.run_seed = _take(sections, "run", "seed", int, cfg.run_seed)
-
-    cfg.max_candidates = _take(sections, "budget", "max_candidates", int, cfg.max_candidates)
-    cfg.validation_fraction = _take(
-        sections, "budget", "validation_fraction", float, cfg.validation_fraction
-    )
-    cfg.max_seconds = _take(sections, "budget", "max_seconds", float, cfg.max_seconds)
-
-    cfg.detector_window = _take(sections, "detector", "window", int, cfg.detector_window)
-    cfg.detector_delta = _take(sections, "detector", "delta", float, cfg.detector_delta)
-    cfg.ensemble_rounds = _take(sections, "ensemble", "rounds", int, cfg.ensemble_rounds)
+    for section, key, name, parse, _, kind in _KEYS:
+        if kind in (None, cfg.dataset_kind):
+            default = getattr(cfg, name)
+            required = key == "kind" or kind == "csv"
+            setattr(cfg, name, _take(sections, section, key, parse, default, required))
 
     for section, entries in sections.items():
         for key, (_, lineno) in entries.items():
@@ -230,6 +219,16 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("batch_size must be >= 1")
     if len(set(cfg.strategies)) != len(cfg.strategies):
         raise ConfigError("duplicate strategies configured")
+    if cfg.ensemble_rounds < 1:
+        raise ConfigError("[ensemble] rounds must be >= 1")
+    checks = [("budget", _search_budget), ("detector", _detector)]
+    if cfg.dataset_kind == "stagger":
+        checks.append(("dataset", _stagger))
+    for section, build in checks:  # the run's own objects check the rest
+        try:
+            build(cfg)
+        except (SearchError, DataError, ValueError) as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
     return cfg
 
 
@@ -237,15 +236,7 @@ def load_dataset(cfg: ExperimentConfig) -> Batch:
     if cfg.dataset_kind == "csv":
         _, batch = load_csv(cfg.csv_path, cfg.label_column)
         return batch
-    return generate_stagger(
-        StaggerConfig(
-            n_instances=cfg.n_instances,
-            drift_points=cfg.drift_points,
-            concept_schedule=cfg.concepts,
-            noise_rate=cfg.noise_rate,
-            seed=cfg.dataset_seed,
-        )
-    )
+    return generate_stagger(_stagger(cfg))
 
 
 def _comment_block(text: str) -> str:
@@ -271,13 +262,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunReport]:
         raise DataError("dataset produced no batches")
     train, test = batches[0], batches[1:]
 
-    budget = SearchBudget(
-        max_candidates=cfg.max_candidates,
-        max_seconds=cfg.max_seconds,
-        validation_fraction=cfg.validation_fraction,
-        seed=cfg.run_seed,
-    )
-    detector = FhddmState(cfg.detector_window, cfg.detector_delta)
+    budget, detector = _search_budget(cfg), _detector(cfg)
 
     os.makedirs(out_dir, exist_ok=True)
     normalized = cfg.normalized_text()

@@ -5,8 +5,10 @@ value, categorical cells hold the level index within the feature's declared
 level list. Two sentinel encodings exist:
 
 * missing cell           -> NaN          (``?`` or empty cell in CSV)
-* unseen categorical     -> ``UNSEEN``   (-1.0; value-at-predict-time not in
-                                          the schema's level list)
+* unseen categorical     -> ``UNSEEN``   (-1.0; never produced by ``load_csv``,
+                                          whose levels are every value in the
+                                          file: a marker for callers who build
+                                          a ``Batch`` themselves)
 
 Labels are class indices; ``-1`` marks an unlabeled instance. All containers
 are immutable after construction and safe to share across threads.
@@ -132,44 +134,50 @@ class Batch:
         return cut
 
 
-def _parse_numeric(token: str) -> Optional[float]:
-    try:
-        v = float(token)
-    except ValueError:
-        return None
-    return v if math.isfinite(v) else None
+def _parse_numeric(token: str) -> float:
+    """``float(token)``; a value that is not finite raises ``ValueError`` too."""
+    v = float(token)
+    if not math.isfinite(v):
+        raise ValueError(f"{token!r} is not finite")
+    return v
 
 
-def _infer_schema(header: list[str], rows: list[list[str]], label_column: str) -> Schema:
-    label_pos = header.index(label_column)
-    features = []
-    for j, name in enumerate(header):
-        if j == label_pos:
-            continue
-        cells = [r[j] for r in rows if r[j] not in _MISSING_TOKENS]
-        if cells and all(_parse_numeric(c) is not None for c in cells):
-            features.append(Feature(name))
-        else:
-            features.append(Feature(name, tuple(sorted(set(cells)))))
-    labels = sorted({r[label_pos] for r in rows if r[label_pos] not in _MISSING_TOKENS})
-    if len(labels) < 2:
-        raise DataError(f"label column {label_column!r} holds fewer than 2 classes")
-    return Schema(tuple(features), label_column, tuple(labels))
+def _levels(cells: Sequence[str]) -> tuple[str, ...]:
+    """The distinct present cells in lexicographic order."""
+    return tuple(sorted(set(cells).difference(_MISSING_TOKENS)))
 
 
-def load_csv(
-    path: str,
-    label_column: str,
-    schema_hint: Optional[Schema] = None,
-) -> tuple[Schema, Batch]:
+def _level_indices(cells: Sequence[str], levels: tuple[str, ...], missing) -> list:
+    index = {level: i for i, level in enumerate(levels)}
+    return [index.get(cell, missing) for cell in cells]
+
+
+def _decode_column(cells: Sequence[str], out: np.ndarray) -> Optional[tuple[str, ...]]:
+    """Write one feature column into ``out``; return its levels, None if numeric.
+
+    The column is numeric when it has a present cell and every present cell
+    is a finite number: ``out`` holds those numbers, NaN where missing.
+    Otherwise each cell holds its index in the column's levels.
+    """
+    if any(cell not in _MISSING_TOKENS for cell in cells):
+        try:
+            out[:] = [MISSING if c in _MISSING_TOKENS else _parse_numeric(c) for c in cells]
+            return None
+        except ValueError:
+            pass
+    levels = _levels(cells)
+    out[:] = _level_indices(cells, levels, MISSING)
+    return levels
+
+
+def load_csv(path: str, label_column: str) -> tuple[Schema, Batch]:
     """Load a whole CSV file (UTF-8, header row, comma separated) as one Batch.
 
-    ``?`` or an empty cell is missing. Without a schema hint, a column whose
-    every non-missing cell parses as a number is numeric, anything else is
-    categorical with lexicographically ordered levels; classes are likewise
-    ordered. With a hint, unseen categorical values map to the reserved
-    ``UNSEEN`` marker, but label values outside the declared classes are an
-    error (the class set is fixed by the initial training schema).
+    The schema is inferred from the whole file. ``?`` or an empty cell is
+    missing. A column with a present cell whose present cells all parse as
+    finite numbers is numeric, any other column is categorical with
+    lexicographically ordered levels; classes are likewise ordered, and a
+    missing label is ``-1``.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -192,44 +200,19 @@ def load_csv(
         if len(row) != width:
             raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
 
-    schema = schema_hint if schema_hint is not None else _infer_schema(header, rows, label_column)
     label_pos = header.index(label_column)
-    feat_pos = [j for j in range(width) if j != label_pos]
-    if len(feat_pos) != schema.n_features:
-        raise DataError(
-            f"{path}: {len(feat_pos)} feature columns, schema expects {schema.n_features}"
-        )
-
-    level_maps = [
-        {lv: float(i) for i, lv in enumerate(f.levels)} if f.levels is not None else None
-        for f in schema.features
-    ]
-    class_map = {c: i for i, c in enumerate(schema.classes)}
-
-    X = np.empty((len(rows), schema.n_features), dtype=np.float64)
-    y = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for k, j in enumerate(feat_pos):
-            cell = row[j]
-            if cell in _MISSING_TOKENS:
-                X[i, k] = MISSING
-            elif level_maps[k] is None:
-                v = _parse_numeric(cell)
-                if v is None:
-                    raise DataError(
-                        f"{path}: row {i + 2}: {cell!r} is not numeric "
-                        f"(column {schema.features[k].name!r})"
-                    )
-                X[i, k] = v
-            else:
-                X[i, k] = level_maps[k].get(cell, UNSEEN)
-        cell = row[label_pos]
-        if cell in _MISSING_TOKENS:
-            y[i] = -1
-        elif cell in class_map:
-            y[i] = class_map[cell]
+    X = np.empty((len(rows), width - 1), dtype=np.float64)
+    features = []
+    for j, cells in enumerate(zip(*rows)):
+        if j == label_pos:
+            classes = _levels(cells)
+            y = np.array(_level_indices(cells, classes, -1), dtype=np.int64)
         else:
-            raise DataError(f"{path}: row {i + 2}: unknown class {cell!r}")
+            levels = _decode_column(cells, X[:, len(features)])
+            features.append(Feature(header[j], levels))
+    if len(classes) < 2:
+        raise DataError(f"label column {label_column!r} holds fewer than 2 classes")
+    schema = Schema(tuple(features), label_column, classes)
     return schema, Batch(schema, X, y)
 
 

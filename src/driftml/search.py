@@ -65,7 +65,7 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class LibraryMember:
-    pipeline: Optional[TrainedPipeline]
+    pipeline: TrainedPipeline
     validation_proba: np.ndarray
     validation_score: float
 
@@ -148,12 +148,16 @@ def sample_config(rng: np.random.Generator) -> PipelineConfig:
     ).validate()
 
 
-def evaluate_candidate(config: PipelineConfig, fit_batch: Batch, val_batch: Batch,
-              metric: str, seed: int) -> LibraryMember:
-    model = fit(config, fit_batch, seed)
+def _member(model: TrainedPipeline, val_batch: Batch, metric: str) -> LibraryMember:
+    """``model`` with its read-only predictions on ``val_batch`` and their score."""
     proba = model.predict_proba(val_batch)
     proba.setflags(write=False)
     return LibraryMember(model, proba, score(metric, val_batch.y, proba))
+
+
+def evaluate_candidate(config: PipelineConfig, fit_batch: Batch, val_batch: Batch,
+              metric: str, seed: int) -> LibraryMember:
+    return _member(fit(config, fit_batch, seed), val_batch, metric)
 
 
 def run_search(
@@ -204,12 +208,6 @@ def rescore_library(lib: ModelLibrary, new_validation: Batch) -> ModelLibrary:
         raise DataError("rescoring batch must be fully labeled")
     if not new_validation.schema.compatible_with(lib.validation_set.schema):
         raise DataError("rescoring batch schema incompatible with the library")
-    members = []
-    for m in lib.members:
-        proba = m.pipeline.predict_proba(new_validation)
-        proba.setflags(write=False)
-        members.append(
-            LibraryMember(m.pipeline, proba, score(lib.metric, new_validation.y, proba))
-        )
-    return replace(lib, members=tuple(members), validation_set=new_validation)
+    members = tuple(_member(m.pipeline, new_validation, lib.metric) for m in lib.members)
+    return replace(lib, members=members, validation_set=new_validation)
 

@@ -1,5 +1,6 @@
 import ast
 import os
+import pathlib
 import re
 
 import numpy as np
@@ -45,8 +46,26 @@ def config_file(tmp_path, text, name="exp.conf"):
     return str(path)
 
 
-def test_parse_round_trip_is_normal_form():
-    text = SMALL_STAGGER.format(strategies="Base, Replacement")
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+CSV_CONFIG = """
+[dataset]
+kind = csv
+path = data/toy.csv
+label_column = y
+
+[run]
+metric = normalized_auc
+strategies = WU-all, Base
+"""
+
+
+@pytest.mark.parametrize("text", [
+    SMALL_STAGGER.format(strategies="Base, Replacement"),
+    CSV_CONFIG,
+    SMALL_STAGGER.format(strategies="Base").replace("[budget]\n", "[budget]\nmax_seconds = 2.5\n"),
+] + [pathlib.Path(CONFIGS, name).read_text() for name in sorted(os.listdir(CONFIGS))],
+    ids=["stagger", "csv", "max_seconds"] + sorted(os.listdir(CONFIGS)))
+def test_parse_round_trip_is_normal_form(text):
     cfg = parse_config(text)
     normalized = cfg.normalized_text()
     again = parse_config(normalized)
@@ -153,6 +172,18 @@ def test_exit_codes(tmp_path):
         "gone.conf",
     )
     assert main(["run", gone]) == EXIT_DATA
+    small = SMALL_STAGGER.format(strategies="Base")
+    for old, bad in [
+        ("max_candidates = 4", "max_candidates = 0"),
+        ("max_candidates = 4", "max_candidates = 4\nvalidation_fraction = 1.5"),
+        ("[ensemble]", "[detector]\nwindow = 0\n[ensemble]"),
+        ("rounds = 10", "rounds = 0"),
+        ("drift_points = 1000", "drift_points = 5000"),
+    ]:
+        # the run's own objects reject these before any work starts
+        path = config_file(tmp_path, small.replace(old, bad), "badvalue.conf")
+        assert main(["run", path, "--out", str(tmp_path / "never")]) == EXIT_CONFIG, bad
+        assert not (tmp_path / "never").exists()
 
 
 RUN_LOG_LINE = re.compile(

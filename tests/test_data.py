@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 
@@ -41,15 +42,6 @@ def test_load_csv_infers_types(tmp_path):
     assert list(batch.y) == [0, 1, 0, 1]
 
 
-def test_load_csv_unseen_level_with_hint(tmp_path):
-    schema = Schema(
-        (Feature("a"), Feature("b", ("red", "green"))), "y", ("0", "1")
-    )
-    path = write(tmp_path, "a,b,y\n1.5,purple,0\n")
-    _, batch = load_csv(path, "y", schema_hint=schema)
-    assert batch.X[0, 1] == UNSEEN
-
-
 def test_load_csv_missing_cells(tmp_path):
     path = write(tmp_path, "a,b,y\n?,red,0\n2.0,,1\n3.0,red,?\n")
     schema, batch = load_csv(path, "y")
@@ -79,10 +71,6 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path, ""), "y")  # empty file
     with pytest.raises(DataError):
         load_csv(write(tmp_path, "a,b,y\n"), "y")  # header only
-    schema = Schema((Feature("a"), Feature("b", ("red",))), "y", ("0", "1"))
-    with pytest.raises(DataError):
-        # label outside the fixed class set is an error, unlike unseen features
-        load_csv(write(tmp_path, "a,b,y\n1,red,7\n"), "y", schema_hint=schema)
 
 
 def test_csv_round_trip(tmp_path):
@@ -94,10 +82,79 @@ def test_csv_round_trip(tmp_path):
     batch = Batch(schema, X, y)
     path = str(tmp_path / "out.csv")
     write_csv(batch, path)
-    _, again = load_csv(path, "y", schema_hint=schema)
+    _, again = load_csv(path, "y")
     # unseen markers round-trip through "?" into missing, everything else exact
     assert again.X[0, 0] == 1.25 and again.X[2, 0] == 3.5
     assert again.y.tolist() == [0, 1, -1]
+
+
+def reference_load(header, rows, label):
+    """Per-cell reference for ``load_csv``: (features, classes, X, y)."""
+    missing = ("", "?")
+
+    def number(cell):
+        try:
+            v = float(cell)
+        except ValueError:
+            return None
+        return v if math.isfinite(v) else None
+
+    lp = header.index(label)
+    classes = tuple(sorted({r[lp] for r in rows} - set(missing)))
+    features, X = [], [[] for _ in rows]
+    for j, name in enumerate(header):
+        if j == lp:
+            continue
+        present = [r[j] for r in rows if r[j] not in missing]
+        numeric = present and all(number(c) is not None for c in present)
+        levels = None if numeric else tuple(sorted(set(present)))
+        features.append(Feature(name, levels))
+        for i, r in enumerate(rows):
+            c = r[j]
+            X[i].append(math.nan if c in missing else number(c) if numeric else levels.index(c))
+    y = [classes.index(r[lp]) if r[lp] not in missing else -1 for r in rows]
+    return features, classes, np.array(X, dtype=float).reshape(len(rows), len(features)), y
+
+
+CELLS = (" 4", "1_0", "-3e2", "nan", "inf", "0x1", "?", "", "red", "blue", "7", "0.5")
+LABELS = ("0", "1", "10", "2.5", " 4", "-3e2", "?", "", "yes")
+
+
+@st.composite
+def csv_grid(draw):
+    """Header, rows and label column of a small CSV whose columns mix
+    numeric tokens, missing cells and words; some columns are all missing."""
+    width = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    label_pos = draw(st.integers(0, width - 1))
+    columns = []
+    for j in range(width):
+        if j == label_pos:
+            tokens = LABELS
+        elif draw(st.integers(0, 5)) == 0:
+            tokens = ("?", "")  # every cell missing
+        else:
+            tokens = draw(st.lists(st.sampled_from(CELLS), min_size=1, max_size=4, unique=True))
+        columns.append(draw(st.lists(st.sampled_from(tokens), min_size=n, max_size=n)))
+    header = [f"c{j}" for j in range(width)]
+    return header, [list(row) for row in zip(*columns)], header[label_pos]
+
+
+@given(csv_grid())
+def test_load_csv_equals_per_cell_reference(tmp_path_factory, grid):
+    header, rows, label = grid
+    path = str(tmp_path_factory.mktemp("grid") / "grid.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    features, classes, X, y = reference_load(header, rows, label)
+    if len(classes) < 2 or any(f.levels == () for f in features):
+        with pytest.raises(DataError):
+            load_csv(path, label)
+        return
+    schema, batch = load_csv(path, label)
+    assert schema == Schema(tuple(features), label, classes)
+    assert np.array_equal(batch.X, X, equal_nan=True) and batch.X.shape == X.shape
+    assert batch.y.tolist() == y
 
 
 def test_split_sizes():

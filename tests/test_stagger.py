@@ -111,7 +111,11 @@ def test_stream_emits_as_csv(tmp_path):
     batch = generate_stagger(StaggerConfig(200, (100,), ((1, False), (2, True)), seed=2))
     path = str(tmp_path / "stagger.csv")
     write_csv(batch, path)
-    schema, again = load_csv(path, "label", schema_hint=STAGGER_SCHEMA)
+    schema, again = load_csv(path, "label")
     assert len(again) == 200
-    assert np.array_equal(again.X, batch.X)
-    assert np.array_equal(again.y, batch.y)
+    # inferred levels sort lexicographically, so compare level names
+    def names(b):
+        levels = [f.levels for f in b.schema.features]
+        return [[lv[int(v)] for lv, v in zip(levels, row)] for row in b.X]
+    assert names(again) == names(batch)
+    assert [schema.classes[c] for c in again.y] == [STAGGER_SCHEMA.classes[c] for c in batch.y]
