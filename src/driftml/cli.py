@@ -258,8 +258,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunReport]:
     """Execute every configured strategy and write the report files."""
     data = load_dataset(cfg)
     batches = split_stream(data, cfg.batch_size)
-    if len(batches) < 1:
-        raise DataError("dataset produced no batches")
+    if len(batches) < 2:  # the first batch trains; nothing would be tested
+        raise DataError(
+            f"batch_size {cfg.batch_size} leaves no test batch in {len(data)} instances"
+        )
     train, test = batches[0], batches[1:]
 
     budget, detector = _search_budget(cfg), _detector(cfg)

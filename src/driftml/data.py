@@ -216,6 +216,26 @@ def load_csv(path: str, label_column: str) -> tuple[Schema, Batch]:
     return schema, Batch(schema, X, y)
 
 
+def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` over the byte-distinct rows of a 2-D array.
+
+    ``first`` holds the index of each distinct row's first appearance,
+    ascending, and ``X[first][inverse]`` equals ``X`` byte for byte. Rows
+    are compared as raw bytes, so NaN rows with the same bits fall together
+    and -0.0 stays apart from 0.0. When every row is distinct, ``first`` is
+    ``arange(len(X))``.
+    """
+    X = np.ascontiguousarray(X)
+    if X.shape[1] == 0:  # no columns: every row is the same empty row
+        X = np.zeros((X.shape[0], 1))
+    rows = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # np.unique sorts by bytes; restore stream order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.ravel()]
+
+
 def split_stream(data: Batch, batch_size: int) -> list[Batch]:
     """Cut a batch into ceil(N / batch_size) consecutive batches.
 

@@ -9,6 +9,16 @@ first pick alone is the best single member.
 
 Member weights are selection frequencies within the kept prefix, so they are
 positive, sum to one, and can be reconstructed from the trace.
+
+A round scores all members at once, with one ``score`` call: the members'
+holdout probabilities are stacked as ``(members, classes, rows)`` so each
+class is one contiguous plane, and rows whose stacked probabilities and
+label are byte-identical are merged into one row weighted by its count. Every
+candidate mix treats merged rows alike, so the weighted scores equal the
+per-row ones exactly (a STAGGER holdout merges into at most 27 inputs
+times 2 labels). ``ensemble_predict_proba``, the per-batch read path,
+predicts every row directly: finding one batch's distinct rows costs more
+there than it saves.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Batch
+from .data import Batch, distinct_rows
 from .metrics import score
 from .search import ModelLibrary
 
@@ -57,24 +67,22 @@ def select_ensemble(lib: ModelLibrary, rounds: int = 50, metric: str | None = No
     if rounds < 1:
         raise EnsembleError("rounds must be >= 1")
     metric = lib.metric if metric is None else metric
-    y = lib.validation_set.y
-    probas = [np.asarray(m.validation_proba, dtype=np.float64) for m in lib.members]
+    planes = np.stack([np.asarray(m.validation_proba, dtype=np.float64).T for m in lib.members])
+    planes, y, weight = _merge_rows(planes, lib.validation_set.y)
 
     trace: list[int] = []
     prefix_scores: list[float] = []
-    running = np.zeros_like(probas[0])
+    running = np.zeros(planes.shape[1:])
+    mixes = np.empty_like(planes)  # every member's candidate mix, reused each round
     for r in range(1, rounds + 1):
-        best_idx = -1
-        best_score = -math.inf
-        for i, p in enumerate(probas):
-            s = score(metric, y, (running + p) / r)
-            if not math.isnan(s) and s > best_score:
-                best_idx, best_score = i, s
-        if best_idx < 0:  # every candidate scored NaN; keep the lowest index
-            best_idx, best_score = 0, float("nan")
-        trace.append(best_idx)
-        prefix_scores.append(best_score)
-        running += probas[best_idx]
+        np.divide(np.add(running, planes, out=mixes), r, out=mixes)
+        scores = score(metric, y, mixes.transpose(0, 2, 1), weight)
+        # the lowest index among the best; NaN ranks below every real score,
+        # and with every candidate NaN the lowest index is kept
+        best = int(np.argmax(np.where(np.isnan(scores), -np.inf, scores)))
+        trace.append(best)
+        prefix_scores.append(float(scores[best]))
+        running += planes[best]
 
     finite = [(s if not math.isnan(s) else -math.inf) for s in prefix_scores]
     best_len = int(np.argmax(finite)) + 1  # earliest best prefix
@@ -88,6 +96,24 @@ def select_ensemble(lib: ModelLibrary, rounds: int = 50, metric: str | None = No
         selection_trace=tuple(kept),
         validation_score=prefix_scores[best_len - 1],
     )
+
+
+def _merge_rows(planes: np.ndarray, y: np.ndarray):
+    """``(planes, y, weight)`` over the rows of a ``(members, classes, rows)``
+    stack whose probabilities and label are byte-identical, each kept once
+    and weighted by its count (``None`` when no two rows merge). A stack
+    holding a non-finite value keeps every row: NaN scores rank by row
+    position, which merging loses."""
+    n_members, n_classes, n = planes.shape
+    if not np.isfinite(planes).all():
+        return planes, y, None
+    key = np.empty((n, n_members * n_classes + 1))
+    key[:, :-1] = planes.reshape(-1, n).T
+    key[:, -1] = y
+    first, inverse = distinct_rows(key)
+    if first.size == n:
+        return planes, y, None
+    return planes.take(first, axis=2), y[first], np.bincount(inverse)
 
 
 def ensemble_predict_proba(ens: EnsembleModel, lib: ModelLibrary, batch: Batch

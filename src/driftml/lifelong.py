@@ -157,12 +157,13 @@ def adapt(
             return "degraded", "add-new: no holdout", None
         fit_batch = data.take(fit_idx)
         val_batch = stratified_sample(data.take(val_idx), WU_VALIDATION_CAP, rng)
+        holdout = search.Holdout.of(val_batch)
         new_members = []
         for i, config in enumerate(portfolio[:ADD_NEW_POOL_SIZE]):
             try:
                 # looked up on the module, like run_search's own candidates
                 new_members.append(
-                    search.evaluate_candidate(config, fit_batch, val_batch, metric, seed=seed + i)
+                    search.evaluate_candidate(config, fit_batch, holdout, metric, seed=seed + i)
                 )
             except search.CANDIDATE_ERRORS as exc:
                 log.warning("add-new candidate %d failed: %s", i, exc)

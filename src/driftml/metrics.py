@@ -3,6 +3,12 @@
 ``normalized_auc`` maps AUC from [0, 1] onto [-1, 1] via 2*AUC - 1 and is
 computed with the rank statistic (midranks on tied scores). A single-class
 batch cannot be ranked; it scores NaN and callers exclude it from means.
+
+Every metric takes an optional integer ``weight`` per row: a row of weight
+w counts as w identical rows, so scoring the distinct rows of a batch with
+their counts gives exactly the score of the whole batch. Predictions and
+scores may carry leading batch axes (rows on the last axis, classes after
+them for probabilities); the result then holds one score per leading index.
 """
 
 from __future__ import annotations
@@ -14,61 +20,109 @@ NORMALIZED_AUC = "normalized_auc"
 METRICS = (ACCURACY, NORMALIZED_AUC)
 
 
-def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+def _weights(weight, n: int) -> np.ndarray:
+    return np.ones(n, dtype=np.int64) if weight is None else np.asarray(weight, dtype=np.int64)
+
+
+def _result(values):
+    """A plain float for one score, the array for a batch of them."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def accuracy(y_true: np.ndarray, y_pred: np.ndarray, weight=None):
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.size == 0:
         raise ValueError("accuracy of an empty batch is undefined")
-    return float((y_true == y_pred).mean())
+    w = _weights(weight, y_true.size)
+    return _result(((y_true == y_pred) @ w) / w.sum())  # exact integer counts
 
 
-def midranks(values: np.ndarray) -> np.ndarray:
-    """Ascending ranks from 1; tied values share the average of their ranks."""
+def midranks(values: np.ndarray, weight=None) -> np.ndarray:
+    """Ascending ranks from 1 along the last axis; tied values share the
+    average of their ranks. Entry i of the last axis stands for ``weight[i]``
+    tied rows. NaN ties nothing, not even another NaN, so a NaN entry of
+    weight above 1 has no per-row equivalent."""
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # tie runs
-    lengths = np.diff(np.r_[starts, values.size])
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.repeat(starts + (lengths + 1) / 2.0, lengths)
-    return ranks
+    if values.size == 0:
+        return values.copy()
+    n = values.shape[-1]
+    # each row's stable sort order, as positions in the flattened block
+    order = (np.argsort(values, axis=-1, kind="stable").reshape(-1, n)
+             + np.arange(0, values.size, n)[:, None]).ravel()
+    ordered = values.ravel()[order]
+    new_run = np.ones(values.size, dtype=bool)  # tie runs; each row starts one
+    new_run[1:] = ordered[1:] != ordered[:-1]
+    new_run[::n] = True
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], values.size)
+    if weight is None:  # rows ranked before each sorted entry, block-wide
+        before = np.arange(values.size + 1)
+    else:
+        before = np.concatenate([[0], np.cumsum(_weights(weight, n)[order % n])])
+    ahead = before[starts]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(ahead + (before[ends] - ahead + 1) / 2.0, ends - starts)
+    # block-wide ranks less the rows of the rows before (exact: half-integers)
+    return (ranks.reshape(-1, n) - before[:-1:n, None]).reshape(values.shape)
 
 
-def auc(y_true: np.ndarray, scores: np.ndarray) -> float:
+def auc(y_true: np.ndarray, scores: np.ndarray, weight=None):
     """Rank-based AUC for binary labels (positive class = index 1)."""
     y_true = np.asarray(y_true)
     scores = np.asarray(scores, dtype=np.float64)
     if y_true.size == 0:
         raise ValueError("AUC of an empty batch is undefined")
-    pos = y_true == 1
+    pos = y_true == 1  # each row's weight as a positive
+    n_rows = y_true.size
+    if weight is not None:
+        pos = np.where(pos, weight, 0)
+        n_rows = int(np.sum(weight))
     n_pos = int(pos.sum())
-    n_neg = y_true.size - n_pos
+    n_neg = n_rows - n_pos
     if n_pos == 0 or n_neg == 0:
-        return float("nan")
-    ranks = midranks(scores)
-    rank_sum = ranks[pos].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+        return _result(np.full(scores.shape[:-1], np.nan))
+    rank_sum = (midranks(scores, weight) * pos).sum(axis=-1)  # half-integers: exact
+    return _result((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def normalized_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
-    return 2.0 * auc(y_true, scores) - 1.0
+def normalized_auc(y_true: np.ndarray, scores: np.ndarray, weight=None):
+    return 2.0 * auc(y_true, scores, weight) - 1.0
 
 
-def score(metric: str, y_true: np.ndarray, proba_or_pred: np.ndarray) -> float:
-    """Score hard predictions (1-D int) or a probability matrix (2-D).
+def _argmax(proba: np.ndarray) -> np.ndarray:
+    """``proba.argmax(axis=-1)``, one class at a time, so a block whose class
+    planes are contiguous (a transposed ``(M, C, n)`` array) reads them in
+    memory order. Ties go to the lower class; a row holding NaN goes to its
+    first NaN, as in ``argmax``."""
+    best = proba[..., 0]
+    pred = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, proba.shape[-1]):
+        x = proba[..., c]
+        pred = np.where(x > best, c, pred)
+        best = np.maximum(best, x)  # NaN propagates: marks the rows to redo
+    nan = np.isnan(best)
+    if nan.any():
+        pred[nan] = proba[nan].argmax(axis=-1)
+    return pred
 
-    accuracy takes either form (matrix rows are argmaxed, ties to the lowest
-    class index). normalized_auc needs binary labels and real-valued scores:
-    a matrix contributes its class-1 column.
+
+def score(metric: str, y_true: np.ndarray, proba_or_pred: np.ndarray, weight=None):
+    """Score hard predictions (1-D int) or probability rows (classes on the
+    last axis, any leading batch axes before the rows).
+
+    accuracy takes either form (probability rows are argmaxed, ties to the
+    lowest class index). normalized_auc needs binary labels and real-valued
+    scores: probability rows contribute their class-1 column.
     """
     arr = np.asarray(proba_or_pred)
     if metric == ACCURACY:
-        y_pred = arr.argmax(axis=1) if arr.ndim == 2 else arr
-        return accuracy(y_true, y_pred)
+        y_pred = _argmax(arr) if arr.ndim >= 2 else arr
+        return accuracy(y_true, y_pred, weight)
     if metric == NORMALIZED_AUC:
-        if arr.ndim == 2:
-            if arr.shape[1] != 2:
+        if arr.ndim >= 2:
+            if arr.shape[-1] != 2:
                 raise ValueError("normalized_auc needs binary class probabilities")
-            arr = arr[:, 1]
-        return normalized_auc(y_true, arr)
+            arr = arr[..., 1]
+        return normalized_auc(y_true, arr, weight)
     raise ValueError(f"unknown metric {metric!r}")

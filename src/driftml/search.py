@@ -8,6 +8,18 @@ predictions later. A candidate that fails on a bad config or degenerate
 data (``CANDIDATE_ERRORS``) is logged and skipped; any other error
 propagates.
 
+Holdout predictions are made once per distinct row. A ``Holdout`` finds
+the byte-distinct rows of a validation batch once; every model predicts
+those rows and ``[inverse]`` scatters the predictions back to every row, so
+a library member still holds one prediction row per holdout row. A STAGGER
+holdout of thousands of rows has at most 27 distinct ones. The stored bytes
+are those of predicting every row as long as numpy's matrix products give a
+row the same sums wherever it sits in a block. They do at the widths of the
+bundled streams (up to 12 columns after one-hot encoding); with OpenBLAS's
+Haswell kernels, a product over 16 or more columns rounds a block's last
+``rows mod 4`` rows differently, so there identical rows predicted together
+can differ in the last bit, and the distinct-row path gives them one value.
+
 With ``max_seconds`` unset, results are bit-deterministic under a fixed
 seed; candidate evaluations are independent and assembled by candidate
 index, so a parallel executor could not change the outcome.
@@ -22,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Batch, DataError
+from .data import Batch, DataError, distinct_rows
 from .metrics import ACCURACY, score
 from .pipeline import (
     DecisionTreeConfig,
@@ -78,6 +90,30 @@ class ModelLibrary:
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+@dataclass(frozen=True)
+class Holdout:
+    """A validation batch with the rows models predict for it: ``distinct``
+    holds each byte-distinct row once, and ``[inverse]`` scatters their
+    predictions back to every row of ``batch``. A batch of mostly distinct
+    rows is predicted whole (``distinct`` is ``batch``)."""
+
+    batch: Batch
+    distinct: Batch
+    inverse: np.ndarray
+
+    @classmethod
+    def of(cls, batch: Batch) -> "Holdout":
+        first, inverse = distinct_rows(batch.X)
+        if 2 * first.size > len(batch):  # too few repeats to pay: every row
+            return cls(batch, batch, np.arange(len(batch)))
+        if first.size == 1:
+            # numpy multiplies a one-row block as a matrix-vector product,
+            # whose sums round differently from the matrix product that a
+            # block of more rows gets; the lone row is predicted twice
+            first = first[[0, 0]]
+        return cls(batch, batch.take(first), inverse)
 
 
 def stratified_split(batch: Batch, fraction: float, rng: np.random.Generator
@@ -148,16 +184,17 @@ def sample_config(rng: np.random.Generator) -> PipelineConfig:
     ).validate()
 
 
-def _member(model: TrainedPipeline, val_batch: Batch, metric: str) -> LibraryMember:
-    """``model`` with its read-only predictions on ``val_batch`` and their score."""
-    proba = model.predict_proba(val_batch)
+def _member(model: TrainedPipeline, holdout: Holdout, metric: str) -> LibraryMember:
+    """``model`` with its read-only predictions on every holdout row and
+    their score."""
+    proba = model.predict_proba(holdout.distinct)[holdout.inverse]
     proba.setflags(write=False)
-    return LibraryMember(model, proba, score(metric, val_batch.y, proba))
+    return LibraryMember(model, proba, score(metric, holdout.batch.y, proba))
 
 
-def evaluate_candidate(config: PipelineConfig, fit_batch: Batch, val_batch: Batch,
-              metric: str, seed: int) -> LibraryMember:
-    return _member(fit(config, fit_batch, seed), val_batch, metric)
+def evaluate_candidate(config: PipelineConfig, fit_batch: Batch, holdout: Holdout,
+                       metric: str, seed: int) -> LibraryMember:
+    return _member(fit(config, fit_batch, seed), holdout, metric)
 
 
 def run_search(
@@ -182,6 +219,7 @@ def run_search(
     rng = np.random.default_rng(budget.seed)
     fit_idx, val_idx = stratified_split(train, budget.validation_fraction, rng)
     fit_batch, val_batch = train.take(fit_idx), train.take(val_idx)
+    holdout = Holdout.of(val_batch)
 
     started = time.perf_counter()
     members = []
@@ -191,7 +229,7 @@ def run_search(
             break
         config = portfolio[i] if i < len(portfolio) else sample_config(rng)
         try:
-            members.append(evaluate_candidate(config, fit_batch, val_batch, metric, seed=budget.seed + i))
+            members.append(evaluate_candidate(config, fit_batch, holdout, metric, seed=budget.seed + i))
         except CANDIDATE_ERRORS as exc:
             log.warning("candidate %d failed: %s", i, exc)
     if not members:
@@ -208,6 +246,7 @@ def rescore_library(lib: ModelLibrary, new_validation: Batch) -> ModelLibrary:
         raise DataError("rescoring batch must be fully labeled")
     if not new_validation.schema.compatible_with(lib.validation_set.schema):
         raise DataError("rescoring batch schema incompatible with the library")
-    members = tuple(_member(m.pipeline, new_validation, lib.metric) for m in lib.members)
+    holdout = Holdout.of(new_validation)
+    members = tuple(_member(m.pipeline, holdout, lib.metric) for m in lib.members)
     return replace(lib, members=members, validation_set=new_validation)
 

@@ -262,3 +262,19 @@ def test_defaults_cover_detector_and_ensemble():
     assert cfg.detector_delta == 1e-7
     assert cfg.ensemble_rounds == 50
     assert cfg.strategies == (Strategy.BASE,)
+
+
+def test_a_batch_size_covering_the_stream_is_a_data_error(tmp_path):
+    # the first batch is the whole stream: it trains, and no batch is tested
+    rng = np.random.default_rng(0)
+    rows = ["f1,y"] + [f"{x},{int(x > 0)}" for x in rng.normal(size=500)]
+    csv_path = tmp_path / "short.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    conf = config_file(
+        tmp_path,
+        f"[dataset]\nkind = csv\npath = {csv_path}\nlabel_column = y\n\n[run]\nbatch_size = 1000\n",
+        "short.conf",
+    )
+    out = tmp_path / "short_out"
+    assert main(["run", conf, "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from driftml.data import (
     Batch,
@@ -13,6 +13,7 @@ from driftml.data import (
     Schema,
     UNSEEN,
     concat_batches,
+    distinct_rows,
     load_csv,
     split_stream,
 )
@@ -276,3 +277,25 @@ def test_load_electricity():
     schema, batch = load_csv(ELECTRICITY, "class")
     assert len(batch) == 45_312
     assert schema.n_features == 8
+
+
+@given(st.integers(0, 80), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(0, 3, 0)
+@example(50, 2, 1)
+def test_distinct_rows_scatter_back_byte_for_byte(n, width, seed):
+    rng = np.random.default_rng(seed)
+    cells = np.array([0.0, -0.0, np.nan, 1.0, -1.5])  # -0.0 and 0.0 differ in bytes
+    X = cells[rng.integers(0, cells.size, (n, width))]
+    first, inverse = distinct_rows(X)
+    assert X[first][inverse].tobytes() == X.tobytes()
+    assert len({row.tobytes() for row in X}) == first.size
+    assert (np.diff(first) > 0).all()
+    assert (first[inverse] <= np.arange(n)).all()  # each row's first appearance
+
+
+def test_distinct_rows_of_an_all_distinct_or_columnless_block():
+    X = np.arange(12.0).reshape(6, 2)
+    first, inverse = distinct_rows(X)
+    assert first.tolist() == inverse.tolist() == list(range(6))
+    first, inverse = distinct_rows(np.empty((3, 0)))
+    assert first.tolist() == [0] and inverse.tolist() == [0, 0, 0]

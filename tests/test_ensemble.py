@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftml.ensemble import (
     EnsembleError,
@@ -10,9 +12,48 @@ from driftml.ensemble import (
     ensemble_predict_proba,
     select_ensemble,
 )
-from driftml.metrics import score
+from driftml.metrics import METRICS, NORMALIZED_AUC, score
 
 from conftest import stub_library
+from test_metrics import reference_score
+
+
+def reference_select_ensemble(lib, rounds=50, metric=None):
+    """The per-member selection loop that ``select_ensemble`` replaced, kept
+    verbatim (checks aside) except that ``reference_score`` scores every
+    candidate mix on every row."""
+    metric = lib.metric if metric is None else metric
+    y = lib.validation_set.y
+    probas = [np.asarray(m.validation_proba, dtype=np.float64) for m in lib.members]
+
+    trace: list[int] = []
+    prefix_scores: list[float] = []
+    running = np.zeros_like(probas[0])
+    for r in range(1, rounds + 1):
+        best_idx = -1
+        best_score = -math.inf
+        for i, p in enumerate(probas):
+            s = reference_score(metric, y, (running + p) / r)
+            if not math.isnan(s) and s > best_score:
+                best_idx, best_score = i, s
+        if best_idx < 0:  # every candidate scored NaN; keep the lowest index
+            best_idx, best_score = 0, float("nan")
+        trace.append(best_idx)
+        prefix_scores.append(best_score)
+        running += probas[best_idx]
+
+    finite = [(s if not math.isnan(s) else -math.inf) for s in prefix_scores]
+    best_len = int(np.argmax(finite)) + 1  # earliest best prefix
+    kept = trace[:best_len]
+    refs = sorted(set(kept))
+    weights = tuple(kept.count(i) / best_len for i in refs)
+    return EnsembleModel(
+        member_refs=tuple(refs),
+        weights=weights,
+        rounds=best_len,
+        selection_trace=tuple(kept),
+        validation_score=prefix_scores[best_len - 1],
+    )
 
 
 def greedy_oracle(probas, y, rounds, metric="accuracy"):
@@ -165,3 +206,38 @@ def test_errors():
         select_ensemble(empty, rounds=1)
     with pytest.raises(EnsembleError):
         EnsembleModel((0, 1), (0.5, 0.6), 2, (0, 1))  # weights do not sum to 1
+
+
+@st.composite
+def libraries(draw):
+    """Tie-heavy random libraries: members predict a few row patterns, so
+    validation rows repeat (with differing labels), and probabilities come
+    from a coarse grid. Sometimes one class only, or a NaN probability."""
+    metric = draw(st.sampled_from(METRICS))
+    n_classes = 2 if metric == NORMALIZED_AUC else draw(st.integers(2, 3))
+    n_members, n_patterns = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    n_rows, rounds = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.array([0.0, 0.2, 0.25, 0.5, 0.75, 1.0])
+    patterns = grid[rng.integers(0, grid.size, (n_members, n_patterns, n_classes))]
+    if draw(st.integers(0, 3)) == 0:  # repeats with every row of its pattern
+        patterns[tuple(rng.integers(0, d) for d in patterns.shape)] = np.nan
+    probas = patterns[:, rng.integers(0, n_patterns, n_rows)]
+    y = rng.integers(0, n_classes, n_rows)
+    if draw(st.booleans()):
+        y[:] = y[0]
+    return stub_library(list(probas), y, metric), rounds
+
+
+# NaN class-1 scores on repeated rows with both labels: each such row ranks
+# by its position, so these rows must not be merged
+NAN_REPEATS = np.array([[0.5, np.nan], [0.2, 0.8], [0.5, np.nan], [0.3, 0.7], [0.5, np.nan]])
+
+
+@settings(max_examples=300)
+@given(libraries())
+@example((stub_library([NAN_REPEATS], [1, 0, 0, 1, 1], NORMALIZED_AUC), 1))
+def test_select_ensemble_equals_the_per_member_loop(case):
+    lib, rounds = case
+    # repr compares the NaN validation score of an all-NaN selection too
+    assert repr(select_ensemble(lib, rounds)) == repr(reference_select_ensemble(lib, rounds))

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftml.metrics import (
     ACCURACY,
+    METRICS,
     NORMALIZED_AUC,
     accuracy,
     auc,
@@ -55,6 +56,14 @@ def reference_auc(y, s):
         return float("nan")
     rank_sum = reference_midranks(s)[pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def reference_score(metric, y, proba):
+    """Reference for ``score`` on one probability matrix: ``argmax`` rows
+    for accuracy, the class-1 column through ``reference_auc`` for AUC."""
+    if metric == ACCURACY:
+        return float((y == proba.argmax(axis=1)).mean())
+    return 2.0 * reference_auc(y, proba[:, 1]) - 1.0
 
 
 @st.composite
@@ -131,3 +140,48 @@ def test_score_with_matrix_for_auc():
 def test_unknown_metric():
     with pytest.raises(ValueError):
         score("f1", np.array([0]), np.array([0]))
+
+
+@settings(max_examples=200)
+@given(tie_heavy(), st.integers(0, 2**32 - 1))
+def test_weighted_midranks_equal_the_midranks_of_the_repeated_rows(case, seed):
+    """Entry i of weight w ranks as w tied rows; weight 1 is the unweighted
+    form, and a stack of rows ranks each row on its own."""
+    _, s = case
+    s = np.where(np.isnan(s), 0.5, s)  # NaN ranks by row position: no weighted form
+    w = np.random.default_rng(seed).integers(1, 4, s.size)
+    assert np.array_equal(np.repeat(midranks(s, w), w), reference_midranks(np.repeat(s, w)))
+    assert np.array_equal(midranks(s, np.ones(s.size, dtype=np.int64)), midranks(s))
+    assert np.array_equal(midranks(np.stack([s, -s])), [midranks(s), midranks(-s)])
+
+
+@st.composite
+def weighted_blocks(draw):
+    """(metric, proba (M, G, C), labels, weights): M members' tie-heavy
+    probabilities on G weighted rows, sometimes with one class only."""
+    metric = draw(st.sampled_from(METRICS))
+    n_classes = 2 if metric == NORMALIZED_AUC else draw(st.integers(2, 4))
+    n_members, n_rows = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = [0.0, -0.0, 0.25, 0.5, 0.75, 1.0]
+    if metric == ACCURACY:
+        levels.append(np.nan)  # argmax takes a row's first NaN
+    proba = np.array(levels)[rng.integers(0, len(levels), (n_members, n_rows, n_classes))]
+    y = rng.integers(0, n_classes, n_rows)
+    if draw(st.booleans()):
+        y[:] = y[0]
+    return metric, proba, y, rng.integers(1, 5, n_rows)
+
+
+@settings(max_examples=300)
+@given(weighted_blocks())
+@example((NORMALIZED_AUC, np.array([[[0.5, 0.5], [0.2, 0.8]]]), np.array([1, 1]), np.array([2, 3])))
+@example((ACCURACY, np.array([[[0.5, 0.5], [np.nan, 0.1]]]), np.array([0, 1]), np.array([1, 4])))
+def test_one_weighted_batched_score_equals_a_per_member_loop_over_every_row(case):
+    metric, proba, y, w = case
+    planes = proba.transpose(0, 2, 1).copy()  # each class contiguous, as select_ensemble stacks them
+    rows_y = np.repeat(y, w)
+    expect = [reference_score(metric, rows_y, np.repeat(p, w, axis=0)) for p in proba]
+    assert np.array_equal(score(metric, y, planes.transpose(0, 2, 1), w), expect, equal_nan=True)
+    assert np.array_equal([score(metric, rows_y, np.repeat(p, w, axis=0)) for p in proba],
+                          expect, equal_nan=True)

@@ -1,8 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+
+from hypothesis import example, given, settings, strategies as st
 
 from driftml import search
+from driftml.classifiers import KnnClassifier
 from driftml.data import Batch, Feature, Schema
 from driftml.metrics import score
 from driftml.pipeline import (
@@ -11,6 +15,7 @@ from driftml.pipeline import (
     LogisticSgdConfig,
     NaiveBayesConfig,
     PipelineConfig,
+    TopKMutualInfoConfig,
     default_config_portfolio,
     fit,
 )
@@ -201,3 +206,63 @@ def test_rescore_rejects_bad_batches():
     alien = Batch(other, np.zeros((4, 1)), np.array([0, 1, 0, 1]))
     with pytest.raises(DataError):
         rescore_library(lib, alien)
+
+
+MIXED = Schema((Feature("u"), Feature("v"), Feature("c", ("p", "q", "r"))), "y", ("0", "1", "2"))
+
+# One pipeline per classifier family and per matrix product its predict
+# runs: the Bernoulli and the Gaussian naive Bayes terms, and logistic SGD
+# with and without a selector.
+FAMILY_CONFIGS = [
+    PipelineConfig(classifier=DecisionTreeConfig(max_depth=6)),
+    PipelineConfig(one_hot=True, classifier=NaiveBayesConfig(laplace_alpha=0.5)),
+    PipelineConfig(standardize=True, classifier=NaiveBayesConfig(laplace_alpha=1.0)),
+    PipelineConfig(standardize=True, one_hot=True, classifier=LogisticSgdConfig(epochs=5)),
+    PipelineConfig(standardize=True, one_hot=True, selector=TopKMutualInfoConfig(k=3),
+                   classifier=LogisticSgdConfig(epochs=5)),
+    PipelineConfig(standardize=True, one_hot=True,
+                   classifier=KnnConfig(k=5, max_reference_points=256)),
+]
+
+
+def mixed_rows(n, rng, special=False):
+    """``n`` rows of MIXED: two numeric columns, one categorical; with
+    ``special``, about a fifth of the cells are NaN, -0.0 or 0.0."""
+    X = np.column_stack([rng.normal(size=(n, 2)), rng.integers(0, 3, n)]).astype(float)
+    if special:
+        hit = rng.random(X.shape) < 0.2
+        X[hit] = np.array([np.nan, -0.0, 0.0])[rng.integers(0, 3, hit.sum())]
+    return X
+
+
+@functools.lru_cache(maxsize=None)
+def family_models():
+    rng = np.random.default_rng(0)
+    train = Batch(MIXED, mixed_rows(400, rng, special=True), rng.integers(0, 3, 400))
+    return [fit(cfg, train, seed=i) for i, cfg in enumerate(FAMILY_CONFIGS)]
+
+
+@settings(max_examples=60)
+@given(
+    n_distinct=st.integers(1, 300),
+    repeats=st.integers(0, 300),
+    special=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_distinct=1, repeats=300, special=False, seed=0)  # one row: matrix-vector path
+@example(n_distinct=KnnClassifier.CHUNK + 76, repeats=KnnClassifier.CHUNK + 100, special=True, seed=1)
+@example(n_distinct=27, repeats=250, special=True, seed=2)
+def test_predicting_the_distinct_rows_equals_predicting_every_row(n_distinct, repeats, special, seed):
+    """Each family's predictions on a holdout's distinct rows, scattered
+    back, are byte-identical to its predictions on every row."""
+    rng = np.random.default_rng(seed)
+    pool = mixed_rows(n_distinct, rng, special)
+    rows = np.r_[np.arange(n_distinct), rng.integers(0, n_distinct, repeats)]
+    rng.shuffle(rows)
+    batch = Batch(MIXED, pool[rows], rng.integers(0, 3, rows.size))
+    holdout = search.Holdout.of(batch)
+    assert holdout.distinct is batch or len(holdout.distinct) <= max(n_distinct, 2)
+    for model in family_models():
+        direct = model.predict_proba(batch)
+        scattered = model.predict_proba(holdout.distinct)[holdout.inverse]
+        assert scattered.tobytes() == direct.tobytes(), model.config
