@@ -168,7 +168,7 @@ def adapt(
             except search.CANDIDATE_ERRORS as exc:
                 log.warning("add-new candidate %d failed: %s", i, exc)
         try:
-            rescored = rescore_library(library, val_batch)
+            rescored = rescore_library(library, val_batch, holdout)
         except DataError as exc:
             return "degraded", f"add-new: {exc}", None
         members = rescored.members + tuple(new_members)

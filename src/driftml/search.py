@@ -13,12 +13,15 @@ the byte-distinct rows of a validation batch once; every model predicts
 those rows and ``[inverse]`` scatters the predictions back to every row, so
 a library member still holds one prediction row per holdout row. A STAGGER
 holdout of thousands of rows has at most 27 distinct ones. The stored bytes
-are those of predicting every row as long as numpy's matrix products give a
-row the same sums wherever it sits in a block. They do at the widths of the
-bundled streams (up to 12 columns after one-hot encoding); with OpenBLAS's
-Haswell kernels, a product over 16 or more columns rounds a block's last
-``rows mod 4`` rows differently, so there identical rows predicted together
-can differ in the last bit, and the distinct-row path gives them one value.
+are those of predicting every row only where numpy's matrix products give
+a row the same sums wherever it sits in a block. With OpenBLAS 0.3.31 they
+do over fewer than 16 columns for every family (SkylakeX and Haswell
+kernels); with the SkylakeX kernels a logistic product over 16 or more
+columns rounds some rows of a block differently. (A k-NN distance product
+can switch kernels with the block's size, but a vote share moves only at
+an exact distance tie, and none showed.) A holdout whose schema can encode
+to more than ``DISTINCT_ROWS_MAX_WIDTH`` columns is therefore predicted
+whole.
 
 With ``max_seconds`` unset, results are bit-deterministic under a fixed
 seed; candidate evaluations are independent and assembled by candidate
@@ -34,9 +37,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Batch, DataError, distinct_rows
+from .data import Batch, DataError, Schema, distinct_rows
 from .metrics import ACCURACY, score
 from .pipeline import (
+    MAX_ONE_HOT_LEVELS,
     DecisionTreeConfig,
     KnnConfig,
     LogisticSgdConfig,
@@ -55,6 +59,10 @@ log = logging.getLogger(__name__)
 # scoring; a candidate that raises one is logged and skipped. Anything else
 # is a bug and ends the run.
 CANDIDATE_ERRORS = (PipelineError, DataError, np.linalg.LinAlgError, FloatingPointError)
+
+# The widest classifier input at which predicting a holdout's distinct rows
+# was checked to give every row the bytes of predicting every row.
+DISTINCT_ROWS_MAX_WIDTH = 15
 
 
 class SearchError(Exception):
@@ -96,8 +104,9 @@ class ModelLibrary:
 class Holdout:
     """A validation batch with the rows models predict for it: ``distinct``
     holds each byte-distinct row once, and ``[inverse]`` scatters their
-    predictions back to every row of ``batch``. A batch of mostly distinct
-    rows is predicted whole (``distinct`` is ``batch``)."""
+    predictions back to every row of ``batch``. A batch whose schema can
+    encode to more than ``DISTINCT_ROWS_MAX_WIDTH`` columns is predicted
+    whole (``distinct`` is ``batch``)."""
 
     batch: Batch
     distinct: Batch
@@ -105,15 +114,23 @@ class Holdout:
 
     @classmethod
     def of(cls, batch: Batch) -> "Holdout":
-        first, inverse = distinct_rows(batch.X)
-        if 2 * first.size > len(batch):  # too few repeats to pay: every row
+        if widest_encoding(batch.schema) > DISTINCT_ROWS_MAX_WIDTH:
             return cls(batch, batch, np.arange(len(batch)))
+        first, inverse = distinct_rows(batch.X)
         if first.size == 1:
             # numpy multiplies a one-row block as a matrix-vector product,
             # whose sums round differently from the matrix product that a
             # block of more rows gets; the lone row is predicted twice
             first = first[[0, 0]]
         return cls(batch, batch.take(first), inverse)
+
+
+def widest_encoding(schema: Schema) -> int:
+    """The most columns a pipeline fitted on ``schema`` hands its
+    classifier: one per numeric feature, and with one-hot encoding one per
+    retained level plus ``other`` per categorical feature."""
+    return sum(1 if f.levels is None else min(len(f.levels), MAX_ONE_HOT_LEVELS) + 1
+               for f in schema.features)
 
 
 def stratified_split(batch: Batch, fraction: float, rng: np.random.Generator
@@ -237,16 +254,18 @@ def run_search(
     return ModelLibrary(tuple(members), val_batch, metric)
 
 
-def rescore_library(lib: ModelLibrary, new_validation: Batch) -> ModelLibrary:
+def rescore_library(lib: ModelLibrary, new_validation: Batch,
+                    holdout: Optional[Holdout] = None) -> ModelLibrary:
     """Recompute every member's holdout predictions against a new labeled
-    batch; fitted models are untouched."""
+    batch; fitted models are untouched. ``holdout``, when the caller has
+    one, is ``Holdout.of(new_validation)``."""
     if len(new_validation) == 0:
         raise DataError("cannot rescore against an empty batch")
     if not new_validation.fully_labeled:
         raise DataError("rescoring batch must be fully labeled")
     if not new_validation.schema.compatible_with(lib.validation_set.schema):
         raise DataError("rescoring batch schema incompatible with the library")
-    holdout = Holdout.of(new_validation)
+    if holdout is None:
+        holdout = Holdout.of(new_validation)
     members = tuple(_member(m.pipeline, holdout, lib.metric) for m in lib.members)
     return replace(lib, members=members, validation_set=new_validation)
-

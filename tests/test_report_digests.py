@@ -6,9 +6,11 @@ digests below were recorded before the distinct-row scoring paths existed
 selection round), so any change to what a run writes fails here.
 
 The run goes through ``driftml run`` in a child process with one BLAS
-thread: the reports depend on the thread count (Replacement under
-normalized_auc differs between one and two OpenBLAS threads), and a thread
-setting only takes effect before numpy loads.
+thread and OpenBLAS's SkylakeX kernels, the setting the digests were
+recorded with (numpy 2.4.6 with OpenBLAS 0.3.31): the reports depend on
+both (Replacement under normalized_auc differs between one and two threads,
+and between the SkylakeX and the Haswell kernels), and either setting only
+takes effect before numpy loads. SkylakeX kernels need an AVX-512 CPU.
 """
 
 import hashlib
@@ -19,7 +21,8 @@ import sys
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+PINNED_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+              "OPENBLAS_CORETYPE": "SkylakeX"}
 
 # Four concepts of 1,000 rows, 500-row batches, 5% label noise, the search
 # budget and selection rounds of configs/stagger.conf: the detector fires in
@@ -83,7 +86,7 @@ def adapted(report) -> bool:
 def test_reports_equal_the_recorded_digests(tmp_path, metric):
     conf, out = tmp_path / "run.conf", tmp_path / "out"
     conf.write_text(STREAM.format(metric=metric))
-    env = {**os.environ, **ONE_THREAD,
+    env = {**os.environ, **PINNED_BLAS,
            "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-m", "driftml.cli", "run", str(conf), "--out", str(out)],
                    env=env, check=True)

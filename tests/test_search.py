@@ -27,7 +27,7 @@ from driftml.search import (
     sample_config,
     stratified_split,
 )
-from driftml.stagger import StaggerConfig, generate_stagger
+from driftml.stagger import STAGGER_SCHEMA, StaggerConfig, generate_stagger
 
 
 def two_class_batch(n=60, seed=0):
@@ -208,7 +208,17 @@ def test_rescore_rejects_bad_batches():
         rescore_library(lib, alien)
 
 
-MIXED = Schema((Feature("u"), Feature("v"), Feature("c", ("p", "q", "r"))), "y", ("0", "1", "2"))
+def mixed_schema(n_numeric):
+    """``n_numeric`` numeric columns and one 3-level categorical column:
+    ``n_numeric + 4`` columns after one-hot encoding."""
+    numeric = tuple(Feature(f"x{i}") for i in range(n_numeric))
+    return Schema(numeric + (Feature("c", ("p", "q", "r")),), "y", ("0", "1", "2"))
+
+
+# Numeric column counts whose widest encodings are 6, 15 (the widest whose
+# holdouts are predicted on distinct rows) and 16 (predicted whole: there
+# the logistic product rounds some rows by their position in a block).
+NARROW, WIDEST_DISTINCT, WIDE = 2, 11, 12
 
 # One pipeline per classifier family and per matrix product its predict
 # runs: the Bernoulli and the Gaussian naive Bayes terms, and logistic SGD
@@ -225,10 +235,10 @@ FAMILY_CONFIGS = [
 ]
 
 
-def mixed_rows(n, rng, special=False):
-    """``n`` rows of MIXED: two numeric columns, one categorical; with
-    ``special``, about a fifth of the cells are NaN, -0.0 or 0.0."""
-    X = np.column_stack([rng.normal(size=(n, 2)), rng.integers(0, 3, n)]).astype(float)
+def mixed_rows(n, n_numeric, rng, special=False):
+    """``n`` rows of ``mixed_schema(n_numeric)``; with ``special``, about a
+    fifth of the cells are NaN, -0.0 or 0.0."""
+    X = np.column_stack([rng.normal(size=(n, n_numeric)), rng.integers(0, 3, n)]).astype(float)
     if special:
         hit = rng.random(X.shape) < 0.2
         X[hit] = np.array([np.nan, -0.0, 0.0])[rng.integers(0, 3, hit.sum())]
@@ -236,33 +246,50 @@ def mixed_rows(n, rng, special=False):
 
 
 @functools.lru_cache(maxsize=None)
-def family_models():
+def family_models(n_numeric):
     rng = np.random.default_rng(0)
-    train = Batch(MIXED, mixed_rows(400, rng, special=True), rng.integers(0, 3, 400))
+    X = mixed_rows(400, n_numeric, rng, special=True)
+    train = Batch(mixed_schema(n_numeric), X, rng.integers(0, 3, 400))
     return [fit(cfg, train, seed=i) for i, cfg in enumerate(FAMILY_CONFIGS)]
+
+
+def test_widest_encoding_counts_every_one_hot_column():
+    assert search.widest_encoding(STAGGER_SCHEMA) == 12
+    assert search.widest_encoding(mixed_schema(WIDE)) == 16
+    many = Schema((Feature("a"), Feature("b", tuple(map(str, range(100))))), "y", ("0", "1"))
+    assert search.widest_encoding(many) == 1 + 64 + 1
 
 
 @settings(max_examples=60)
 @given(
+    n_numeric=st.sampled_from([NARROW, WIDEST_DISTINCT, WIDE]),
     n_distinct=st.integers(1, 300),
     repeats=st.integers(0, 300),
     special=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n_distinct=1, repeats=300, special=False, seed=0)  # one row: matrix-vector path
-@example(n_distinct=KnnClassifier.CHUNK + 76, repeats=KnnClassifier.CHUNK + 100, special=True, seed=1)
-@example(n_distinct=27, repeats=250, special=True, seed=2)
-def test_predicting_the_distinct_rows_equals_predicting_every_row(n_distinct, repeats, special, seed):
+@example(n_numeric=NARROW, n_distinct=1, repeats=300, special=False, seed=0)  # matrix-vector path
+@example(n_numeric=NARROW, n_distinct=KnnClassifier.CHUNK + 76, repeats=KnnClassifier.CHUNK + 100,
+         special=True, seed=1)
+@example(n_numeric=NARROW, n_distinct=27, repeats=250, special=True, seed=2)
+@example(n_numeric=WIDEST_DISTINCT, n_distinct=27, repeats=250, special=False, seed=3)
+@example(n_numeric=WIDE, n_distinct=27, repeats=250, special=False, seed=3)
+def test_predicting_the_distinct_rows_equals_predicting_every_row(n_numeric, n_distinct, repeats,
+                                                                   special, seed):
     """Each family's predictions on a holdout's distinct rows, scattered
-    back, are byte-identical to its predictions on every row."""
+    back, are byte-identical to its predictions on every row; a holdout too
+    wide for that is predicted whole."""
     rng = np.random.default_rng(seed)
-    pool = mixed_rows(n_distinct, rng, special)
+    pool = mixed_rows(n_distinct, n_numeric, rng, special)
     rows = np.r_[np.arange(n_distinct), rng.integers(0, n_distinct, repeats)]
     rng.shuffle(rows)
-    batch = Batch(MIXED, pool[rows], rng.integers(0, 3, rows.size))
+    batch = Batch(mixed_schema(n_numeric), pool[rows], rng.integers(0, 3, rows.size))
     holdout = search.Holdout.of(batch)
-    assert holdout.distinct is batch or len(holdout.distinct) <= max(n_distinct, 2)
-    for model in family_models():
+    for model in family_models(n_numeric):
         direct = model.predict_proba(batch)
         scattered = model.predict_proba(holdout.distinct)[holdout.inverse]
         assert scattered.tobytes() == direct.tobytes(), model.config
+    if n_numeric == WIDE:
+        assert holdout.distinct is batch
+    else:
+        assert len(holdout.distinct) <= max(n_distinct, 2)
