@@ -5,6 +5,10 @@ imputed, encoded and scaled) and produce probability rows over the full
 schema class set: rows are non-negative and sum to 1, classes absent from
 the training data may receive probability zero. Everything is deterministic
 given (data, hyperparameters, seed).
+
+Logistic SGD has one training routine, ``fit_logistic_sgd``, which steps
+several models in lockstep; ``LogisticSgdClassifier.fit`` is its one-model
+call. Each model ends with the bytes it gets when fitted alone.
 """
 
 from __future__ import annotations
@@ -214,7 +218,8 @@ class NaiveBayesClassifier:
 
 class LogisticSgdClassifier:
     """Multinomial logistic regression trained with seeded mini-batch SGD
-    (L2 on the weights, not the bias)."""
+    (L2 on the weights, not the bias). ``fit`` is ``fit_logistic_sgd`` on
+    one model."""
 
     MINIBATCH = 32
 
@@ -225,35 +230,74 @@ class LogisticSgdClassifier:
         self.epochs = epochs
         self._fitted = False
 
-    def _softmax(self, logits: np.ndarray) -> np.ndarray:
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        n, d = X.shape
-        y_onehot = np.zeros((n, self.n_classes))
-        y_onehot[np.arange(n), y] = 1.0
-        self.W_ = np.zeros((d, self.n_classes))
-        self.b_ = np.zeros(self.n_classes)
-        m = min(self.MINIBATCH, n)
-        for _ in range(self.epochs):
-            perm = rng.permutation(n)
-            for start in range(0, n, m):
-                take = perm[start : start + m]
-                xb, yb = X[take], y_onehot[take]
-                p = self._softmax(xb @ self.W_ + self.b_)
-                err = (p - yb) / take.size
-                self.W_ -= self.learning_rate * (xb.T @ err + self.l2 * self.W_)
-                self.b_ -= self.learning_rate * err.sum(axis=0)
-        self._fitted = True
+        fit_logistic_sgd([self], [X], y, [rng])
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         _check_fitted(self._fitted, "LogisticSgdClassifier")
-        return self._softmax(np.asarray(X, dtype=np.float64) @ self.W_ + self.b_)
+        return _softmax(np.asarray(X, dtype=np.float64) @ self.W_ + self.b_)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def fit_logistic_sgd(models, matrices, y: np.ndarray, rngs) -> None:
+    """Fit ``models[k]`` on ``matrices[k]`` and ``y`` with ``rngs[k]``, all
+    models in lockstep.
+
+    The matrices share one shape ``(n, d)``; the same array may serve several
+    models. Each model draws its own permutation per epoch and takes the
+    same minibatch steps as when fitted alone, with its own learning rate,
+    ``l2`` and epoch count. The weights of the models still training are
+    stacked as ``(K, d, C)``, so a step is one stacked product per
+    operation; numpy multiplies each model's slice as the 2-D product a
+    lone fit makes, so every model ends with the same bytes. A model leaves
+    the stack when its epochs end. Rows are gathered per minibatch: a
+    permuted copy of every matrix per epoch would hold K more matrices.
+    """
+    order = sorted(range(len(models)), key=lambda k: -models[k].epochs)
+    models = [models[k] for k in order]  # the models still training are a prefix
+    rngs = [rngs[k] for k in order]
+    blocks = {}  # id of each distinct matrix -> (its block in ``X``, the matrix)
+    for M in matrices:
+        blocks.setdefault(id(M), (len(blocks), M))
+    block = np.array([blocks[id(matrices[k])][0] for k in order])
+    distinct = [np.asarray(M, dtype=np.float64) for _, M in blocks.values()]
+    X = np.concatenate(distinct) if len(distinct) > 1 else distinct[0]
+    n, d = matrices[0].shape
+    offset = (block * n)[:, None]
+    n_classes = models[0].n_classes
+    y_onehot = np.zeros((n, n_classes))
+    y_onehot[np.arange(n), np.asarray(y, dtype=np.int64)] = 1.0
+    Y = np.tile(y_onehot, (len(distinct), 1))  # the label of every row of X
+
+    K = len(models)
+    W = np.zeros((K, d, n_classes))
+    b = np.zeros((K, 1, n_classes))
+    rate = np.array([model.learning_rate for model in models], dtype=np.float64)[:, None, None]
+    l2 = np.array([model.l2 for model in models], dtype=np.float64)[:, None, None]
+    epochs = np.array([model.epochs for model in models])
+    m = min(LogisticSgdClassifier.MINIBATCH, n)
+    for epoch in range(int(epochs.max())):
+        k = int(np.count_nonzero(epochs > epoch))
+        rows = np.stack([rng.permutation(n) for rng in rngs[:k]]) + offset[:k]
+        Wk, bk, rate_k, l2_k = W[:k], b[:k], rate[:k], l2[:k]
+        for start in range(0, n, m):
+            take = rows[:, start : start + m]
+            xb = X.take(take, axis=0)
+            p = _softmax(xb @ Wk + bk)
+            err = (p - Y.take(take, axis=0)) / take.shape[1]
+            Wk -= rate_k * (xb.transpose(0, 2, 1) @ err + l2_k * Wk)
+            bk -= rate_k * err.sum(axis=1, keepdims=True)
+    for k, model in enumerate(models):
+        model.W_ = W[k].copy()
+        model.b_ = b[k, 0].copy()
+        model._fitted = True
 
 
 def reservoir_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

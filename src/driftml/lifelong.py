@@ -25,7 +25,6 @@ Add-New       fit the first ``ADD_NEW_POOL_SIZE`` portfolio configs on all
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -39,8 +38,6 @@ from .ensemble import ensemble_predict_proba, select_ensemble
 from .metrics import NORMALIZED_AUC, score
 from .pipeline import PipelineConfig, default_config_portfolio
 from .search import ModelLibrary, SearchBudget, SearchError, run_search, rescore_library, stratified_split
-
-log = logging.getLogger(__name__)
 
 WU_VALIDATION_CAP = 10_000  # rescoring stays bounded as stored data grows
 ADD_NEW_POOL_SIZE = 8
@@ -158,15 +155,8 @@ def adapt(
         fit_batch = data.take(fit_idx)
         val_batch = stratified_sample(data.take(val_idx), WU_VALIDATION_CAP, rng)
         holdout = search.Holdout.of(val_batch)
-        new_members = []
-        for i, config in enumerate(portfolio[:ADD_NEW_POOL_SIZE]):
-            try:
-                # looked up on the module, like run_search's own candidates
-                new_members.append(
-                    search.evaluate_candidate(config, fit_batch, holdout, metric, seed=seed + i)
-                )
-            except search.CANDIDATE_ERRORS as exc:
-                log.warning("add-new candidate %d failed: %s", i, exc)
+        pool = list(enumerate(portfolio[:ADD_NEW_POOL_SIZE]))
+        new_members = search.evaluate_candidates(pool, fit_batch, holdout, metric, seed)
         try:
             rescored = rescore_library(library, val_batch, holdout)
         except DataError as exc:

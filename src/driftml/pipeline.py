@@ -3,16 +3,25 @@
 A ``PipelineConfig`` describes every stage; ``fit`` turns it into an
 immutable ``TrainedPipeline``. Stage order is fixed: impute, one-hot encode,
 standardize, select, classify. Imputation happens before encoding; selection
-operates on the encoded matrix. ``fit`` is the one place that order and the
-optional stages are written: the pipeline keeps its fitted preprocessing as
-a tuple in application order, and each classifier config maps to its
-classifier in one table (``_CLASSIFIERS``), built from the config's fields.
+operates on the encoded matrix.
+
+``fit`` takes two steps, which a search also takes for many configs at once.
+``fit_stages`` fits the preprocessing, which depends only on the config's
+``prefix`` (imputation, one-hot, standardize, selector); it is the one place
+that order and the optional stages are written, and it returns the stages as
+a read-only tuple in application order together with the transformed
+training matrix. ``fit_classifiers`` fits each config's classifier on its
+matrix; each classifier config maps to its classifier in one table
+(``_CLASSIFIERS``), built from the config's fields, and logistic-SGD
+classifiers whose matrices share a shape fit in lockstep. Pipelines of one
+prefix may share one stage tuple: fitted stages are never mutated, and their
+arrays are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -22,6 +31,7 @@ from .classifiers import (
     KnnClassifier,
     LogisticSgdClassifier,
     NaiveBayesClassifier,
+    fit_logistic_sgd,
 )
 from .data import Batch
 
@@ -130,6 +140,12 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 # fitted stages
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: fitted stages are shared between pipelines."""
+    a.setflags(write=False)
+    return a
+
+
 class _Imputer:
     def fit(self, X: np.ndarray, categorical: np.ndarray, strategy: str):
         fill = np.zeros(X.shape[1])
@@ -146,7 +162,7 @@ class _Imputer:
                     fill[j] = obs.mean()
                 else:
                     fill[j] = _mode(obs)
-        self.fill_ = fill
+        self.fill_ = _read_only(fill)
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -171,18 +187,17 @@ class _OneHotEncoder:
     """
 
     def fit(self, X: np.ndarray, categorical: np.ndarray):
-        self.categorical_ = categorical
-        self.level_columns_ = []
+        level_columns = []
         for j in range(X.shape[1]):
             if not categorical[j]:
-                self.level_columns_.append(None)
+                level_columns.append(None)
                 continue
             col = X[:, j].astype(np.int64)
             col = col[col >= 0]
             levels, counts = np.unique(col, return_counts=True)
             order = np.lexsort((levels, -counts))
-            keep = np.sort(levels[order][:MAX_ONE_HOT_LEVELS])
-            self.level_columns_.append(keep)
+            level_columns.append(_read_only(np.sort(levels[order][:MAX_ONE_HOT_LEVELS])))
+        self.level_columns_ = tuple(level_columns)
         self.width_ = int(
             sum(1 if lc is None else lc.size + 1 for lc in self.level_columns_)
         )
@@ -207,9 +222,9 @@ class _OneHotEncoder:
 
 class _Standardizer:
     def fit(self, X: np.ndarray):
-        self.mean_ = X.mean(axis=0)
+        self.mean_ = _read_only(X.mean(axis=0))
         std = X.std(axis=0)
-        self.std_ = np.where(std > 1e-12, std, 1.0)
+        self.std_ = _read_only(np.where(std > 1e-12, std, 1.0))
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -244,7 +259,7 @@ class _Selector:
             mi = np.array([_mutual_information(X[:, j], y, n_classes) for j in range(d)])
             order = np.lexsort((np.arange(d), -mi))
             keep = np.sort(order[:k])
-        self.keep_ = keep
+        self.keep_ = _read_only(keep)
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -281,9 +296,17 @@ class TrainedPipeline:
         return self.classifier.predict_proba(X)
 
 
-def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:
-    """Train a full pipeline; deterministic under (config, data, seed)."""
-    config.validate()
+def prefix(config: PipelineConfig) -> tuple:
+    """The fields that decide ``config``'s preprocessing: configs with one
+    prefix fit the same stages on the same data."""
+    return (config.imputation, config.one_hot, config.standardize, config.selector)
+
+
+def fit_stages(config: PipelineConfig, train: Batch) -> tuple[tuple, np.ndarray]:
+    """Fit the preprocessing of ``config`` (validated) on ``train``: the
+    fitted stages in the order they apply, and ``train``'s matrix after
+    them. Both are read-only, so every pipeline of the prefix can share
+    them."""
     if len(train) == 0:
         raise PipelineError("cannot fit on an empty batch")
     if not train.fully_labeled:
@@ -291,7 +314,6 @@ def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:
 
     schema = train.schema
     categorical = np.array([f.is_categorical for f in schema.features])
-    rng = np.random.default_rng(seed)
     stages, X, y = [], train.X, train.y
 
     def add(stage):
@@ -306,15 +328,40 @@ def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:
         add(_Standardizer().fit(X))
     if config.selector is not None:
         add(_Selector().fit(X, y, config.selector, schema.n_classes))
+    return tuple(stages), _read_only(X)
 
+
+def fit_classifiers(configs: Sequence[PipelineConfig], matrices: Sequence[np.ndarray],
+                    train: Batch, seeds: Sequence[int]) -> list:
+    """The classifier of each config, fitted on its matrix (``train``'s rows
+    after the config's stages) with a generator seeded by its seed.
+    Logistic-SGD classifiers whose matrices share a shape fit in lockstep
+    (``fit_logistic_sgd``)."""
+    n_classes, y = train.schema.n_classes, train.y
     present = np.unique(y)
     if present.size == 1:
-        classifier = ConstantClassifier(schema.n_classes, int(present[0]))
-    else:
-        c = config.classifier
-        classifier = _CLASSIFIERS[type(c)](schema.n_classes, **asdict(c))
-        classifier.fit(X, y, rng)
-    return TrainedPipeline(config, schema, tuple(stages), classifier)
+        return [ConstantClassifier(n_classes, int(present[0])) for _ in configs]
+    classifiers = [_CLASSIFIERS[type(c.classifier)](n_classes, **asdict(c.classifier))
+                   for c in configs]
+    lockstep = {}  # matrix shape -> [(classifier, matrix, rng)]
+    for classifier, X, seed in zip(classifiers, matrices, seeds):
+        rng = np.random.default_rng(seed)
+        if isinstance(classifier, LogisticSgdClassifier):
+            lockstep.setdefault(X.shape, []).append((classifier, X, rng))
+        else:
+            classifier.fit(X, y, rng)
+    for group in lockstep.values():
+        models, group_matrices, rngs = zip(*group)
+        fit_logistic_sgd(models, group_matrices, y, rngs)
+    return classifiers
+
+
+def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:
+    """Train a full pipeline; deterministic under (config, data, seed)."""
+    config.validate()
+    stages, X = fit_stages(config, train)
+    (classifier,) = fit_classifiers([config], [X], train, [seed])
+    return TrainedPipeline(config, train.schema, stages, classifier)
 
 
 def default_config_portfolio() -> list[PipelineConfig]:

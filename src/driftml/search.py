@@ -23,9 +23,16 @@ an exact distance tie, and none showed.) A holdout whose schema can encode
 to more than ``DISTINCT_ROWS_MAX_WIDTH`` columns is therefore predicted
 whole.
 
+Candidates admitted together are evaluated together
+(``evaluate_candidates``): each distinct preprocessing prefix is fitted once
+on the fit batch and its pipelines share the fitted stages, and logistic-SGD
+candidates whose matrices share a shape are trained in lockstep. Every
+member gets the bytes it gets when fitted alone (``evaluate_candidate``).
 With ``max_seconds`` unset, results are bit-deterministic under a fixed
-seed; candidate evaluations are independent and assembled by candidate
-index, so a parallel executor could not change the outcome.
+seed: each candidate draws from its own seed, and members are assembled by
+candidate index. Only the shared prefixes and the lockstep groups tie the
+candidates' work together, so that is where a parallel executor would have
+to split it.
 """
 
 from __future__ import annotations
@@ -51,6 +58,9 @@ from .pipeline import (
     TrainedPipeline,
     VarianceThresholdConfig,
     fit,
+    fit_classifiers,
+    fit_stages,
+    prefix,
 )
 
 log = logging.getLogger(__name__)
@@ -211,7 +221,69 @@ def _member(model: TrainedPipeline, holdout: Holdout, metric: str) -> LibraryMem
 
 def evaluate_candidate(config: PipelineConfig, fit_batch: Batch, holdout: Holdout,
                        metric: str, seed: int) -> LibraryMember:
+    """One candidate fitted and scored alone: the member that
+    ``evaluate_candidates`` makes of it, byte for byte."""
     return _member(fit(config, fit_batch, seed), holdout, metric)
+
+
+def evaluate_candidates(candidates: Sequence[tuple[int, PipelineConfig]], fit_batch: Batch,
+                        holdout: Holdout, metric: str, seed: int) -> list[LibraryMember]:
+    """Fit candidate ``(index, config)`` pairs on ``fit_batch`` (candidate
+    ``index`` with seed ``seed + index``) and score them on ``holdout``.
+
+    Each distinct preprocessing prefix is fitted once, and its pipelines
+    share the fitted stages; ``fit_classifiers`` steps the logistic-SGD
+    classifiers in lockstep. A candidate that fails with one of
+    ``CANDIDATE_ERRORS`` is logged and skipped: a config that does not
+    validate, every candidate of a prefix that does not fit, or a classifier
+    that does not fit. Returns the members in candidate order.
+    """
+    by_prefix = {}  # prefix -> [(index, config)]
+    for i, config in candidates:
+        try:
+            config.validate()
+        except CANDIDATE_ERRORS as exc:
+            log.warning("candidate %d failed: %s", i, exc)
+            continue
+        by_prefix.setdefault(prefix(config), []).append((i, config))
+
+    ready = []  # (index, config, stages, matrix)
+    for group in by_prefix.values():
+        try:
+            stages, X = fit_stages(group[0][1], fit_batch)
+        except CANDIDATE_ERRORS as exc:
+            for i, _ in group:
+                log.warning("candidate %d failed: %s", i, exc)
+            continue
+        ready += [(i, config, stages, X) for i, config in group]
+    ready.sort(key=lambda job: job[0])
+
+    def classifiers(jobs):
+        return fit_classifiers([config for _, config, _, _ in jobs], [X for _, _, _, X in jobs],
+                               fit_batch, [seed + i for i, _, _, _ in jobs])
+
+    try:
+        fitted = classifiers(ready)
+    except CANDIDATE_ERRORS:
+        # a lockstep fit does not say whose step failed: fit each alone
+        fitted = []
+        for job in ready:
+            try:
+                fitted += classifiers([job])
+            except CANDIDATE_ERRORS as exc:
+                log.warning("candidate %d failed: %s", job[0], exc)
+                fitted.append(None)
+
+    members = []
+    for (i, config, stages, _), classifier in zip(ready, fitted):
+        if classifier is None:
+            continue
+        try:
+            members.append(_member(TrainedPipeline(config, fit_batch.schema, stages, classifier),
+                                   holdout, metric))
+        except CANDIDATE_ERRORS as exc:
+            log.warning("candidate %d failed: %s", i, exc)
+    return members
 
 
 def run_search(
@@ -224,7 +296,10 @@ def run_search(
 
     The labeled input is split once (seeded, stratified) into fit and
     validation parts; every candidate trains on the fit part and is scored
-    on the validation part with ``metric``.
+    on the validation part with ``metric``. Candidates are admitted in index
+    order. Without ``max_seconds`` all of them are evaluated together; with
+    it, each admitted candidate is evaluated before the next is admitted,
+    and none is admitted once the time is up and one has succeeded.
     """
     if len(train) < 10:
         raise SearchError(f"need at least 10 training instances, got {len(train)}")
@@ -239,16 +314,15 @@ def run_search(
     holdout = Holdout.of(val_batch)
 
     started = time.perf_counter()
-    members = []
+    members, admitted = [], []
     for i in range(budget.max_candidates):
-        if budget.max_seconds is not None and members \
-                and time.perf_counter() - started >= budget.max_seconds:
-            break
-        config = portfolio[i] if i < len(portfolio) else sample_config(rng)
-        try:
-            members.append(evaluate_candidate(config, fit_batch, holdout, metric, seed=budget.seed + i))
-        except CANDIDATE_ERRORS as exc:
-            log.warning("candidate %d failed: %s", i, exc)
+        if budget.max_seconds is not None:
+            members += evaluate_candidates(admitted, fit_batch, holdout, metric, budget.seed)
+            admitted = []
+            if members and time.perf_counter() - started >= budget.max_seconds:
+                break
+        admitted.append((i, portfolio[i] if i < len(portfolio) else sample_config(rng)))
+    members += evaluate_candidates(admitted, fit_batch, holdout, metric, budget.seed)
     if not members:
         raise SearchError("search budget exhausted with zero successful fits")
     return ModelLibrary(tuple(members), val_batch, metric)

@@ -2,7 +2,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftml.classifiers import KnnClassifier, reservoir_sample
+from driftml.classifiers import (
+    KnnClassifier,
+    LogisticSgdClassifier,
+    fit_logistic_sgd,
+    reservoir_sample,
+)
 
 
 def reference_knn_proba(model, X):
@@ -98,3 +103,74 @@ def test_reservoir_sample_equals_algorithm_r():
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         assert np.array_equal(reservoir_sample(n, k, rng), reference_reservoir_sample(n, k, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_logistic_fit(model, X, y, rng):
+    """Reference for ``fit_logistic_sgd``: one model's minibatch steps as a
+    loop of 2-D products; returns ``(W, b)``."""
+
+    def softmax(logits):
+        z = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=1, keepdims=True)
+
+    n, d = X.shape
+    y_onehot = np.zeros((n, model.n_classes))
+    y_onehot[np.arange(n), y] = 1.0
+    W = np.zeros((d, model.n_classes))
+    b = np.zeros(model.n_classes)
+    m = min(model.MINIBATCH, n)
+    for _ in range(model.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, m):
+            take = perm[start : start + m]
+            xb, yb = X[take], y_onehot[take]
+            p = softmax(xb @ W + b)
+            err = (p - yb) / take.size
+            W -= model.learning_rate * (xb.T @ err + model.l2 * W)
+            b -= model.learning_rate * err.sum(axis=0)
+    return W, b
+
+
+@st.composite
+def lockstep_case(draw):
+    """1-6 logistic models with mixed epochs, learning rates and ``l2``
+    (0 among them) over 2 or 3 classes; n of 1, below the minibatch, and
+    not a multiple of it; up to 20 columns; each model's matrix drawn from
+    a pool, so some models share one array and others do not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 31, 32, 33, 95, 150]))
+    d = draw(st.integers(1, 20))
+    n_classes = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 6))
+    pool = [rng.normal(size=(n, d)) * draw(st.sampled_from([1.0, 5.0]))
+            for _ in range(draw(st.integers(1, k)))]
+    matrices = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(k)]
+    models = [
+        LogisticSgdClassifier(n_classes, learning_rate=draw(st.sampled_from([0.003, 0.1, 0.9])),
+                              l2=draw(st.sampled_from([0.0, 1e-4, 0.05])),
+                              epochs=draw(st.integers(1, 4)))
+        for _ in range(k)
+    ]
+    seeds = [draw(st.integers(0, 2**32 - 1)) for _ in range(k)]
+    return models, matrices, rng.integers(0, n_classes, n), seeds
+
+
+@settings(max_examples=80)
+@given(lockstep_case())
+def test_lockstep_sgd_equals_fitting_each_model_alone(case):
+    models, matrices, y, seeds = case
+    fit_logistic_sgd(models, matrices, y, [np.random.default_rng(s) for s in seeds])
+    for model, X, seed in zip(models, matrices, seeds):
+        W, b = reference_logistic_fit(model, X, y, np.random.default_rng(seed))
+        assert model.W_.tobytes() == W.tobytes()
+        assert model.b_.tobytes() == b.tobytes()
+
+
+def test_logistic_fit_is_the_one_model_lockstep_call():
+    rng = np.random.default_rng(3)
+    X, y = rng.normal(size=(70, 16)), rng.integers(0, 3, 70)
+    model = LogisticSgdClassifier(3, learning_rate=0.1, l2=1e-4, epochs=3)
+    assert model.fit(X, y, np.random.default_rng(9)) is model
+    W, b = reference_logistic_fit(model, X, y, np.random.default_rng(9))
+    assert (model.W_.tobytes(), model.b_.tobytes()) == (W.tobytes(), b.tobytes())

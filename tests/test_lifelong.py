@@ -241,10 +241,10 @@ def test_add_new_skips_failed_candidates_but_not_bugs(monkeypatch):
             raise error
         return fit
 
-    monkeypatch.setattr(search, "fit", failing_fit(FloatingPointError("overflow")))
+    monkeypatch.setattr(search, "fit_stages", failing_fit(FloatingPointError("overflow")))
     kind, detail, _ = adapt_on(Strategy.ADD_NEW, library, stream[:4], stream[4])
     assert (kind, detail) == ("wu-all", f"new=0 library={len(library)}")
-    monkeypatch.setattr(search, "fit", failing_fit(TypeError("bug")))
+    monkeypatch.setattr(search, "fit_stages", failing_fit(TypeError("bug")))
     with pytest.raises(TypeError):
         adapt_on(Strategy.ADD_NEW, library, stream[:4], stream[4])
 

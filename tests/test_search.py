@@ -5,7 +5,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from driftml import search
+from driftml import pipeline, search
 from driftml.classifiers import KnnClassifier
 from driftml.data import Batch, Feature, Schema
 from driftml.metrics import score
@@ -18,6 +18,7 @@ from driftml.pipeline import (
     TopKMutualInfoConfig,
     default_config_portfolio,
     fit,
+    prefix,
 )
 from driftml.search import (
     SearchBudget,
@@ -149,9 +150,79 @@ def test_a_bug_inside_a_candidate_propagates(monkeypatch):
     def broken_fit(*args, **kwargs):
         raise TypeError("bug")
 
-    monkeypatch.setattr(search, "fit", broken_fit)
+    monkeypatch.setattr(search, "fit_stages", broken_fit)
     with pytest.raises(TypeError):
         run_search(two_class_batch(), SearchBudget(max_candidates=1, seed=0), SMALL_PORTFOLIO)
+
+
+def test_a_failure_skips_only_its_own_candidates(monkeypatch, caplog):
+    """An invalid config does not fail the valid configs of its prefix, and
+    a logistic fit that fails in lockstep fails only its own candidate."""
+    sgd = [PipelineConfig(standardize=True, classifier=LogisticSgdConfig(learning_rate=rate, epochs=3))
+           for rate in (0.1, 0.9, 0.3)]
+    tree = PipelineConfig(classifier=DecisionTreeConfig(max_depth=3))
+    portfolio = [PipelineConfig(classifier=KnnConfig(k=2)), *sgd, tree]
+    lockstep = pipeline.fit_logistic_sgd
+
+    def overflows_at_rate_0_9(models, *args):
+        if any(model.learning_rate == 0.9 for model in models):
+            raise FloatingPointError("overflow")
+        return lockstep(models, *args)
+
+    monkeypatch.setattr(pipeline, "fit_logistic_sgd", overflows_at_rate_0_9)
+    lib = run_search(two_class_batch(), SearchBudget(max_candidates=5, seed=0), portfolio)
+    assert [m.pipeline.config for m in lib.members] == [sgd[0], sgd[2], tree]
+    failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+    assert [msg.split(":")[0] for msg in failed] == ["candidate 0 failed", "candidate 2 failed"]
+
+
+def search_parts(train, budget, portfolio):
+    """The fit batch and holdout ``run_search`` builds, and the configs of
+    its ``budget.max_candidates`` candidates."""
+    rng = np.random.default_rng(budget.seed)
+    fit_idx, val_idx = stratified_split(train, budget.validation_fraction, rng)
+    configs = list(portfolio[:budget.max_candidates])
+    configs += [sample_config(rng) for _ in range(budget.max_candidates - len(configs))]
+    return train.take(fit_idx), search.Holdout.of(train.take(val_idx)), configs
+
+
+def stage_arrays(stages):
+    for stage in stages:
+        for value in vars(stage).values():
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    yield part
+
+
+@pytest.mark.parametrize("dataset", ["stagger", "mixed"])
+def test_search_members_equal_each_candidate_fitted_alone(dataset):
+    """Shared preprocessing and lockstep SGD leave every member's
+    transformed matrix and holdout predictions byte-identical to fitting
+    the candidate alone; members with one prefix share one stage tuple,
+    whose arrays are read-only."""
+    if dataset == "stagger":  # 12 one-hot columns, with and without a selector
+        train = generate_stagger(StaggerConfig(n_instances=900, seed=4))
+    else:  # missing values, so mean and mode imputation differ
+        rng = np.random.default_rng(5)
+        train = Batch(mixed_schema(NARROW), mixed_rows(600, NARROW, rng, special=True),
+                      rng.integers(0, 3, 600))
+    budget = SearchBudget(max_candidates=28, seed=11)
+    lib = run_search(train, budget, default_config_portfolio())
+    fit_batch, holdout, configs = search_parts(train, budget, default_config_portfolio())
+    assert [m.pipeline.config for m in lib.members] == configs
+    shared = {}
+    for i, (member, config) in enumerate(zip(lib.members, configs)):
+        alone = search.evaluate_candidate(config, fit_batch, holdout, lib.metric, budget.seed + i)
+        X_member, X_alone = fit_batch.X, fit_batch.X
+        for ours, its in zip(member.pipeline.stages, alone.pipeline.stages, strict=True):
+            X_member, X_alone = ours.transform(X_member), its.transform(X_alone)
+        assert X_member.tobytes() == X_alone.tobytes(), config
+        assert member.validation_proba.tobytes() == alone.validation_proba.tobytes(), config
+        assert member.validation_score == alone.validation_score
+        stages = shared.setdefault(prefix(config), member.pipeline.stages)
+        assert member.pipeline.stages is stages
+        assert not any(a.flags.writeable for a in stage_arrays(stages))
+    assert len(shared) < len(configs)
 
 
 def test_budget_validation():
