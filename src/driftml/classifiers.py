@@ -9,16 +9,19 @@ given (data, hyperparameters, seed).
 Logistic SGD has one training routine, ``fit_logistic_sgd``, which steps
 several models in lockstep; ``LogisticSgdClassifier.fit`` is its one-model
 call. Each model ends with the bytes it gets when fitted alone.
+
+Three kernels take fewer passes than the simple forms they replace and give
+the same bytes; ``tests/test_classifiers.py`` keeps each simple form as a
+reference. The tree grows from the distinct (row, label) pairs weighted by
+count, k-NN finds its distances and nearest mask in place, and the lockstep
+SGD step builds the softmax in place with a per-class-plane sum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def _check_fitted(flag, name):
-    if not flag:
-        raise RuntimeError(f"{name} is not fitted")
+from .data import distinct_rows
 
 
 class ConstantClassifier:
@@ -49,7 +52,6 @@ class DecisionTreeClassifier:
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.split_criterion = split_criterion
-        self._fitted = False
 
     def _impurity(self, counts: np.ndarray, total) -> np.ndarray:
         """Impurity of count rows (..., n_classes) with row sums ``total``."""
@@ -62,27 +64,29 @@ class DecisionTreeClassifier:
                 val = -np.sum(p * logp, axis=-1)
         return val
 
-    def _best_split(self, X, y_onehot):
-        """Best (feature, threshold, gain) over all features, None if no split."""
-        n = X.shape[0]
-        total_counts = y_onehot.sum(axis=0)
+    def _best_split(self, X, counts, total):
+        """Best (feature, threshold, gain) over all features, None if no split.
+
+        Row i of ``X`` stands for ``counts[i, -1]`` rows whose labels
+        ``counts[i, :-1]`` counts; ``total`` is the column sum of ``counts``."""
+        total_counts, n = total[:-1], total[-1]
         parent = float(self._impurity(total_counts, n))
         best = None  # (gain, feature, threshold)
         for j in range(X.shape[1]):
             col = X[:, j]
             order = np.argsort(col, kind="stable")
             sv = col[order]
-            cum = np.cumsum(y_onehot[order], axis=0)
-            # candidate split after position i (1-based left size i+1)
+            cum = np.cumsum(counts[order], axis=0)
+            # candidate split after position i, with left size left_n[i]
+            left_n = cum[:-1, -1]
             change = sv[:-1] != sv[1:]
-            left_n = np.arange(1, n)
             ok = change & (left_n >= self.min_leaf) & (n - left_n >= self.min_leaf)
             idx = np.nonzero(ok)[0]
             if idx.size == 0:
                 continue
-            left_counts = cum[idx]
+            left_counts = cum[idx, :-1]
             right_counts = total_counts - left_counts
-            nl = (idx + 1).astype(np.float64)
+            nl = left_n[idx]
             nr = n - nl
             child = (nl * self._impurity(left_counts, nl[:, None])
                      + nr * self._impurity(right_counts, nr[:, None])) / n
@@ -97,27 +101,41 @@ class DecisionTreeClassifier:
     def fit(self, X: np.ndarray, y: np.ndarray, rng=None):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        y_onehot = np.zeros((y.size, self.n_classes))
-        y_onehot[np.arange(y.size), y] = 1.0
+        # Grow from the distinct (row, label) pairs, each weighted by its
+        # count. Split gains, min_leaf checks and leaf probabilities read only
+        # integer counts, which float64 sums exactly, so the tree is the one
+        # grown row by row. A row holding NaN stays apart: NaN != NaN, so the
+        # row-by-row scan may split between two copies of it.
+        nan_row = np.isnan(X).any(axis=1)
+        first, inverse = distinct_rows(
+            np.column_stack([X, y, np.where(nan_row, np.arange(y.size), -1)]))
+        X, y = X[first], y[first]
+        # one row per distinct pair: its count in its label's column, and
+        # again in the last column, the row count that min_leaf reads
+        counts = np.zeros((first.size, self.n_classes + 1))
+        weight = np.bincount(inverse, minlength=first.size)
+        counts[np.arange(first.size), y] = weight
+        counts[:, -1] = weight
 
         feature, threshold, left, right, proba = [], [], [], [], []
 
-        def leaf(counts):
+        def leaf(total):
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
-            proba.append(counts / counts.sum())
+            proba.append(total[:-1] / total[-1])
             return len(feature) - 1
 
         def build(rows: np.ndarray, depth: int) -> int:
-            counts = y_onehot[rows].sum(axis=0)
-            if depth >= self.max_depth or rows.size < 2 * self.min_leaf \
-                    or np.count_nonzero(counts) <= 1:
-                return leaf(counts)
-            split = self._best_split(X[rows], y_onehot[rows])
+            node_counts = counts[rows]
+            total = node_counts.sum(axis=0)
+            if depth >= self.max_depth or total[-1] < 2 * self.min_leaf \
+                    or np.count_nonzero(total[:-1]) <= 1:
+                return leaf(total)
+            split = self._best_split(X[rows], node_counts, total)
             if split is None:
-                return leaf(counts)
+                return leaf(total)
             _, j, thr = split
             node = len(feature)
             feature.append(j)
@@ -138,11 +156,9 @@ class DecisionTreeClassifier:
         self.left_ = np.array(left, dtype=np.int64)
         self.right_ = np.array(right, dtype=np.int64)
         self.proba_ = np.array(proba, dtype=np.float64)
-        self._fitted = True
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        _check_fitted(self._fitted, "DecisionTreeClassifier")
         X = np.asarray(X, dtype=np.float64)
         cur = np.zeros(X.shape[0], dtype=np.int64)
         active = np.nonzero(self.feature_[cur] >= 0)[0]
@@ -161,7 +177,6 @@ class NaiveBayesClassifier:
     def __init__(self, n_classes: int, laplace_alpha: float):
         self.n_classes = n_classes
         self.laplace_alpha = laplace_alpha
-        self._fitted = False
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng=None):
         X = np.asarray(X, dtype=np.float64)
@@ -185,11 +200,9 @@ class NaiveBayesClassifier:
             self.p_one_[c] = (ones + self.laplace_alpha) / (nc + 2.0 * self.laplace_alpha)
             self.mean_[c] = rows.mean(axis=0)
             self.var_[c] = np.maximum(rows.var(axis=0), 1e-9)
-        self._fitted = True
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        _check_fitted(self._fitted, "NaiveBayesClassifier")
         X = np.asarray(X, dtype=np.float64)
         n = X.shape[0]
         logp = np.tile(self.log_prior_, (n, 1))
@@ -228,14 +241,12 @@ class LogisticSgdClassifier:
         self.learning_rate = learning_rate
         self.l2 = l2
         self.epochs = epochs
-        self._fitted = False
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
         fit_logistic_sgd([self], [X], y, [rng])
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        _check_fitted(self._fitted, "LogisticSgdClassifier")
         return _softmax(np.asarray(X, dtype=np.float64) @ self.W_ + self.b_)
 
 
@@ -244,6 +255,21 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """``e.sum(axis=-1, keepdims=True)`` with the same bytes, as one add per
+    class plane when there are fewer than 8 classes: numpy sums a last axis
+    that short as the same left-to-right chain (pairwise summation starts at
+    8), and a reduction over a 2-wide axis costs more than one add. The max
+    stays a reduction: ``np.maximum`` picks a different NaN than it does."""
+    n_classes = e.shape[-1]
+    if n_classes >= 8:
+        return e.sum(axis=-1, keepdims=True)
+    total = e[..., 0]
+    for c in range(1, n_classes):
+        total = total + e[..., c]
+    return total[..., None]
 
 
 def fit_logistic_sgd(models, matrices, y: np.ndarray, rngs) -> None:
@@ -290,14 +316,17 @@ def fit_logistic_sgd(models, matrices, y: np.ndarray, rngs) -> None:
         for start in range(0, n, m):
             take = rows[:, start : start + m]
             xb = X.take(take, axis=0)
-            p = _softmax(xb @ Wk + bk)
-            err = (p - Y.take(take, axis=0)) / take.shape[1]
+            err = xb @ Wk + bk  # the softmax of the logits, in place
+            err -= err.max(axis=-1, keepdims=True)
+            np.exp(err, out=err)
+            err /= _class_sum(err)
+            err -= Y.take(take, axis=0)
+            err /= take.shape[1]
             Wk -= rate_k * (xb.transpose(0, 2, 1) @ err + l2_k * Wk)
             bk -= rate_k * err.sum(axis=1, keepdims=True)
     for k, model in enumerate(models):
         model.W_ = W[k].copy()
         model.b_ = b[k, 0].copy()
-        model._fitted = True
 
 
 def reservoir_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -327,7 +356,6 @@ class KnnClassifier:
         self.n_classes = n_classes
         self.k = k
         self.max_reference_points = max_reference_points
-        self._fitted = False
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
         X = np.asarray(X, dtype=np.float64)
@@ -336,26 +364,27 @@ class KnnClassifier:
         self.ref_X_ = X[keep]
         self.ref_y_ = y[keep]
         self.ref_sq_ = np.square(self.ref_X_).sum(axis=1)
-        self._fitted = True
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        _check_fitted(self._fitted, "KnnClassifier")
         X = np.asarray(X, dtype=np.float64)
         k = min(self.k, self.ref_X_.shape[0])
+        in_class = [self.ref_y_ == c for c in range(self.n_classes - 1)]
         out = np.empty((X.shape[0], self.n_classes))
         for start in range(0, X.shape[0], self.CHUNK):
             xb = X[start : start + self.CHUNK]
-            d2 = (
-                np.square(xb).sum(axis=1, keepdims=True)
-                - 2.0 * xb @ self.ref_X_.T
-                + self.ref_sq_
-            )
+            # sq - 2·x·r + ref_sq: the reference's operations in its order,
+            # in one (rows, references) array
+            d2 = (2.0 * xb) @ self.ref_X_.T
+            np.subtract(np.square(xb).sum(axis=1, keepdims=True), d2, out=d2)
+            d2 += self.ref_sq_
             take = _nearest_mask(d2, k)
-            for c in range(self.n_classes):
-                out[start : start + self.CHUNK, c] = (
-                    np.count_nonzero(take & (self.ref_y_ == c), axis=1) / k
-                )
+            # every row takes exactly k references: the last class has the rest
+            votes = np.empty((xb.shape[0], self.n_classes), dtype=np.int64)
+            for c, refs in enumerate(in_class):
+                votes[:, c] = np.count_nonzero(take & refs, axis=1)
+            votes[:, -1] = k - votes[:, :-1].sum(axis=1)
+            out[start : start + self.CHUNK] = votes / k
         return out
 
 
@@ -364,13 +393,15 @@ def _nearest_mask(d2: np.ndarray, k: int) -> np.ndarray:
     set a stable argsort puts first, found without sorting."""
     # copied so the partitioned matrix is freed at once
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
-    take = d2 < kth[:, None]
-    tie = d2 == kth[:, None]
-    need = k - np.count_nonzero(take, axis=1)
-    over = np.nonzero(np.count_nonzero(tie, axis=1) > need)[0]
-    if over.size:  # fill from the ties, lowest column first
-        tie[over] &= np.cumsum(tie[over], axis=1, dtype=np.int32) <= need[over, None]
-    take |= tie
+    take = d2 <= kth[:, None]
+    excess = np.count_nonzero(take, axis=1) - k
+    over = np.nonzero(excess > 0)[0]
+    if over.size:  # ties at the k-th value: drop each such row's last ties
+        row, col = np.divmod(np.flatnonzero(d2[over] == kth[over, None]), d2.shape[1])
+        n_tie = np.bincount(row, minlength=over.size)
+        rank = np.arange(row.size) - (np.cumsum(n_tie) - n_tie)[row]  # among its row's ties
+        drop = rank >= (n_tie - excess[over])[row]
+        take[over[row[drop]], col[drop]] = False
     # a NaN k-th value means fewer than k comparable entries; every comparison
     # above was false on such a row, so it takes the argsort's choice instead
     lost = np.nonzero(np.isnan(kth))[0]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftml.classifiers import (
+    DecisionTreeClassifier,
     KnnClassifier,
     LogisticSgdClassifier,
     fit_logistic_sgd,
@@ -105,6 +106,126 @@ def test_reservoir_sample_equals_algorithm_r():
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def reference_tree_fit(model, X, y):
+    """Reference for ``DecisionTreeClassifier.fit``: the tree grown row by
+    row, every split scanned over all rows of its node; returns ``(feature,
+    threshold, left, right, proba)``."""
+
+    def impurity(counts, total):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = counts / total
+            if model.split_criterion == "gini":
+                return 1.0 - np.sum(np.square(p), axis=-1)
+            logp = np.where(p > 0, np.log2(np.maximum(p, 1e-300)), 0.0)
+            return -np.sum(p * logp, axis=-1)
+
+    def best_split(X, y_onehot):
+        n = X.shape[0]
+        total_counts = y_onehot.sum(axis=0)
+        parent = float(impurity(total_counts, n))
+        best = None  # (gain, feature, threshold)
+        for j in range(X.shape[1]):
+            col = X[:, j]
+            order = np.argsort(col, kind="stable")
+            sv = col[order]
+            cum = np.cumsum(y_onehot[order], axis=0)
+            left_n = np.arange(1, n)
+            ok = (sv[:-1] != sv[1:]) & (left_n >= model.min_leaf) & (n - left_n >= model.min_leaf)
+            idx = np.nonzero(ok)[0]
+            if idx.size == 0:
+                continue
+            left_counts = cum[idx]
+            nl = (idx + 1).astype(np.float64)
+            nr = n - nl
+            child = (nl * impurity(left_counts, nl[:, None])
+                     + nr * impurity(total_counts - left_counts, nr[:, None])) / n
+            gains = parent - child
+            k = int(np.argmax(gains))
+            gain = float(gains[k])
+            if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
+                best = (gain, j, float((sv[idx[k]] + sv[idx[k] + 1]) / 2.0))
+        return best
+
+    X = np.asarray(X, dtype=np.float64)
+    y_onehot = np.zeros((y.size, model.n_classes))
+    y_onehot[np.arange(y.size), y] = 1.0
+    feature, threshold, left, right, proba = [], [], [], [], []
+
+    def add(j, thr, p):
+        feature.append(j)
+        threshold.append(thr)
+        left.append(-1)
+        right.append(-1)
+        proba.append(p)
+        return len(feature) - 1
+
+    def build(rows, depth):
+        counts = y_onehot[rows].sum(axis=0)
+        split = None
+        if depth < model.max_depth and rows.size >= 2 * model.min_leaf \
+                and np.count_nonzero(counts) > 1:
+            split = best_split(X[rows], y_onehot[rows])
+        if split is None:
+            return add(-1, 0.0, counts / counts.sum())
+        _, j, thr = split
+        node = add(j, thr, np.zeros(model.n_classes))
+        mask = X[rows, j] <= thr
+        left[node] = build(rows[mask], depth + 1)
+        right[node] = build(rows[~mask], depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return (np.array(feature, dtype=np.int64), np.array(threshold, dtype=np.float64),
+            np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+            np.array(proba, dtype=np.float64))
+
+
+@st.composite
+def tree_case(draw):
+    """A tree config and data: tie-heavy integer grids (as on STAGGER), where
+    rows repeat, some with two labels, or all-distinct floats. Some cases
+    add a copied column (gain ties between features), -0.0 beside 0.0, or
+    NaN and +-inf cells, sparse or in a fifth of the cells (so NaN rows
+    repeat). ``min_leaf`` goes up to 40, above the distinct-row count of
+    small grids."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 60), st.integers(200, 3_000)))
+    d = draw(st.integers(1, 5))
+    n_classes = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        X = rng.integers(-1, draw(st.integers(1, 3)), (n, d)).astype(np.float64)
+    else:
+        X = rng.normal(size=(n, d))
+    if d > 1 and draw(st.booleans()):
+        X[:, draw(st.integers(1, d - 1))] = X[:, 0]
+    if draw(st.booleans()):
+        zero = X == 0.0
+        X[zero & (rng.random((n, d)) < 0.5)] = -0.0
+    if draw(st.booleans()):
+        bad = rng.random((n, d)) < draw(st.sampled_from([0.005, 0.2]))
+        X[bad] = rng.choice([np.nan, -np.nan, np.inf, -np.inf], np.count_nonzero(bad))
+    y = rng.integers(0, n_classes, n)
+    model = DecisionTreeClassifier(
+        n_classes, max_depth=draw(st.integers(1, 8)),
+        min_leaf=draw(st.sampled_from([1, 2, 4, 40])),
+        split_criterion=draw(st.sampled_from(["gini", "entropy"])),
+    )
+    return model, X, y
+
+
+@settings(max_examples=120)
+@given(tree_case())
+def test_tree_fit_equals_the_row_by_row_reference_exactly(case):
+    model, X, y = case
+    with np.errstate(invalid="ignore", divide="ignore"):
+        model.fit(X, y)
+        want = reference_tree_fit(model, X, y)
+    got = (model.feature_, model.threshold_, model.left_, model.right_, model.proba_)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 def reference_logistic_fit(model, X, y, rng):
     """Reference for ``fit_logistic_sgd``: one model's minibatch steps as a
     loop of 2-D products; returns ``(W, b)``."""
@@ -135,19 +256,24 @@ def reference_logistic_fit(model, X, y, rng):
 @st.composite
 def lockstep_case(draw):
     """1-6 logistic models with mixed epochs, learning rates and ``l2``
-    (0 among them) over 2 or 3 classes; n of 1, below the minibatch, and
-    not a multiple of it; up to 20 columns; each model's matrix drawn from
-    a pool, so some models share one array and others do not."""
+    (0 among them) over 2-9 classes (numpy sums a row of 8 or more
+    pairwise); n of 1, below the minibatch, and not a multiple of it; up to
+    20 columns; each model's matrix drawn from a pool, so some models share
+    one array and others do not. A quarter of the cases diverge: large
+    unscaled values and a large learning rate drive the logits to +-inf and
+    NaN."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.sampled_from([1, 2, 31, 32, 33, 95, 150]))
     d = draw(st.integers(1, 20))
-    n_classes = draw(st.integers(2, 3))
+    n_classes = draw(st.integers(2, 9))
     k = draw(st.integers(1, 6))
-    pool = [rng.normal(size=(n, d)) * draw(st.sampled_from([1.0, 5.0]))
+    diverge = draw(st.integers(0, 3)) == 0
+    scales, rates = ([1e160, 1e200], [10.0, 1e3]) if diverge else ([1.0, 5.0], [0.003, 0.1, 0.9])
+    pool = [rng.normal(size=(n, d)) * draw(st.sampled_from(scales))
             for _ in range(draw(st.integers(1, k)))]
     matrices = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(k)]
     models = [
-        LogisticSgdClassifier(n_classes, learning_rate=draw(st.sampled_from([0.003, 0.1, 0.9])),
+        LogisticSgdClassifier(n_classes, learning_rate=draw(st.sampled_from(rates)),
                               l2=draw(st.sampled_from([0.0, 1e-4, 0.05])),
                               epochs=draw(st.integers(1, 4)))
         for _ in range(k)
@@ -156,13 +282,15 @@ def lockstep_case(draw):
     return models, matrices, rng.integers(0, n_classes, n), seeds
 
 
-@settings(max_examples=80)
+@settings(max_examples=120)
 @given(lockstep_case())
 def test_lockstep_sgd_equals_fitting_each_model_alone(case):
     models, matrices, y, seeds = case
-    fit_logistic_sgd(models, matrices, y, [np.random.default_rng(s) for s in seeds])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit_logistic_sgd(models, matrices, y, [np.random.default_rng(s) for s in seeds])
     for model, X, seed in zip(models, matrices, seeds):
-        W, b = reference_logistic_fit(model, X, y, np.random.default_rng(seed))
+        with np.errstate(over="ignore", invalid="ignore"):
+            W, b = reference_logistic_fit(model, X, y, np.random.default_rng(seed))
         assert model.W_.tobytes() == W.tobytes()
         assert model.b_.tobytes() == b.tobytes()
 
