@@ -14,7 +14,7 @@ Three kernels take fewer passes than the simple forms they replace and give
 the same bytes; ``tests/test_classifiers.py`` keeps each simple form as a
 reference. The tree grows from the distinct (row, label) pairs weighted by
 count, k-NN finds its distances and nearest mask in place, and the lockstep
-SGD step builds the softmax in place with a per-class-plane sum.
+SGD step builds the softmax in place.
 """
 
 from __future__ import annotations
@@ -257,21 +257,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _class_sum(e: np.ndarray) -> np.ndarray:
-    """``e.sum(axis=-1, keepdims=True)`` with the same bytes, as one add per
-    class plane when there are fewer than 8 classes: numpy sums a last axis
-    that short as the same left-to-right chain (pairwise summation starts at
-    8), and a reduction over a 2-wide axis costs more than one add. The max
-    stays a reduction: ``np.maximum`` picks a different NaN than it does."""
-    n_classes = e.shape[-1]
-    if n_classes >= 8:
-        return e.sum(axis=-1, keepdims=True)
-    total = e[..., 0]
-    for c in range(1, n_classes):
-        total = total + e[..., c]
-    return total[..., None]
-
-
 def fit_logistic_sgd(models, matrices, y: np.ndarray, rngs) -> None:
     """Fit ``models[k]`` on ``matrices[k]`` and ``y`` with ``rngs[k]``, all
     models in lockstep.
@@ -319,7 +304,7 @@ def fit_logistic_sgd(models, matrices, y: np.ndarray, rngs) -> None:
             err = xb @ Wk + bk  # the softmax of the logits, in place
             err -= err.max(axis=-1, keepdims=True)
             np.exp(err, out=err)
-            err /= _class_sum(err)
+            err /= err.sum(axis=-1, keepdims=True)
             err -= Y.take(take, axis=0)
             err /= take.shape[1]
             Wk -= rate_k * (xb.transpose(0, 2, 1) @ err + l2_k * Wk)
