@@ -31,9 +31,6 @@ class ConstantClassifier:
         self.n_classes = n_classes
         self.class_index = class_index
 
-    def fit(self, X, y, rng):
-        return self
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros((X.shape[0], self.n_classes))
         out[:, self.class_index] = 1.0

@@ -12,13 +12,14 @@ positive, sum to one, and can be reconstructed from the trace.
 
 A round scores all members at once, with one ``score`` call: the members'
 holdout probabilities are stacked as ``(members, classes, rows)`` so each
-class is one contiguous plane, and rows whose stacked probabilities and
-label are byte-identical are merged into one row weighted by its count. Every
-candidate mix treats merged rows alike, so the weighted scores equal the
-per-row ones exactly (a STAGGER holdout merges into at most 27 inputs
-times 2 labels). ``ensemble_predict_proba``, the per-batch read path,
-predicts every row directly: finding one batch's distinct rows costs more
-there than it saves.
+class is one contiguous plane, and rows that hold the same distinct holdout
+row (``Holdout.inverse``) and label are merged into one row weighted by its
+count. Members predict such rows alike, byte for byte, so every candidate
+mix treats merged rows alike and the weighted scores equal the per-row ones
+exactly (a STAGGER holdout merges into at most 27 inputs times 2 labels).
+The first round scores each member alone; a library keeps no scores.
+``ensemble_predict_proba``, the per-batch read path, predicts every row
+directly: finding one batch's distinct rows costs more there than it saves.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Batch, distinct_rows
+from .data import Batch
 from .metrics import score
-from .search import ModelLibrary
+from .search import Holdout, ModelLibrary
 
 
 class EnsembleError(Exception):
@@ -68,7 +69,7 @@ def select_ensemble(lib: ModelLibrary, rounds: int = 50, metric: str | None = No
         raise EnsembleError("rounds must be >= 1")
     metric = lib.metric if metric is None else metric
     planes = np.stack([np.asarray(m.validation_proba, dtype=np.float64).T for m in lib.members])
-    planes, y, weight = _merge_rows(planes, lib.validation_set.y)
+    planes, y, weight = _merge_rows(planes, lib.holdout)
 
     trace: list[int] = []
     prefix_scores: list[float] = []
@@ -98,22 +99,20 @@ def select_ensemble(lib: ModelLibrary, rounds: int = 50, metric: str | None = No
     )
 
 
-def _merge_rows(planes: np.ndarray, y: np.ndarray):
+def _merge_rows(planes: np.ndarray, holdout: Holdout):
     """``(planes, y, weight)`` over the rows of a ``(members, classes, rows)``
-    stack whose probabilities and label are byte-identical, each kept once
-    and weighted by its count (``None`` when no two rows merge). A stack
-    holding a non-finite value keeps every row: NaN scores rank by row
-    position, which merging loses."""
-    n_members, n_classes, n = planes.shape
+    stack of predictions on ``holdout``, one row per (distinct holdout row,
+    label) pair, weighted by its count (``None`` when no two rows merge). A
+    stack holding a non-finite value keeps every row: NaN scores rank by
+    row position, which merging loses."""
+    y = holdout.batch.y
     if not np.isfinite(planes).all():
         return planes, y, None
-    key = np.empty((n, n_members * n_classes + 1))
-    key[:, :-1] = planes.reshape(-1, n).T
-    key[:, -1] = y
-    first, inverse = distinct_rows(key)
-    if first.size == n:
+    _, first, count = np.unique(holdout.inverse * planes.shape[1] + y,
+                                return_index=True, return_counts=True)
+    if first.size == y.size:
         return planes, y, None
-    return planes.take(first, axis=2), y[first], np.bincount(inverse)
+    return planes.take(first, axis=2), y[first], count
 
 
 def ensemble_predict_proba(ens: EnsembleModel, lib: ModelLibrary, batch: Batch

@@ -142,7 +142,8 @@ def adapt(
             kind, validation = "wu-all", stratified_sample(data, WU_VALIDATION_CAP, rng)
         if np.unique(validation.y[validation.y >= 0]).size < 2:
             return "degraded", f"{kind}: single-class validation", None
-        return kind, f"validation={len(validation)}", rescore_library(library, validation)
+        return (kind, f"validation={len(validation)}",
+                rescore_library(library, search.Holdout.of(validation)))
 
     if strategy is Strategy.ADD_NEW:
         # fresh fits on all stored data join the library; everything is
@@ -156,9 +157,9 @@ def adapt(
         val_batch = stratified_sample(data.take(val_idx), WU_VALIDATION_CAP, rng)
         holdout = search.Holdout.of(val_batch)
         pool = list(enumerate(portfolio[:ADD_NEW_POOL_SIZE]))
-        new_members = search.evaluate_candidates(pool, fit_batch, holdout, metric, seed)
+        new_members = search.evaluate_candidates(pool, fit_batch, holdout, seed)
         try:
-            rescored = rescore_library(library, val_batch, holdout)
+            rescored = rescore_library(library, holdout)
         except DataError as exc:
             return "degraded", f"add-new: {exc}", None
         members = rescored.members + tuple(new_members)

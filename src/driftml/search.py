@@ -2,16 +2,17 @@
 
 Candidates come from a fixed portfolio first, then from seeded random draws
 over the configuration space. Each successful fit is retained in a
-``ModelLibrary`` together with its holdout predictions, because ensemble
-selection and the weight-update adaptation strategies need those
-predictions later. A candidate that fails on a bad config or degenerate
-data (``CANDIDATE_ERRORS``) is logged and skipped; any other error
-propagates.
+``ModelLibrary`` together with its predictions on the library's holdout,
+because ensemble selection and the weight-update adaptation strategies need
+those predictions later; only selection scores them. A candidate that fails
+on a bad config or degenerate data (``CANDIDATE_ERRORS``) is logged and
+skipped; any other error propagates.
 
 Holdout predictions are made once per distinct row. A ``Holdout`` finds
 the byte-distinct rows of a validation batch once; every model predicts
 those rows and ``[inverse]`` scatters the predictions back to every row, so
-a library member still holds one prediction row per holdout row. A STAGGER
+a library member still holds one prediction row per holdout row, and rows
+that share an ``inverse`` entry get the same bytes in every member. A STAGGER
 holdout of thousands of rows has at most 27 distinct ones. The stored bytes
 are those of predicting every row only where numpy's matrix products give
 a row the same sums wherever it sits in a block. With OpenBLAS 0.3.31 they
@@ -45,7 +46,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Batch, DataError, Schema, distinct_rows
-from .metrics import ACCURACY, score
+# search scores nothing: ``score`` stays only because perfbench/tracer.py patches search.score
+from .metrics import ACCURACY, score  # noqa: F401
 from .pipeline import (
     MAX_ONE_HOT_LEVELS,
     DecisionTreeConfig,
@@ -97,13 +99,12 @@ class SearchBudget:
 class LibraryMember:
     pipeline: TrainedPipeline
     validation_proba: np.ndarray
-    validation_score: float
 
 
 @dataclass(frozen=True)
 class ModelLibrary:
     members: tuple[LibraryMember, ...]
-    validation_set: Batch
+    holdout: Holdout
     metric: str = ACCURACY
 
     def __len__(self) -> int:
@@ -114,9 +115,10 @@ class ModelLibrary:
 class Holdout:
     """A validation batch with the rows models predict for it: ``distinct``
     holds each byte-distinct row once, and ``[inverse]`` scatters their
-    predictions back to every row of ``batch``. A batch whose schema can
-    encode to more than ``DISTINCT_ROWS_MAX_WIDTH`` columns is predicted
-    whole (``distinct`` is ``batch``)."""
+    predictions back to every row of ``batch``. A batch whose rows are all
+    distinct, or whose schema can encode to more than
+    ``DISTINCT_ROWS_MAX_WIDTH`` columns, is predicted whole (``distinct`` is
+    ``batch``, not a copy that a library would keep alive)."""
 
     batch: Batch
     distinct: Batch
@@ -132,7 +134,10 @@ class Holdout:
             # whose sums round differently from the matrix product that a
             # block of more rows gets; the lone row is predicted twice
             first = first[[0, 0]]
-        return cls(batch, batch.take(first), inverse)
+        return cls(batch, batch if first.size == len(batch) else batch.take(first), inverse)
+
+    def __len__(self) -> int:
+        return len(self.batch)
 
 
 def widest_encoding(schema: Schema) -> int:
@@ -211,25 +216,24 @@ def sample_config(rng: np.random.Generator) -> PipelineConfig:
     ).validate()
 
 
-def _member(model: TrainedPipeline, holdout: Holdout, metric: str) -> LibraryMember:
-    """``model`` with its read-only predictions on every holdout row and
-    their score."""
+def _member(model: TrainedPipeline, holdout: Holdout) -> LibraryMember:
+    """``model`` with its read-only predictions on every holdout row."""
     proba = model.predict_proba(holdout.distinct)[holdout.inverse]
     proba.setflags(write=False)
-    return LibraryMember(model, proba, score(metric, holdout.batch.y, proba))
+    return LibraryMember(model, proba)
 
 
 def evaluate_candidate(config: PipelineConfig, fit_batch: Batch, holdout: Holdout,
-                       metric: str, seed: int) -> LibraryMember:
-    """One candidate fitted and scored alone: the member that
+                       seed: int) -> LibraryMember:
+    """One candidate fitted and predicted alone: the member that
     ``evaluate_candidates`` makes of it, byte for byte."""
-    return _member(fit(config, fit_batch, seed), holdout, metric)
+    return _member(fit(config, fit_batch, seed), holdout)
 
 
 def evaluate_candidates(candidates: Sequence[tuple[int, PipelineConfig]], fit_batch: Batch,
-                        holdout: Holdout, metric: str, seed: int) -> list[LibraryMember]:
+                        holdout: Holdout, seed: int) -> list[LibraryMember]:
     """Fit candidate ``(index, config)`` pairs on ``fit_batch`` (candidate
-    ``index`` with seed ``seed + index``) and score them on ``holdout``.
+    ``index`` with seed ``seed + index``) and predict ``holdout`` with them.
 
     Each distinct preprocessing prefix is fitted once, and its pipelines
     share the fitted stages; ``fit_classifiers`` steps the logistic-SGD
@@ -280,7 +284,7 @@ def evaluate_candidates(candidates: Sequence[tuple[int, PipelineConfig]], fit_ba
             continue
         try:
             members.append(_member(TrainedPipeline(config, fit_batch.schema, stages, classifier),
-                                   holdout, metric))
+                                   holdout))
         except CANDIDATE_ERRORS as exc:
             log.warning("candidate %d failed: %s", i, exc)
     return members
@@ -295,11 +299,12 @@ def run_search(
     """Evaluate candidates under the budget and return the full library.
 
     The labeled input is split once (seeded, stratified) into fit and
-    validation parts; every candidate trains on the fit part and is scored
-    on the validation part with ``metric``. Candidates are admitted in index
-    order. Without ``max_seconds`` all of them are evaluated together; with
-    it, each admitted candidate is evaluated before the next is admitted,
-    and none is admitted once the time is up and one has succeeded.
+    validation parts; every candidate trains on the fit part and predicts
+    the validation part, the library's holdout, where selection scores it
+    with ``metric``. Candidates are admitted in index order. Without
+    ``max_seconds`` all of them are evaluated together; with it, each
+    admitted candidate is evaluated before the next is admitted, and none is
+    admitted once the time is up and one has succeeded.
     """
     if len(train) < 10:
         raise SearchError(f"need at least 10 training instances, got {len(train)}")
@@ -317,29 +322,26 @@ def run_search(
     members, admitted = [], []
     for i in range(budget.max_candidates):
         if budget.max_seconds is not None:
-            members += evaluate_candidates(admitted, fit_batch, holdout, metric, budget.seed)
+            members += evaluate_candidates(admitted, fit_batch, holdout, budget.seed)
             admitted = []
             if members and time.perf_counter() - started >= budget.max_seconds:
                 break
         admitted.append((i, portfolio[i] if i < len(portfolio) else sample_config(rng)))
-    members += evaluate_candidates(admitted, fit_batch, holdout, metric, budget.seed)
+    members += evaluate_candidates(admitted, fit_batch, holdout, budget.seed)
     if not members:
         raise SearchError("search budget exhausted with zero successful fits")
-    return ModelLibrary(tuple(members), val_batch, metric)
+    return ModelLibrary(tuple(members), holdout, metric)
 
 
-def rescore_library(lib: ModelLibrary, new_validation: Batch,
-                    holdout: Optional[Holdout] = None) -> ModelLibrary:
-    """Recompute every member's holdout predictions against a new labeled
-    batch; fitted models are untouched. ``holdout``, when the caller has
-    one, is ``Holdout.of(new_validation)``."""
-    if len(new_validation) == 0:
+def rescore_library(lib: ModelLibrary, holdout: Holdout) -> ModelLibrary:
+    """Recompute every member's predictions on a new labeled holdout;
+    fitted models are untouched."""
+    batch = holdout.batch
+    if len(batch) == 0:
         raise DataError("cannot rescore against an empty batch")
-    if not new_validation.fully_labeled:
+    if not batch.fully_labeled:
         raise DataError("rescoring batch must be fully labeled")
-    if not new_validation.schema.compatible_with(lib.validation_set.schema):
+    if not batch.schema.compatible_with(lib.holdout.batch.schema):
         raise DataError("rescoring batch schema incompatible with the library")
-    if holdout is None:
-        holdout = Holdout.of(new_validation)
-    members = tuple(_member(m.pipeline, holdout, lib.metric) for m in lib.members)
-    return replace(lib, members=members, validation_set=new_validation)
+    members = tuple(_member(m.pipeline, holdout) for m in lib.members)
+    return replace(lib, members=members, holdout=holdout)

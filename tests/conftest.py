@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from driftml.data import UNSEEN, Batch, Feature, Schema
-from driftml.search import LibraryMember, ModelLibrary
+from driftml.data import UNSEEN, Batch, Feature, Schema, distinct_rows
+from driftml.metrics import score
+from driftml.search import Holdout, LibraryMember, ModelLibrary
 
 # Every run draws the same examples (derandomize also turns off the example
 # database, so nothing depends on a local .hypothesis/ directory); property
@@ -69,17 +70,24 @@ class FixedProba:
 
 
 def stub_library(probas, y_true, metric="accuracy"):
-    """Library of fixed-probability members, validated on an all-zero batch
-    whose rows the stubs predict."""
-    from driftml.metrics import score
-
+    """Library of fixed-probability members whose holdout rows the stubs
+    predict. A row's one feature numbers its distinct stacked probability
+    row, so rows that share a ``holdout.inverse`` entry get the same bytes
+    in every member, as in a library that models predict."""
     schema = Schema(
         features=(Feature("x"),),
         label_name="y",
         classes=tuple(str(c) for c in range(int(np.asarray(probas[0]).shape[1]))),
     )
     y = np.asarray(y_true, dtype=np.int64)
-    val = Batch(schema, np.zeros((y.size, 1)), y)
     probas = [np.asarray(p, dtype=float) for p in probas]
-    members = tuple(LibraryMember(FixedProba(p), p, score(metric, y, p)) for p in probas)
-    return ModelLibrary(members, val, metric)
+    _, row = distinct_rows(np.hstack(probas))
+    val = Batch(schema, row[:, None].astype(float), y)
+    members = tuple(LibraryMember(FixedProba(p), p) for p in probas)
+    return ModelLibrary(members, Holdout.of(val), metric)
+
+
+def member_score(lib, member):
+    """``member``'s score on the library's holdout: the score that the first
+    round of ensemble selection gives it alone."""
+    return score(lib.metric, lib.holdout.batch.y, member.validation_proba)

@@ -143,7 +143,7 @@ def test_criterion_3_fhddm_threshold():
 # -- criterion 4: ensemble selection equals the exhaustive oracle ------------
 
 def test_criterion_4_selection_oracle_equivalence():
-    from conftest import stub_library
+    from conftest import member_score, stub_library
     from driftml.metrics import score
 
     rng = np.random.default_rng(2024)
@@ -172,7 +172,7 @@ def test_criterion_4_selection_oracle_equivalence():
         best_len = int(np.argmax(scores)) + 1
 
         assert list(ens.selection_trace) == trace[:best_len]
-        best_single = max(m.validation_score for m in lib.members)
+        best_single = max(member_score(lib, m) for m in lib.members)
         assert ens.validation_score >= best_single - 1e-12
         checked += 1
 

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftml.classifiers import (
@@ -282,8 +282,17 @@ def lockstep_case(draw):
     return models, matrices, rng.integers(0, n_classes, n), seeds
 
 
+# The first step drives W to +-inf; in the second, the logit row of the
+# second input is NaN in its first entry alone (inf - inf). ``max`` over the
+# row returns another NaN there than an ``np.maximum`` chain over the
+# class planes does, so the weights' NaN bytes tell the two apart.
+FIRST_LOGIT_NAN = ([LogisticSgdClassifier(3, learning_rate=1e3, l2=0.0, epochs=2)],
+                   [np.array([[1.0, 1.0], [1.0, -1.0]]) * 1e307], np.array([0, 1]), [0])
+
+
 @settings(max_examples=120)
 @given(lockstep_case())
+@example(FIRST_LOGIT_NAN)
 def test_lockstep_sgd_equals_fitting_each_model_alone(case):
     models, matrices, y, seeds = case
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,7 +14,7 @@ from driftml.ensemble import (
 )
 from driftml.metrics import METRICS, NORMALIZED_AUC, score
 
-from conftest import stub_library
+from conftest import member_score, stub_library
 from test_metrics import reference_score
 
 
@@ -23,7 +23,7 @@ def reference_select_ensemble(lib, rounds=50, metric=None):
     verbatim (checks aside) except that ``reference_score`` scores every
     candidate mix on every row."""
     metric = lib.metric if metric is None else metric
-    y = lib.validation_set.y
+    y = lib.holdout.batch.y
     probas = [np.asarray(m.validation_proba, dtype=np.float64) for m in lib.members]
 
     trace: list[int] = []
@@ -130,7 +130,7 @@ def test_greedy_matches_stepwise_oracle_randomized():
         assert list(ens.selection_trace) == trace[:best_len]
         assert ens.rounds == best_len
         # the guarantee: never below the best single member
-        best_single = max(m.validation_score for m in lib.members)
+        best_single = max(member_score(lib, m) for m in lib.members)
         assert ens.validation_score >= best_single - 1e-12
 
 
@@ -158,7 +158,7 @@ def test_prediction_arithmetic():
     ones = np.array([[1.0, 0.0]] * 3)
     zeros = np.array([[0.0, 1.0]] * 3)
     lib = stub_library([ones, zeros], [0, 0, 1])
-    batch = lib.validation_set
+    batch = lib.holdout.batch
     even = EnsembleModel((0, 1), (0.5, 0.5), 2, (0, 1))
     assert np.allclose(ensemble_predict_proba(even, lib, batch), 0.5)
     skew = EnsembleModel((0, 1), (0.75, 0.25), 4, (0, 0, 0, 1))
@@ -170,13 +170,13 @@ def test_prediction_arithmetic():
 def test_single_member_prediction_identity(numeric_schema):
     import driftml.pipeline as pl
     from conftest import make_batch
-    from driftml.search import LibraryMember, ModelLibrary
+    from driftml.search import Holdout, LibraryMember, ModelLibrary
 
     train = make_batch(numeric_schema, [[0, 0], [1, 1], [5, 5], [6, 6]], [0, 0, 1, 1])
     model = pl.fit(pl.PipelineConfig(), train, 0)
     proba = model.predict_proba(train)
-    member = LibraryMember(model, proba, 1.0)
-    lib = ModelLibrary((member,), train, "accuracy")
+    member = LibraryMember(model, proba)
+    lib = ModelLibrary((member,), Holdout.of(train), "accuracy")
     ens = EnsembleModel((0,), (1.0,), 1, (0,))
     assert np.array_equal(ensemble_predict_proba(ens, lib, train), proba)
     assert np.array_equal(ensemble_predict_proba(ens, lib, train).argmax(axis=1), train.y)
@@ -187,7 +187,7 @@ def test_argmax_tie_breaks_low():
     lib = stub_library([half], [0, 1])
     ens = EnsembleModel((0,), (1.0,), 1, (0,))
     # the predicted class is argmax with ties to class 0
-    proba = ensemble_predict_proba(ens, lib, lib.validation_set)
+    proba = ensemble_predict_proba(ens, lib, lib.holdout.batch)
     assert proba.argmax(axis=1).tolist() == [0, 0]
 
 
@@ -198,10 +198,10 @@ def test_errors():
         select_ensemble(lib, rounds=0)
     dangling = EnsembleModel((1,), (1.0,), 1, (1,))  # one past the last member
     with pytest.raises(EnsembleError):
-        ensemble_predict_proba(dangling, lib, lib.validation_set)
+        ensemble_predict_proba(dangling, lib, lib.holdout.batch)
     from driftml.search import ModelLibrary
 
-    empty = ModelLibrary((), lib.validation_set, "accuracy")
+    empty = ModelLibrary((), lib.holdout, "accuracy")
     with pytest.raises(EnsembleError):
         select_ensemble(empty, rounds=1)
     with pytest.raises(EnsembleError):

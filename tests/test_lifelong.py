@@ -24,7 +24,9 @@ from driftml.search import (
     stratified_split,
 )
 from driftml.stagger import StaggerConfig, generate_stagger
+from conftest import member_score
 from test_drift import reference_fold
+from test_search import NARROW, mixed_rows, mixed_schema
 
 BUDGET = SearchBudget(max_candidates=6, seed=13)
 TREES = [
@@ -142,8 +144,8 @@ def test_adapt_replacement_keeps_all_stored_batches():
     # the new search held out its validation rows from all five batches
     data = concat_batches(stream[:5])
     _, val_idx = stratified_split(data, BUDGET.validation_fraction, np.random.default_rng(5))
-    assert lib.validation_set.X.tobytes() == data.X[val_idx].tobytes()
-    assert lib.validation_set.y.tobytes() == data.y[val_idx].tobytes()
+    assert lib.holdout.batch.X.tobytes() == data.X[val_idx].tobytes()
+    assert lib.holdout.batch.y.tobytes() == data.y[val_idx].tobytes()
 
 
 def test_weight_update_prefers_member_matching_new_data():
@@ -162,15 +164,15 @@ def test_weight_update_prefers_member_matching_new_data():
             return self._p[: len(batch)]
 
     members = (
-        LibraryMember(Stub(wrong), wrong, 0.0),
-        LibraryMember(Stub(right), right, 1.0),
+        LibraryMember(Stub(wrong), wrong),
+        LibraryMember(Stub(right), right),
     )
-    lib = ModelLibrary(members, validation, "accuracy")
+    lib = ModelLibrary(members, search.Holdout.of(validation), "accuracy")
     _, _, lib = adapt_on(Strategy.WU_LATEST, lib, [validation], validation)
     ensemble = select_ensemble(lib, 5)
     weights = dict(zip(ensemble.member_refs, ensemble.weights))
     assert weights.get(1, 0.0) == max(weights.values())
-    assert lib.members[1].validation_score == 1.0
+    assert member_score(lib, lib.members[1]) == 1.0
 
 
 def test_weight_update_never_retrains():
@@ -214,7 +216,7 @@ def test_add_new_grows_library_and_never_scores_worse():
         assert grown >= 1
     # superset library plus best-prefix selection cannot lose to the old
     # ensemble on the very validation set used for reselection
-    new_val = lib.validation_set
+    new_val = lib.holdout.batch
     old_on_new = score("accuracy", new_val.y,
                        ensemble_predict_proba(old_ens, old_lib, new_val))
     assert select_ensemble(lib, 10, "accuracy").validation_score >= old_on_new - 1e-9
@@ -247,6 +249,35 @@ def test_add_new_skips_failed_candidates_but_not_bugs(monkeypatch):
     monkeypatch.setattr(search, "fit_stages", failing_fit(TypeError("bug")))
     with pytest.raises(TypeError):
         adapt_on(Strategy.ADD_NEW, library, stream[:4], stream[4])
+
+
+@pytest.mark.parametrize("dataset", ["stagger", "mixed"])
+def test_members_predict_rows_that_share_a_distinct_row_alike(dataset):
+    """Selection merges holdout rows by ``holdout.inverse``: in libraries
+    from a search, a rescoring and an Add-New adaptation, every member's
+    predictions are byte-identical on the rows that ``inverse`` maps
+    together."""
+    if dataset == "stagger":
+        stream = stagger_stream(2_400, (1_200,), ((1, False), (2, False)), 400, seed=12)
+    else:  # rows drawn from 60 distinct ones, about a fifth of the cells NaN, -0.0 or 0.0
+        rng = np.random.default_rng(12)
+        pool = mixed_rows(60, NARROW, rng, special=True)
+        data = Batch(mixed_schema(NARROW), pool[rng.integers(0, 60, 2_400)],
+                     rng.integers(0, 3, 2_400))
+        stream = split_stream(data, 400)
+    portfolio = default_config_portfolio()
+    lib = run_search(stream[0], SearchBudget(max_candidates=16, seed=2), portfolio)
+    rescored = search.rescore_library(lib, search.Holdout.of(stream[1]))
+    kind, _, grown = adapt_on(Strategy.ADD_NEW, lib, stream[:3], stream[3], seed=5,
+                              portfolio=portfolio)
+    assert kind == "add-new" and len(grown) > len(lib)
+    for library in (lib, rescored, grown):
+        inverse = library.holdout.inverse
+        first = np.unique(inverse, return_index=True)[1]  # a row for each inverse entry
+        assert first.size < inverse.size
+        for member in library.members:
+            proba = member.validation_proba
+            assert proba[first][inverse].tobytes() == proba.tobytes(), member.pipeline.config
 
 
 def test_base_never_reaches_adapt():

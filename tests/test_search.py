@@ -30,6 +30,8 @@ from driftml.search import (
 )
 from driftml.stagger import STAGGER_SCHEMA, StaggerConfig, generate_stagger
 
+from conftest import member_score
+
 
 def two_class_batch(n=60, seed=0):
     rng = np.random.default_rng(seed)
@@ -58,7 +60,7 @@ def test_search_is_deterministic():
     budget = SearchBudget(max_candidates=8, seed=5)
     a = run_search(train, budget, SMALL_PORTFOLIO)
     b = run_search(train, budget, SMALL_PORTFOLIO)
-    assert [m.validation_score for m in a.members] == [m.validation_score for m in b.members]
+    assert [member_score(a, m) for m in a.members] == [member_score(b, m) for m in b.members]
     for ma, mb in zip(a.members, b.members):
         assert ma.validation_proba.tobytes() == mb.validation_proba.tobytes()
 
@@ -70,7 +72,7 @@ def test_search_on_stagger_concept_one():
     direct = fit(PipelineConfig(classifier=DecisionTreeConfig(max_depth=2)), data, 0)
     assert score("accuracy", data.y, direct.predict_proba(data)) >= 0.95
     lib = run_search(data, SearchBudget(max_candidates=16, seed=2), default_config_portfolio())
-    assert max(m.validation_score for m in lib.members) >= 0.95
+    assert max(member_score(lib, m) for m in lib.members) >= 0.95
 
 
 def test_sample_config_covers_all_families():
@@ -102,22 +104,15 @@ def test_portfolio_always_evaluated_first():
     for i, cfg in enumerate(SMALL_PORTFOLIO):
         model = fit(cfg, fit_batch, budget.seed + i)
         expect = score("accuracy", val_batch.y, model.predict_proba(val_batch))
-        assert lib.members[i].validation_score == pytest.approx(expect, abs=1e-12)
-
-
-def test_scores_recomputable_from_stored_parts():
-    lib = run_search(two_class_batch(), SearchBudget(max_candidates=4, seed=0), SMALL_PORTFOLIO)
-    for m in lib.members:
-        again = score(lib.metric, lib.validation_set.y, m.validation_proba)
-        assert again == pytest.approx(m.validation_score, abs=1e-12)
+        assert member_score(lib, lib.members[i]) == pytest.approx(expect, abs=1e-12)
 
 
 def test_rescore_idempotent_and_preserves_members():
     lib = run_search(two_class_batch(), SearchBudget(max_candidates=3, seed=4), SMALL_PORTFOLIO)
-    again = rescore_library(lib, lib.validation_set)
+    again = rescore_library(lib, search.Holdout.of(lib.holdout.batch))
     assert len(again) == len(lib)
     for a, b in zip(lib.members, again.members):
-        assert abs(a.validation_score - b.validation_score) < 1e-12
+        assert abs(member_score(lib, a) - member_score(again, b)) < 1e-12
         assert a.pipeline is b.pipeline
 
 
@@ -125,11 +120,12 @@ def test_rescore_label_flip_drops_score():
     train = two_class_batch(n=80, seed=9)
     lib = run_search(train, SearchBudget(max_candidates=2, seed=1),
                      [PipelineConfig(classifier=DecisionTreeConfig(max_depth=8, min_leaf=1))])
-    val = lib.validation_set
+    val = lib.holdout.batch
     flipped = Batch(val.schema, val.X, 1 - val.y)
-    rescored = rescore_library(lib, flipped)
-    assert rescored.members[0].validation_score <= 1.0 - lib.members[0].validation_score + 1e-9
-    assert rescored.members[0].validation_score < 0.5
+    rescored = rescore_library(lib, search.Holdout.of(flipped))
+    flipped_score = member_score(rescored, rescored.members[0])
+    assert flipped_score <= 1.0 - member_score(lib, lib.members[0]) + 1e-9
+    assert flipped_score < 0.5
 
 
 def test_search_errors():
@@ -212,13 +208,13 @@ def test_search_members_equal_each_candidate_fitted_alone(dataset):
     assert [m.pipeline.config for m in lib.members] == configs
     shared = {}
     for i, (member, config) in enumerate(zip(lib.members, configs)):
-        alone = search.evaluate_candidate(config, fit_batch, holdout, lib.metric, budget.seed + i)
+        alone = search.evaluate_candidate(config, fit_batch, holdout, budget.seed + i)
         X_member, X_alone = fit_batch.X, fit_batch.X
         for ours, its in zip(member.pipeline.stages, alone.pipeline.stages, strict=True):
             X_member, X_alone = ours.transform(X_member), its.transform(X_alone)
         assert X_member.tobytes() == X_alone.tobytes(), config
         assert member.validation_proba.tobytes() == alone.validation_proba.tobytes(), config
-        assert member.validation_score == alone.validation_score
+        assert member_score(lib, member) == member_score(lib, alone)
         stages = shared.setdefault(prefix(config), member.pipeline.stages)
         assert member.pipeline.stages is stages
         assert not any(a.flags.writeable for a in stage_arrays(stages))
@@ -266,17 +262,17 @@ def test_rescore_rejects_bad_batches():
     from driftml.data import Batch, DataError
 
     lib = run_search(two_class_batch(), SearchBudget(max_candidates=2, seed=6), SMALL_PORTFOLIO)
-    val = lib.validation_set
+    val = lib.holdout.batch
     empty = Batch(val.schema, np.empty((0, 2)), np.empty(0, dtype=int))
     with pytest.raises(DataError):
-        rescore_library(lib, empty)
+        rescore_library(lib, search.Holdout.of(empty))
     partial = Batch(val.schema, val.X, np.where(np.arange(len(val)) == 0, -1, val.y))
     with pytest.raises(DataError):
-        rescore_library(lib, partial)
+        rescore_library(lib, search.Holdout.of(partial))
     other = Schema((Feature("only"),), "y", ("0", "1"))
     alien = Batch(other, np.zeros((4, 1)), np.array([0, 1, 0, 1]))
     with pytest.raises(DataError):
-        rescore_library(lib, alien)
+        rescore_library(lib, search.Holdout.of(alien))
 
 
 def mixed_schema(n_numeric):
