@@ -13,8 +13,9 @@ call. Each model ends with the bytes it gets when fitted alone.
 Three kernels take fewer passes than the simple forms they replace and give
 the same bytes; ``tests/test_classifiers.py`` keeps each simple form as a
 reference. The tree grows from the distinct (row, label) pairs weighted by
-count, k-NN finds its distances and nearest mask in place, and the lockstep
-SGD step builds the softmax in place.
+count and scores every split of a block of features in one pass, k-NN finds
+its distances and nearest mask in place, and the lockstep SGD step builds
+the softmax in place.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class DecisionTreeClassifier:
     lower feature index, then the lower threshold, so refits are identical.
     """
 
+    SPLIT_CELLS = 8192
+
     def __init__(self, n_classes: int, max_depth: int, min_leaf: int, split_criterion: str):
         self.n_classes = n_classes
         self.max_depth = max_depth
@@ -65,34 +68,39 @@ class DecisionTreeClassifier:
         """Best (feature, threshold, gain) over all features, None if no split.
 
         Row i of ``X`` stands for ``counts[i, -1]`` rows whose labels
-        ``counts[i, :-1]`` counts; ``total`` is the column sum of ``counts``."""
+        ``counts[i, :-1]`` counts; ``total`` is the column sum of ``counts``.
+        Features are searched a block at a time, each block in one pass; a
+        block holds about ``SPLIT_CELLS`` (feature, row) cells, so its
+        ``(features, rows, classes + 1)`` cumulative counts stay in cache."""
         total_counts, n = total[:-1], total[-1]
         parent = float(self._impurity(total_counts, n))
         best = None  # (gain, feature, threshold)
-        for j in range(X.shape[1]):
-            col = X[:, j]
-            order = np.argsort(col, kind="stable")
-            sv = col[order]
-            cum = np.cumsum(counts[order], axis=0)
-            # candidate split after position i, with left size left_n[i]
-            left_n = cum[:-1, -1]
-            change = sv[:-1] != sv[1:]
-            ok = change & (left_n >= self.min_leaf) & (n - left_n >= self.min_leaf)
-            idx = np.nonzero(ok)[0]
-            if idx.size == 0:
-                continue
-            left_counts = cum[idx, :-1]
-            right_counts = total_counts - left_counts
-            nl = left_n[idx]
+        d = X.shape[1]
+        width = max(1, self.SPLIT_CELLS // X.shape[0])
+        for start in range(0, d, width):
+            feats = np.arange(start, min(start + width, d))
+            order = np.argsort(X.T[feats], axis=1, kind="stable")
+            sv = X.take(order * d + feats[:, None])  # each feature's sorted values
+            cum = np.cumsum(counts.take(order, axis=0), axis=1)
+            # a split after position i of a feature leaves left_n[i] rows on
+            # the left; after the last position none are left on the right
+            left_n = cum[:, :, -1]
+            ok = (left_n >= self.min_leaf) & (n - left_n >= self.min_leaf)
+            ok[:, :-1] &= sv[:, :-1] != sv[:, 1:]
+            cell = np.flatnonzero(ok)
+            left = cum.reshape(-1, cum.shape[2]).take(cell, axis=0)
+            left_counts, nl = left[:, :-1], left[:, -1]
             nr = n - nl
-            child = (nl * self._impurity(left_counts, nl[:, None])
-                     + nr * self._impurity(right_counts, nr[:, None])) / n
-            gains = parent - child
-            k = int(np.argmax(gains))
-            gain = float(gains[k])
-            if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-                thr = (sv[idx[k]] + sv[idx[k] + 1]) / 2.0
-                best = (gain, j, float(thr))
+            gains = np.full(ok.size, -np.inf)
+            gains[cell] = parent - (nl * self._impurity(left_counts, nl[:, None])
+                                    + nr * self._impurity(total_counts - left_counts,
+                                                          nr[:, None])) / n
+            gains = gains.reshape(ok.shape)
+            at = gains.argmax(axis=1)  # each feature's first best position
+            top = gains[np.arange(at.size), at]
+            for i, (k, gain) in enumerate(zip(at.tolist(), top.tolist())):
+                if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
+                    best = (gain, start + i, float((sv[i, k] + sv[i, k + 1]) / 2.0))
         return best
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng=None):

@@ -5,7 +5,8 @@ whose inclusion maximizes the validation metric of the uniform average of
 all picks so far (ties go to the lower library index). The returned ensemble
 is the best-scoring prefix of that trace, which makes the guarantee exact:
 its validation metric is at least the best single member's, because the
-first pick alone is the best single member.
+first pick alone is the best single member. Selection stops at the first
+round that scores 1.0, which no metric exceeds.
 
 Member weights are selection frequencies within the kept prefix, so they are
 positive, sum to one, and can be reconstructed from the trace.
@@ -83,6 +84,11 @@ def select_ensemble(lib: ModelLibrary, rounds: int = 50, metric: str | None = No
         best = int(np.argmax(np.where(np.isnan(scores), -np.inf, scores)))
         trace.append(best)
         prefix_scores.append(float(scores[best]))
+        if prefix_scores[-1] == 1.0:
+            # no metric scores above 1.0 (accuracy is a count over its total,
+            # AUC's numerator is at most n_pos·n_neg, both exact), so later
+            # rounds can only tie, and the earliest best prefix is kept
+            break
         running += planes[best]
 
     finite = [(s if not math.isnan(s) else -math.inf) for s in prefix_scores]

@@ -183,21 +183,31 @@ def reference_tree_fit(model, X, y):
 @st.composite
 def tree_case(draw):
     """A tree config and data: tie-heavy integer grids (as on STAGGER), where
-    rows repeat, some with two labels, or all-distinct floats. Some cases
-    add a copied column (gain ties between features), -0.0 beside 0.0, or
-    NaN and +-inf cells, sparse or in a fifth of the cells (so NaN rows
-    repeat). ``min_leaf`` goes up to 40, above the distinct-row count of
-    small grids."""
+    rows repeat, some with two labels, or all-distinct floats, with 1-16
+    columns. One case in twelve is all-distinct with 5,000-12,000 rows, so
+    the split search takes the root's features in more than one block of
+    ``SPLIT_CELLS`` cells. Some cases add a copied column (gain ties
+    between features, across blocks when the copy lands in another), a
+    constant column, -0.0 beside 0.0, or NaN and +-inf cells, sparse or in a
+    fifth of the cells (so NaN rows repeat). ``min_leaf`` goes up to 40,
+    above the distinct-row count of small grids."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.one_of(st.integers(1, 60), st.integers(200, 3_000)))
-    d = draw(st.integers(1, 5))
+    large = draw(st.integers(0, 11)) == 0
+    if large:
+        n, d = draw(st.integers(5_000, 12_000)), draw(st.integers(2, 8))
+        assert n * d > DecisionTreeClassifier.SPLIT_CELLS
+    else:
+        n = draw(st.one_of(st.integers(1, 60), st.integers(200, 3_000)))
+        d = draw(st.integers(1, 16))
     n_classes = draw(st.integers(2, 3))
-    if draw(st.booleans()):
+    if not large and draw(st.booleans()):
         X = rng.integers(-1, draw(st.integers(1, 3)), (n, d)).astype(np.float64)
     else:
         X = rng.normal(size=(n, d))
     if d > 1 and draw(st.booleans()):
         X[:, draw(st.integers(1, d - 1))] = X[:, 0]
+    if d > 1 and draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = draw(st.sampled_from([0.0, 0.5]))
     if draw(st.booleans()):
         zero = X == 0.0
         X[zero & (rng.random((n, d)) < 0.5)] = -0.0

@@ -233,10 +233,15 @@ def libraries(draw):
 # by its position, so these rows must not be merged
 NAN_REPEATS = np.array([[0.5, np.nan], [0.2, 0.8], [0.5, np.nan], [0.3, 0.7], [0.5, np.nan]])
 
+# each member alone is right on one row of two; their mix is right on both,
+# so the second round scores 1.0 and selection stops there, of 6 rounds
+PERFECT_MIX = [np.array([[0.9, 0.1], [0.6, 0.4]]), np.array([[0.4, 0.6], [0.1, 0.9]])]
+
 
 @settings(max_examples=300)
 @given(libraries())
 @example((stub_library([NAN_REPEATS], [1, 0, 0, 1, 1], NORMALIZED_AUC), 1))
+@example((stub_library(PERFECT_MIX, [0, 1]), 6))
 def test_select_ensemble_equals_the_per_member_loop(case):
     lib, rounds = case
     # repr compares the NaN validation score of an all-NaN selection too
