@@ -8,14 +8,18 @@ given (data, hyperparameters, seed).
 
 Logistic SGD has one training routine, ``fit_logistic_sgd``, which steps
 several models in lockstep; ``LogisticSgdClassifier.fit`` is its one-model
-call. Each model ends with the bytes it gets when fitted alone.
+call. Each model ends with the bytes it gets when fitted alone. k-NN has one
+prediction routine, ``knn_predict_proba``, which serves several models of
+one reference set from one distance matrix and one partition per chunk;
+``KnnClassifier.predict_proba`` is its one-model call.
 
 Three kernels take fewer passes than the simple forms they replace and give
 the same bytes; ``tests/test_classifiers.py`` keeps each simple form as a
 reference. The tree grows from the distinct (row, label) pairs weighted by
 count and scores every split of a block of features in one pass, k-NN finds
-its distances and nearest mask in place, and the lockstep SGD step builds
-the softmax in place.
+its distances and nearest mask in place (each k's k-th distance taken from
+the smallest k_max of a row), and the lockstep SGD step builds the softmax
+in place.
 """
 
 from __future__ import annotations
@@ -357,32 +361,55 @@ class KnnClassifier:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        k = min(self.k, self.ref_X_.shape[0])
-        in_class = [self.ref_y_ == c for c in range(self.n_classes - 1)]
-        out = np.empty((X.shape[0], self.n_classes))
-        for start in range(0, X.shape[0], self.CHUNK):
-            xb = X[start : start + self.CHUNK]
-            # sq - 2·x·r + ref_sq: the reference's operations in its order,
-            # in one (rows, references) array
-            d2 = (2.0 * xb) @ self.ref_X_.T
-            np.subtract(np.square(xb).sum(axis=1, keepdims=True), d2, out=d2)
-            d2 += self.ref_sq_
-            take = _nearest_mask(d2, k)
+        return knn_predict_proba([self], X)[0]
+
+
+def knn_predict_proba(models, X: np.ndarray) -> list[np.ndarray]:
+    """Each model's ``KnnClassifier.predict_proba`` on ``X``, for models
+    whose ``n_classes``, ``ref_X_`` and ``ref_y_`` are byte-identical.
+
+    Each chunk's distances are computed once and partitioned once, at the
+    largest k; a smaller k finds its k-th distance among those k_max
+    columns. The k-th smallest distance is one value however it is found,
+    so every model gets the bytes of its own call.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    first = models[0]
+    ref_X, ref_sq = first.ref_X_, first.ref_sq_
+    n_classes = first.n_classes
+    by_k = {}  # k (at most the reference count) -> the indices of its models
+    for i, model in enumerate(models):
+        by_k.setdefault(min(model.k, ref_X.shape[0]), []).append(i)
+    k_max = max(by_k)
+    in_class = [first.ref_y_ == c for c in range(n_classes - 1)]
+    outs = [np.empty((X.shape[0], n_classes)) for _ in models]
+    for start in range(0, X.shape[0], first.CHUNK):
+        xb = X[start : start + first.CHUNK]
+        # sq - 2·x·r + ref_sq: the reference's operations in its order,
+        # in one (rows, references) array
+        d2 = (2.0 * xb) @ ref_X.T
+        np.subtract(np.square(xb).sum(axis=1, keepdims=True), d2, out=d2)
+        d2 += ref_sq
+        # each row's k_max smallest, copied so the partitioned block is freed at once
+        smallest = np.partition(d2, k_max - 1, axis=1)[:, :k_max].copy()
+        for k, indices in by_k.items():
+            kth = smallest if k == k_max else np.partition(smallest, k - 1, axis=1)
+            take = _nearest_mask(d2, k, kth[:, k - 1])
             # every row takes exactly k references: the last class has the rest
-            votes = np.empty((xb.shape[0], self.n_classes), dtype=np.int64)
+            votes = np.empty((xb.shape[0], n_classes), dtype=np.int64)
             for c, refs in enumerate(in_class):
                 votes[:, c] = np.count_nonzero(take & refs, axis=1)
             votes[:, -1] = k - votes[:, :-1].sum(axis=1)
-            out[start : start + self.CHUNK] = votes / k
-        return out
+            share = votes / k
+            for i in indices:
+                outs[i][start : start + first.CHUNK] = share
+    return outs
 
 
-def _nearest_mask(d2: np.ndarray, k: int) -> np.ndarray:
+def _nearest_mask(d2: np.ndarray, k: int, kth: np.ndarray) -> np.ndarray:
     """Mask of each row's k smallest entries by (value, column index): the
-    set a stable argsort puts first, found without sorting."""
-    # copied so the partitioned matrix is freed at once
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
+    set a stable argsort puts first, found without sorting. ``kth`` holds
+    each row's k-th smallest entry (NaN sorting last)."""
     take = d2 <= kth[:, None]
     excess = np.count_nonzero(take, axis=1) - k
     over = np.nonzero(excess > 0)[0]

@@ -21,6 +21,9 @@ exactly (a STAGGER holdout merges into at most 27 inputs times 2 labels).
 The first round scores each member alone; a library keeps no scores.
 ``ensemble_predict_proba``, the per-batch read path, predicts every row
 directly: finding one batch's distinct rows costs more there than it saves.
+Its members predict together (``pipeline.predict_pipelines``), so k-NN
+members on byte-identical references and inputs share one distance pass;
+each member's prediction keeps its bytes, and the weighted sum its order.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 
 from .data import Batch
 from .metrics import score
+from .pipeline import predict_pipelines
 from .search import Holdout, ModelLibrary
 
 
@@ -128,9 +132,9 @@ def ensemble_predict_proba(ens: EnsembleModel, lib: ModelLibrary, batch: Batch
         raise EnsembleError("ensemble references no members")
     if max(ens.member_refs) >= len(lib) or min(ens.member_refs) < 0:
         raise EnsembleError("ensemble references members outside the library")
+    probas = predict_pipelines([lib.members[ref].pipeline for ref in ens.member_refs], batch)
     out = None
-    for ref, w in zip(ens.member_refs, ens.weights):
-        p = lib.members[ref].pipeline.predict_proba(batch)
+    for w, p in zip(ens.weights, probas):
         out = w * p if out is None else out + w * p
     return out
 

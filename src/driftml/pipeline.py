@@ -32,6 +32,7 @@ from .classifiers import (
     LogisticSgdClassifier,
     NaiveBayesClassifier,
     fit_logistic_sgd,
+    knn_predict_proba,
 )
 from .data import Batch
 
@@ -290,10 +291,69 @@ class TrainedPipeline:
     def predict_proba(self, batch: Batch) -> np.ndarray:
         if not batch.schema.compatible_with(self.schema):
             raise PipelineError("batch schema incompatible with the fitted schema")
-        X = batch.X
-        for stage in self.stages:
-            X = stage.transform(X)
-        return self.classifier.predict_proba(X)
+        return self.classifier.predict_proba(_apply_stages(self.stages, batch.X))
+
+
+def _apply_stages(stages: tuple, X: np.ndarray) -> np.ndarray:
+    for stage in stages:
+        X = stage.transform(X)
+    return X
+
+
+def predict_pipelines(pipelines: Sequence[TrainedPipeline], batch: Batch) -> list[np.ndarray]:
+    """Each pipeline's ``predict_proba`` on ``batch``, byte for byte.
+
+    k-NN classifiers whose matrix, ``n_classes``, ``ref_X_`` and ``ref_y_``
+    are byte-identical predict together (``knn_predict_proba``): one
+    distance pass serves them all. Pipelines of different stage tuples can
+    meet there, since stages that differ may still give the same matrix.
+    They predict first, so their distance blocks do not come on top of the
+    other members' predictions. Then each stage tuple of the other
+    classifiers is applied once, and each predicts as it would alone.
+    """
+    if len(pipelines) == 1:
+        return [pipelines[0].predict_proba(batch)]
+    for model in pipelines:
+        if not batch.schema.compatible_with(model.schema):
+            raise PipelineError("batch schema incompatible with the fitted schema")
+    out = [None] * len(pipelines)
+    knn = [i for i, model in enumerate(pipelines) if isinstance(model.classifier, KnnClassifier)]
+    if len(knn) > 1:
+        for X, indices in _knn_groups(pipelines, knn, batch):
+            probas = knn_predict_proba([pipelines[i].classifier for i in indices], X)
+            for i, proba in zip(indices, probas):
+                out[i] = proba
+    for stages, indices in _by_stages(pipelines, range(len(pipelines))).items():
+        left = [i for i in indices if out[i] is None]
+        if left:
+            X = _apply_stages(stages, batch.X)
+            for i in left:
+                out[i] = pipelines[i].classifier.predict_proba(X)
+    return out
+
+
+def _by_stages(pipelines, indices) -> dict:
+    """Stage tuple -> those of ``indices`` whose pipeline applies it."""
+    groups = {}
+    for i in indices:
+        groups.setdefault(pipelines[i].stages, []).append(i)
+    return groups
+
+
+def _knn_groups(pipelines, indices, batch: Batch) -> list:
+    """``(matrix, indices)`` for each group of the k-NN pipelines at
+    ``indices`` whose matrix on ``batch``, ``n_classes``, ``ref_X_`` and
+    ``ref_y_`` are byte-identical. The byte keys are freed on return."""
+    groups = {}  # byte key -> (matrix, indices)
+    for stages, members in _by_stages(pipelines, indices).items():
+        X = _apply_stages(stages, batch.X)
+        matrix = (X.shape, X.tobytes())
+        for i in members:
+            knn = pipelines[i].classifier
+            key = (matrix, knn.n_classes, knn.ref_X_.shape, knn.ref_X_.tobytes(),
+                   knn.ref_y_.tobytes())
+            groups.setdefault(key, (X, []))[1].append(i)
+    return list(groups.values())
 
 
 def prefix(config: PipelineConfig) -> tuple:

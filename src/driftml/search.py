@@ -9,10 +9,13 @@ on a bad config or degenerate data (``CANDIDATE_ERRORS``) is logged and
 skipped; any other error propagates.
 
 Holdout predictions are made once per distinct row. A ``Holdout`` finds
-the byte-distinct rows of a validation batch once; every model predicts
-those rows and ``[inverse]`` scatters the predictions back to every row, so
-a library member still holds one prediction row per holdout row, and rows
-that share an ``inverse`` entry get the same bytes in every member. A STAGGER
+the byte-distinct rows of a validation batch once; the models predict those
+rows together (``pipeline.predict_pipelines``: one k-NN distance pass per
+shared reference set and input matrix) and ``[inverse]``
+scatters the predictions back to every row, so a library member still
+holds one prediction row per holdout row, and rows that share an
+``inverse`` entry get the same bytes in every member. A holdout predicted
+whole needs no scatter, and its predictions are stored as they are. A STAGGER
 holdout of thousands of rows has at most 27 distinct ones. The stored bytes
 are those of predicting every row only where numpy's matrix products give
 a row the same sums wherever it sits in a block. With OpenBLAS 0.3.31 they
@@ -62,6 +65,7 @@ from .pipeline import (
     fit,
     fit_classifiers,
     fit_stages,
+    predict_pipelines,
     prefix,
 )
 
@@ -117,8 +121,9 @@ class Holdout:
     holds each byte-distinct row once, and ``[inverse]`` scatters their
     predictions back to every row of ``batch``. A batch whose rows are all
     distinct, or whose schema can encode to more than
-    ``DISTINCT_ROWS_MAX_WIDTH`` columns, is predicted whole (``distinct`` is
-    ``batch``, not a copy that a library would keep alive)."""
+    ``DISTINCT_ROWS_MAX_WIDTH`` columns, is predicted whole: ``distinct`` is
+    ``batch``, not a copy that a library would keep alive, and ``inverse``
+    is ``arange``, so its predictions need no scatter."""
 
     batch: Batch
     distinct: Batch
@@ -129,12 +134,14 @@ class Holdout:
         if widest_encoding(batch.schema) > DISTINCT_ROWS_MAX_WIDTH:
             return cls(batch, batch, np.arange(len(batch)))
         first, inverse = distinct_rows(batch.X)
+        if first.size == len(batch) > 1:  # all distinct: ``inverse`` is arange
+            return cls(batch, batch, inverse)
         if first.size == 1:
             # numpy multiplies a one-row block as a matrix-vector product,
             # whose sums round differently from the matrix product that a
             # block of more rows gets; the lone row is predicted twice
             first = first[[0, 0]]
-        return cls(batch, batch if first.size == len(batch) else batch.take(first), inverse)
+        return cls(batch, batch.take(first), inverse)
 
     def __len__(self) -> int:
         return len(self.batch)
@@ -216,18 +223,23 @@ def sample_config(rng: np.random.Generator) -> PipelineConfig:
     ).validate()
 
 
-def _member(model: TrainedPipeline, holdout: Holdout) -> LibraryMember:
-    """``model`` with its read-only predictions on every holdout row."""
-    proba = model.predict_proba(holdout.distinct)[holdout.inverse]
-    proba.setflags(write=False)
-    return LibraryMember(model, proba)
+def _members(models: Sequence[TrainedPipeline], holdout: Holdout) -> list[LibraryMember]:
+    """``models`` with their read-only predictions on every holdout row,
+    predicted together (``predict_pipelines``)."""
+    members = []
+    for model, proba in zip(models, predict_pipelines(models, holdout.distinct)):
+        if holdout.distinct is not holdout.batch:  # else ``inverse`` is arange
+            proba = proba[holdout.inverse]
+        proba.setflags(write=False)
+        members.append(LibraryMember(model, proba))
+    return members
 
 
 def evaluate_candidate(config: PipelineConfig, fit_batch: Batch, holdout: Holdout,
                        seed: int) -> LibraryMember:
     """One candidate fitted and predicted alone: the member that
     ``evaluate_candidates`` makes of it, byte for byte."""
-    return _member(fit(config, fit_batch, seed), holdout)
+    return _members([fit(config, fit_batch, seed)], holdout)[0]
 
 
 def evaluate_candidates(candidates: Sequence[tuple[int, PipelineConfig]], fit_batch: Batch,
@@ -278,16 +290,20 @@ def evaluate_candidates(candidates: Sequence[tuple[int, PipelineConfig]], fit_ba
                 log.warning("candidate %d failed: %s", job[0], exc)
                 fitted.append(None)
 
-    members = []
-    for (i, config, stages, _), classifier in zip(ready, fitted):
-        if classifier is None:
-            continue
-        try:
-            members.append(_member(TrainedPipeline(config, fit_batch.schema, stages, classifier),
-                                   holdout))
-        except CANDIDATE_ERRORS as exc:
-            log.warning("candidate %d failed: %s", i, exc)
-    return members
+    models = [(i, TrainedPipeline(config, fit_batch.schema, stages, classifier))
+              for (i, config, stages, _), classifier in zip(ready, fitted)
+              if classifier is not None]
+    try:
+        return _members([model for _, model in models], holdout)
+    except CANDIDATE_ERRORS:
+        # a grouped predict does not say whose prediction failed: predict each alone
+        members = []
+        for i, model in models:
+            try:
+                members += _members([model], holdout)
+            except CANDIDATE_ERRORS as exc:
+                log.warning("candidate %d failed: %s", i, exc)
+        return members
 
 
 def run_search(
@@ -343,5 +359,5 @@ def rescore_library(lib: ModelLibrary, holdout: Holdout) -> ModelLibrary:
         raise DataError("rescoring batch must be fully labeled")
     if not batch.schema.compatible_with(lib.holdout.batch.schema):
         raise DataError("rescoring batch schema incompatible with the library")
-    members = tuple(_member(m.pipeline, holdout) for m in lib.members)
-    return replace(lib, members=members, holdout=holdout)
+    members = _members([m.pipeline for m in lib.members], holdout)
+    return replace(lib, members=tuple(members), holdout=holdout)

@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from driftml.data import UNSEEN, Batch, Feature, Schema, distinct_rows
 from driftml.metrics import score
+from driftml.pipeline import TrainedPipeline
 from driftml.search import Holdout, LibraryMember, ModelLibrary
 
 # Every run draws the same examples (derandomize also turns off the example
@@ -60,20 +61,21 @@ def write_csv(batch: Batch, path: str) -> None:
 
 
 class FixedProba:
-    """Pipeline stub: predicts the first ``len(batch)`` of its fixed rows."""
+    """Classifier stub: predicts the first ``len(X)`` of its fixed rows."""
 
     def __init__(self, proba):
         self.proba = proba
 
-    def predict_proba(self, batch):
-        return self.proba[: len(batch)]
+    def predict_proba(self, X):
+        return self.proba[: len(X)]
 
 
 def stub_library(probas, y_true, metric="accuracy"):
-    """Library of fixed-probability members whose holdout rows the stubs
-    predict. A row's one feature numbers its distinct stacked probability
-    row, so rows that share a ``holdout.inverse`` entry get the same bytes
-    in every member, as in a library that models predict."""
+    """Library of fixed-probability members (pipelines without stages
+    around a stub classifier) whose holdout rows the stubs predict. A row's
+    one feature numbers its distinct stacked probability row, so rows that
+    share a ``holdout.inverse`` entry get the same bytes in every member, as
+    in a library that models predict."""
     schema = Schema(
         features=(Feature("x"),),
         label_name="y",
@@ -83,7 +85,8 @@ def stub_library(probas, y_true, metric="accuracy"):
     probas = [np.asarray(p, dtype=float) for p in probas]
     _, row = distinct_rows(np.hstack(probas))
     val = Batch(schema, row[:, None].astype(float), y)
-    members = tuple(LibraryMember(FixedProba(p), p) for p in probas)
+    members = tuple(LibraryMember(TrainedPipeline(None, schema, (), FixedProba(p)), p)
+                    for p in probas)
     return ModelLibrary(members, Holdout.of(val), metric)
 
 

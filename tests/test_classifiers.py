@@ -7,6 +7,7 @@ from driftml.classifiers import (
     KnnClassifier,
     LogisticSgdClassifier,
     fit_logistic_sgd,
+    knn_predict_proba,
     reservoir_sample,
 )
 
@@ -85,6 +86,28 @@ def test_knn_proba_equals_the_argsort_reference_exactly(case):
         got = model.predict_proba(X)
         want = reference_knn_proba(model, X)
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def knn_group_case(draw):
+    """k-NN models with 1-4 distinct k (one k twice in some cases) on the
+    references of a ``knn_case``, and its query rows."""
+    model, X = draw(knn_case())
+    ks = draw(st.lists(st.sampled_from([1, 3, 5, 7, 11, 25, 41]), min_size=1, max_size=4,
+                       unique=True))
+    if draw(st.booleans()):
+        ks.append(ks[0])
+    return [fitted_knn(model.ref_X_, model.ref_y_, model.n_classes, k) for k in ks], X
+
+
+@settings(max_examples=60)
+@given(knn_group_case())
+def test_grouped_knn_proba_equals_the_argsort_reference_for_each_model(case):
+    models, X = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = knn_predict_proba(models, X)
+        for model, proba in zip(models, got, strict=True):
+            assert proba.tobytes() == reference_knn_proba(model, X).tobytes(), model.k
 
 
 def test_knn_rows_with_a_nan_kth_distance_still_vote_over_k():

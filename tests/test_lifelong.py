@@ -15,7 +15,12 @@ from driftml.lifelong import (
     stratified_sample,
 )
 from driftml.metrics import score
-from driftml.pipeline import DecisionTreeConfig, PipelineConfig, default_config_portfolio
+from driftml.pipeline import (
+    DecisionTreeConfig,
+    PipelineConfig,
+    TrainedPipeline,
+    default_config_portfolio,
+)
 from driftml.search import (
     LibraryMember,
     ModelLibrary,
@@ -24,7 +29,7 @@ from driftml.search import (
     stratified_split,
 )
 from driftml.stagger import StaggerConfig, generate_stagger
-from conftest import member_score
+from conftest import FixedProba, member_score
 from test_drift import reference_fold
 from test_search import NARROW, mixed_rows, mixed_schema
 
@@ -155,18 +160,8 @@ def test_weight_update_prefers_member_matching_new_data():
     validation = Batch(schema, val_X, val_y)
     right = np.column_stack([1.0 - val_y, val_y]).astype(float)
     wrong = 1.0 - right
-
-    class Stub:
-        def __init__(self, proba):
-            self._p = proba
-
-        def predict_proba(self, batch):
-            return self._p[: len(batch)]
-
-    members = (
-        LibraryMember(Stub(wrong), wrong),
-        LibraryMember(Stub(right), right),
-    )
+    members = tuple(LibraryMember(TrainedPipeline(None, schema, (), FixedProba(p)), p)
+                    for p in (wrong, right))
     lib = ModelLibrary(members, search.Holdout.of(validation), "accuracy")
     _, _, lib = adapt_on(Strategy.WU_LATEST, lib, [validation], validation)
     ensemble = select_ensemble(lib, 5)

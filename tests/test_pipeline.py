@@ -1,8 +1,13 @@
+import functools
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftml import pipeline
 from driftml.data import Batch, Feature, Schema, UNSEEN
 from driftml.pipeline import (
     DecisionTreeConfig,
@@ -12,9 +17,14 @@ from driftml.pipeline import (
     PipelineConfig,
     PipelineError,
     TopKMutualInfoConfig,
+    TrainedPipeline,
     VarianceThresholdConfig,
     default_config_portfolio,
     fit,
+    fit_classifiers,
+    fit_stages,
+    predict_pipelines,
+    prefix,
 )
 from driftml.search import sample_config
 
@@ -252,6 +262,8 @@ def test_predict_rejects_schema_mismatch():
     probe = Batch(other, np.zeros((1, 2)), np.array([0]))
     with pytest.raises(PipelineError):
         model.predict_proba(probe)
+    with pytest.raises(PipelineError):
+        predict_pipelines([model, model], probe)
 
 
 def test_config_invariants_enforced():
@@ -294,3 +306,74 @@ def test_all_missing_column_falls_back():
     proba = model.predict_proba(batch_of(schema, X, [0, 0, 1, 1]))
     assert np.allclose(proba.sum(axis=1), 1.0)
 
+
+NUMERIC_SCHEMA = Schema((Feature("a"), Feature("b"), Feature("c")), "y", ("0", "1", "2"))
+
+# k-NN pipelines whose fitted references are byte-identical (all 300
+# training rows are kept): k = 5 and 11 share one stage tuple; k = 15 has
+# its own, which on numeric columns gives the same matrix, one-hot doing
+# nothing; k = 7 imputes the mode instead of the mean, the same matrix on
+# rows without NaN and another on rows with NaN. k = 3 keeps 50 references
+# of its own. The other families share the stage tuple of k = 5 or have
+# their own.
+SHARED_CONFIGS = [
+    PipelineConfig(standardize=True, classifier=KnnConfig(k=5, max_reference_points=512)),
+    PipelineConfig(standardize=True, classifier=DecisionTreeConfig(max_depth=6)),
+    PipelineConfig(standardize=True, classifier=KnnConfig(k=11, max_reference_points=512)),
+    PipelineConfig(standardize=True, one_hot=True,
+                   classifier=KnnConfig(k=15, max_reference_points=512)),
+    PipelineConfig(one_hot=True, classifier=NaiveBayesConfig()),
+    PipelineConfig(standardize=True, imputation="mode",
+                   classifier=KnnConfig(k=7, max_reference_points=512)),
+    PipelineConfig(standardize=True, classifier=LogisticSgdConfig(epochs=3)),
+    PipelineConfig(standardize=True, classifier=KnnConfig(k=3, max_reference_points=50)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def shared_pipelines():
+    """``SHARED_CONFIGS`` fitted on 300 rows without NaN, the pipelines of
+    one prefix sharing its stage tuple, as in a search."""
+    rng = np.random.default_rng(0)
+    train = batch_of(NUMERIC_SCHEMA, rng.normal(size=(300, 3)), rng.integers(0, 3, 300))
+    fitted, pipelines = {}, []
+    for i, config in enumerate(SHARED_CONFIGS):
+        if prefix(config) not in fitted:
+            fitted[prefix(config)] = fit_stages(config, train)
+        stages, X = fitted[prefix(config)]
+        (classifier,) = fit_classifiers([config], [X], train, [i])
+        pipelines.append(TrainedPipeline(config, train.schema, stages, classifier))
+    return pipelines
+
+
+@settings(max_examples=30)
+@given(
+    n_rows=st.one_of(st.integers(1, 60), st.integers(1_000, 1_300)),
+    with_nan=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_pipelines_equals_each_pipelines_own_predict(n_rows, with_nan, seed):
+    """Every pipeline gets its own ``predict_proba`` bytes, and k-NN
+    classifiers predict together exactly when their matrices and
+    references are byte-identical: mean and mode imputation part on a
+    batch holding NaN."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_rows, 3))
+    if with_nan:
+        X[0, 0] = np.nan
+        X[rng.random(X.shape) < 0.1] = np.nan
+    batch = batch_of(NUMERIC_SCHEMA, X, rng.integers(0, 3, n_rows))
+    pipelines = shared_pipelines()
+    groups = []
+    grouped = pipeline.knn_predict_proba
+
+    def spy(models, X):
+        groups.append(sorted(model.k for model in models))
+        return grouped(models, X)
+
+    with mock.patch.object(pipeline, "knn_predict_proba", spy):
+        got = predict_pipelines(pipelines, batch)
+    for model, proba in zip(pipelines, got, strict=True):
+        assert proba.tobytes() == model.predict_proba(batch).tobytes(), model.config
+    want = [[5, 11, 15], [7], [3]] if with_nan else [[5, 7, 11, 15], [3]]
+    assert sorted(groups) == sorted(want)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from driftml import pipeline, search
-from driftml.classifiers import KnnClassifier
+from driftml.classifiers import KnnClassifier, NaiveBayesClassifier
 from driftml.data import Batch, Feature, Schema
 from driftml.metrics import score
 from driftml.pipeline import (
@@ -170,6 +170,28 @@ def test_a_failure_skips_only_its_own_candidates(monkeypatch, caplog):
     assert [m.pipeline.config for m in lib.members] == [sgd[0], sgd[2], tree]
     failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
     assert [msg.split(":")[0] for msg in failed] == ["candidate 0 failed", "candidate 2 failed"]
+
+
+def test_a_failed_predict_skips_only_its_own_candidate(monkeypatch, caplog):
+    """Members predict their holdout together; when that raises one of
+    ``CANDIDATE_ERRORS``, each predicts alone and only the failing
+    candidate is skipped."""
+    bayes = [PipelineConfig(classifier=NaiveBayesConfig(laplace_alpha=alpha))
+             for alpha in (1.0, 0.5)]
+    knn = [PipelineConfig(standardize=True, classifier=KnnConfig(k=k)) for k in (3, 5)]
+    portfolio = [bayes[0], knn[0], bayes[1], knn[1]]
+    predict = NaiveBayesClassifier.predict_proba
+
+    def fails_at_alpha_0_5(model, X):
+        if model.laplace_alpha == 0.5:
+            raise FloatingPointError("underflow")
+        return predict(model, X)
+
+    monkeypatch.setattr(NaiveBayesClassifier, "predict_proba", fails_at_alpha_0_5)
+    lib = run_search(two_class_batch(), SearchBudget(max_candidates=4, seed=0), portfolio)
+    assert [m.pipeline.config for m in lib.members] == [bayes[0], *knn]
+    failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+    assert failed == ["candidate 2 failed: underflow"]
 
 
 def search_parts(train, budget, portfolio):
@@ -360,3 +382,24 @@ def test_predicting_the_distinct_rows_equals_predicting_every_row(n_numeric, n_d
         assert holdout.distinct is batch
     else:
         assert len(holdout.distinct) <= max(n_distinct, 2)
+    if holdout.distinct is batch:  # its predictions are stored unscattered
+        assert np.array_equal(holdout.inverse, np.arange(len(batch)))
+
+
+@pytest.mark.parametrize("n_numeric, rows, whole", [
+    (NARROW, [0, 1, 2, 3], True),    # all distinct
+    (WIDE, [0, 1, 0, 2, 1], True),   # too wide to predict distinct rows
+    (WIDE, [0], True),
+    (NARROW, [0, 0], False),         # one distinct row, predicted twice
+    (NARROW, [0], False),
+    (NARROW, [0, 1, 0], False),
+])
+def test_a_holdout_predicted_whole_scatters_by_arange(n_numeric, rows, whole):
+    """Members store a whole holdout's predictions without ``[inverse]``,
+    so ``inverse`` is ``arange`` whenever ``distinct`` is the batch."""
+    pool = mixed_rows(4, n_numeric, np.random.default_rng(0))
+    batch = Batch(mixed_schema(n_numeric), pool[rows], np.zeros(len(rows), dtype=int))
+    holdout = search.Holdout.of(batch)
+    assert (holdout.distinct is batch) == whole
+    if whole:
+        assert np.array_equal(holdout.inverse, np.arange(len(batch)))
