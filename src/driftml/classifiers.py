@@ -192,10 +192,10 @@ class NaiveBayesClassifier:
         y = np.asarray(y, dtype=np.int64)
         n, d = X.shape
         self.binary_ = np.array([np.isin(X[:, j], (0.0, 1.0)).all() for j in range(d)])
-        self.class_count_ = np.bincount(y, minlength=self.n_classes).astype(np.float64)
+        class_count = np.bincount(y, minlength=self.n_classes).astype(np.float64)
         self.log_prior_ = np.full(self.n_classes, -np.inf)
-        present = self.class_count_ > 0
-        self.log_prior_[present] = np.log(self.class_count_[present] / n)
+        present = class_count > 0
+        self.log_prior_[present] = np.log(class_count[present] / n)
 
         self.p_one_ = np.full((self.n_classes, d), 0.5)
         self.mean_ = np.zeros((self.n_classes, d))

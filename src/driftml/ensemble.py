@@ -12,11 +12,11 @@ Member weights are selection frequencies within the kept prefix, so they are
 positive, sum to one, and can be reconstructed from the trace.
 
 A round scores all members at once, with one ``score`` call: the members'
-holdout probabilities are stacked as ``(members, classes, rows)`` so each
-class is one contiguous plane, and rows that hold the same distinct holdout
-row (``Holdout.inverse``) and label are merged into one row weighted by its
-count. Members predict such rows alike, byte for byte, so every candidate
-mix treats merged rows alike and the weighted scores equal the per-row ones
+predictions on the holdout's distinct rows are stacked as ``(members,
+classes, distinct rows)`` so each class is one contiguous plane, and scored
+on the holdout's columns (``Holdout.rows``), one per (distinct row, label)
+pair, weighted by its count. Every row of a pair has its distinct row's
+prediction, byte for byte, so the weighted scores equal the per-row ones
 exactly (a STAGGER holdout merges into at most 27 inputs times 2 labels).
 The first round scores each member alone; a library keeps no scores.
 ``ensemble_predict_proba``, the per-batch read path, predicts every row
@@ -36,7 +36,7 @@ import numpy as np
 from .data import Batch
 from .metrics import score
 from .pipeline import predict_pipelines
-from .search import Holdout, ModelLibrary
+from .search import ModelLibrary
 
 
 class EnsembleError(Exception):
@@ -73,8 +73,14 @@ def select_ensemble(lib: ModelLibrary, rounds: int = 50, metric: str | None = No
     if rounds < 1:
         raise EnsembleError("rounds must be >= 1")
     metric = lib.metric if metric is None else metric
+    holdout = lib.holdout
     planes = np.stack([np.asarray(m.validation_proba, dtype=np.float64).T for m in lib.members])
-    planes, y, weight = _merge_rows(planes, lib.holdout)
+    if np.isfinite(planes).all():
+        rows, y, weight = holdout.rows, holdout.y, holdout.count
+    else:  # NaN scores rank by row position, which merging loses: score every row
+        rows, y, weight = holdout.inverse, holdout.batch.y, None
+    if holdout.distinct is not holdout.batch:  # else ``rows`` is arange
+        planes = planes.take(rows, axis=2)
 
     trace: list[int] = []
     prefix_scores: list[float] = []
@@ -107,22 +113,6 @@ def select_ensemble(lib: ModelLibrary, rounds: int = 50, metric: str | None = No
         selection_trace=tuple(kept),
         validation_score=prefix_scores[best_len - 1],
     )
-
-
-def _merge_rows(planes: np.ndarray, holdout: Holdout):
-    """``(planes, y, weight)`` over the rows of a ``(members, classes, rows)``
-    stack of predictions on ``holdout``, one row per (distinct holdout row,
-    label) pair, weighted by its count (``None`` when no two rows merge). A
-    stack holding a non-finite value keeps every row: NaN scores rank by
-    row position, which merging loses."""
-    y = holdout.batch.y
-    if not np.isfinite(planes).all():
-        return planes, y, None
-    _, first, count = np.unique(holdout.inverse * planes.shape[1] + y,
-                                return_index=True, return_counts=True)
-    if first.size == y.size:
-        return planes, y, None
-    return planes.take(first, axis=2), y[first], count
 
 
 def ensemble_predict_proba(ens: EnsembleModel, lib: ModelLibrary, batch: Batch

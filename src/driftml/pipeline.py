@@ -303,57 +303,42 @@ def _apply_stages(stages: tuple, X: np.ndarray) -> np.ndarray:
 def predict_pipelines(pipelines: Sequence[TrainedPipeline], batch: Batch) -> list[np.ndarray]:
     """Each pipeline's ``predict_proba`` on ``batch``, byte for byte.
 
-    k-NN classifiers whose matrix, ``n_classes``, ``ref_X_`` and ``ref_y_``
-    are byte-identical predict together (``knn_predict_proba``): one
-    distance pass serves them all. Pipelines of different stage tuples can
-    meet there, since stages that differ may still give the same matrix.
-    They predict first, so their distance blocks do not come on top of the
-    other members' predictions. Then each stage tuple of the other
-    classifiers is applied once, and each predicts as it would alone.
+    Each distinct stage tuple is applied once, and each classifier on it
+    predicts as it would alone, except that when more than one pipeline is
+    k-NN, those whose matrix, ``n_classes``, ``ref_X_`` and ``ref_y_`` are
+    byte-identical predict together (``knn_predict_proba``): one distance
+    pass serves them all. Pipelines of different stage tuples can meet
+    there, since stages that differ may still give the same matrix.
     """
     if len(pipelines) == 1:
         return [pipelines[0].predict_proba(batch)]
-    for model in pipelines:
+    by_stages = {}  # stage tuple -> indices of the pipelines that apply it
+    for i, model in enumerate(pipelines):
         if not batch.schema.compatible_with(model.schema):
             raise PipelineError("batch schema incompatible with the fitted schema")
+        by_stages.setdefault(model.stages, []).append(i)
+    share_knn = sum(isinstance(model.classifier, KnnClassifier) for model in pipelines) > 1
     out = [None] * len(pipelines)
-    knn = [i for i, model in enumerate(pipelines) if isinstance(model.classifier, KnnClassifier)]
-    if len(knn) > 1:
-        for X, indices in _knn_groups(pipelines, knn, batch):
-            probas = knn_predict_proba([pipelines[i].classifier for i in indices], X)
-            for i, proba in zip(indices, probas):
-                out[i] = proba
-    for stages, indices in _by_stages(pipelines, range(len(pipelines))).items():
-        left = [i for i in indices if out[i] is None]
-        if left:
-            X = _apply_stages(stages, batch.X)
-            for i in left:
-                out[i] = pipelines[i].classifier.predict_proba(X)
-    return out
-
-
-def _by_stages(pipelines, indices) -> dict:
-    """Stage tuple -> those of ``indices`` whose pipeline applies it."""
-    groups = {}
-    for i in indices:
-        groups.setdefault(pipelines[i].stages, []).append(i)
-    return groups
-
-
-def _knn_groups(pipelines, indices, batch: Batch) -> list:
-    """``(matrix, indices)`` for each group of the k-NN pipelines at
-    ``indices`` whose matrix on ``batch``, ``n_classes``, ``ref_X_`` and
-    ``ref_y_`` are byte-identical. The byte keys are freed on return."""
-    groups = {}  # byte key -> (matrix, indices)
-    for stages, members in _by_stages(pipelines, indices).items():
+    knn_groups = {}  # byte key -> (matrix, indices)
+    for stages, indices in by_stages.items():
         X = _apply_stages(stages, batch.X)
-        matrix = (X.shape, X.tobytes())
-        for i in members:
-            knn = pipelines[i].classifier
-            key = (matrix, knn.n_classes, knn.ref_X_.shape, knn.ref_X_.tobytes(),
-                   knn.ref_y_.tobytes())
-            groups.setdefault(key, (X, []))[1].append(i)
-    return list(groups.values())
+        matrix = None
+        for i in indices:
+            classifier = pipelines[i].classifier
+            if not (share_knn and isinstance(classifier, KnnClassifier)):
+                out[i] = classifier.predict_proba(X)
+                continue
+            if matrix is None:
+                matrix = (X.shape, X.tobytes())
+            key = (matrix, classifier.n_classes, classifier.ref_X_.shape,
+                   classifier.ref_X_.tobytes(), classifier.ref_y_.tobytes())
+            knn_groups.setdefault(key, (X, []))[1].append(i)
+    knn_groups = list(knn_groups.values())  # frees the byte keys before the distance passes
+    for X, indices in knn_groups:
+        probas = knn_predict_proba([pipelines[i].classifier for i in indices], X)
+        for i, proba in zip(indices, probas):
+            out[i] = proba
+    return out
 
 
 def prefix(config: PipelineConfig) -> tuple:

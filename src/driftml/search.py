@@ -9,18 +9,17 @@ on a bad config or degenerate data (``CANDIDATE_ERRORS``) is logged and
 skipped; any other error propagates.
 
 Holdout predictions are made once per distinct row. A ``Holdout`` finds
-the byte-distinct rows of a validation batch once; the models predict those
-rows together (``pipeline.predict_pipelines``: one k-NN distance pass per
-shared reference set and input matrix) and ``[inverse]``
-scatters the predictions back to every row, so a library member still
-holds one prediction row per holdout row, and rows that share an
-``inverse`` entry get the same bytes in every member. A holdout predicted
-whole needs no scatter, and its predictions are stored as they are. A STAGGER
-holdout of thousands of rows has at most 27 distinct ones. The stored bytes
-are those of predicting every row only where numpy's matrix products give
-a row the same sums wherever it sits in a block. With OpenBLAS 0.3.31 they
-do over fewer than 16 columns for every family (SkylakeX and Haswell
-kernels); with the SkylakeX kernels a logistic product over 16 or more
+the byte-distinct rows of a validation batch once, and with them the
+columns that selection scores: one per (distinct row, label) pair, weighted
+by its count. The models predict those rows together
+(``pipeline.predict_pipelines``: one k-NN distance pass per shared
+reference set and input matrix), and a library member keeps one prediction
+row per distinct row, so rows that share an ``inverse`` entry get the same
+bytes in every member. A STAGGER holdout of thousands of rows has at most
+27 distinct ones. The stored bytes are those that predicting every row
+gives only where numpy's matrix products give a row the same sums wherever
+it sits in a block. With OpenBLAS 0.3.31 they do over fewer than 16
+columns for every family (SkylakeX and Haswell kernels); with the SkylakeX kernels a logistic product over 16 or more
 columns rounds some rows of a block differently. (A k-NN distance product
 can switch kernels with the block's size, but a vote share moves only at
 an exact distance tie, and none showed.) A holdout whose schema can encode
@@ -44,7 +43,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -102,7 +101,7 @@ class SearchBudget:
 @dataclass(frozen=True)
 class LibraryMember:
     pipeline: TrainedPipeline
-    validation_proba: np.ndarray
+    validation_proba: np.ndarray  # one row per row of the library's ``holdout.distinct``
 
 
 @dataclass(frozen=True)
@@ -117,31 +116,45 @@ class ModelLibrary:
 
 @dataclass(frozen=True)
 class Holdout:
-    """A validation batch with the rows models predict for it: ``distinct``
-    holds each byte-distinct row once, and ``[inverse]`` scatters their
-    predictions back to every row of ``batch``. A batch whose rows are all
+    """A validation batch with the rows models predict for it and the
+    columns selection scores: ``distinct`` holds each byte-distinct row
+    once, and row ``i`` of ``batch`` is row ``inverse[i]`` of ``distinct``.
+    Rows of one distinct row and one label merge into one scoring column:
+    ``rows`` holds each (distinct row, label) pair's row of ``distinct``,
+    ``y`` its label and ``count`` its number of rows, in (distinct row,
+    label) order. When no two rows merge, ``rows`` is ``inverse``, ``y`` is
+    ``batch.y`` and ``count`` is ``None``. A batch whose rows are all
     distinct, or whose schema can encode to more than
     ``DISTINCT_ROWS_MAX_WIDTH`` columns, is predicted whole: ``distinct`` is
     ``batch``, not a copy that a library would keep alive, and ``inverse``
-    is ``arange``, so its predictions need no scatter."""
+    and ``rows`` are ``arange``."""
 
     batch: Batch
     distinct: Batch
     inverse: np.ndarray
+    rows: np.ndarray
+    y: np.ndarray
+    count: Optional[np.ndarray]
 
     @classmethod
     def of(cls, batch: Batch) -> "Holdout":
+        distinct = batch
         if widest_encoding(batch.schema) > DISTINCT_ROWS_MAX_WIDTH:
-            return cls(batch, batch, np.arange(len(batch)))
-        first, inverse = distinct_rows(batch.X)
-        if first.size == len(batch) > 1:  # all distinct: ``inverse`` is arange
-            return cls(batch, batch, inverse)
-        if first.size == 1:
-            # numpy multiplies a one-row block as a matrix-vector product,
-            # whose sums round differently from the matrix product that a
-            # block of more rows gets; the lone row is predicted twice
-            first = first[[0, 0]]
-        return cls(batch, batch.take(first), inverse)
+            inverse = np.arange(len(batch))
+        else:
+            first, inverse = distinct_rows(batch.X)
+            if first.size == 1:
+                # numpy multiplies a one-row block as a matrix-vector product,
+                # whose sums round differently from the matrix product that a
+                # block of more rows gets; the lone row is predicted twice
+                distinct = batch.take(first[[0, 0]])
+            elif first.size < len(batch):  # else all distinct: ``inverse`` is arange
+                distinct = batch.take(first)
+        _, pair, count = np.unique(inverse * batch.schema.n_classes + batch.y,
+                                   return_index=True, return_counts=True)
+        if pair.size == len(batch):
+            return cls(batch, distinct, inverse, inverse, batch.y, None)
+        return cls(batch, distinct, inverse, inverse[pair], batch.y[pair], count)
 
     def __len__(self) -> int:
         return len(self.batch)
@@ -224,12 +237,10 @@ def sample_config(rng: np.random.Generator) -> PipelineConfig:
 
 
 def _members(models: Sequence[TrainedPipeline], holdout: Holdout) -> list[LibraryMember]:
-    """``models`` with their read-only predictions on every holdout row,
-    predicted together (``predict_pipelines``)."""
+    """``models`` with their read-only predictions on the holdout's
+    distinct rows, predicted together (``predict_pipelines``)."""
     members = []
     for model, proba in zip(models, predict_pipelines(models, holdout.distinct)):
-        if holdout.distinct is not holdout.batch:  # else ``inverse`` is arange
-            proba = proba[holdout.inverse]
         proba.setflags(write=False)
         members.append(LibraryMember(model, proba))
     return members
@@ -251,8 +262,9 @@ def evaluate_candidates(candidates: Sequence[tuple[int, PipelineConfig]], fit_ba
     share the fitted stages; ``fit_classifiers`` steps the logistic-SGD
     classifiers in lockstep. A candidate that fails with one of
     ``CANDIDATE_ERRORS`` is logged and skipped: a config that does not
-    validate, every candidate of a prefix that does not fit, or a classifier
-    that does not fit. Returns the members in candidate order.
+    validate, every candidate of a prefix that does not fit, a classifier
+    that does not fit, or a model that does not predict the holdout.
+    Returns the members in candidate order.
     """
     by_prefix = {}  # prefix -> [(index, config)]
     for i, config in candidates:
@@ -278,32 +290,28 @@ def evaluate_candidates(candidates: Sequence[tuple[int, PipelineConfig]], fit_ba
         return fit_classifiers([config for _, config, _, _ in jobs], [X for _, _, _, X in jobs],
                                fit_batch, [seed + i for i, _, _, _ in jobs])
 
+    models = [(i, TrainedPipeline(config, fit_batch.schema, stages, classifier))
+              for (i, config, stages, _), classifier in _each_or_alone(classifiers, ready)]
+    return [member for _, member in
+            _each_or_alone(lambda jobs: _members([model for _, model in jobs], holdout), models)]
+
+
+def _each_or_alone(run: Callable[[list], list], jobs: list) -> list:
+    """``(job, result)`` for each of ``jobs``, whose first field is the
+    candidate index, from ``run(jobs)``. A grouped run (a lockstep fit, a
+    grouped predict) does not say whose part failed: when it raises one of
+    ``CANDIDATE_ERRORS``, each job runs alone, and one that fails is logged
+    and left out."""
     try:
-        fitted = classifiers(ready)
+        return list(zip(jobs, run(jobs)))
     except CANDIDATE_ERRORS:
-        # a lockstep fit does not say whose step failed: fit each alone
-        fitted = []
-        for job in ready:
+        done = []
+        for job in jobs:
             try:
-                fitted += classifiers([job])
+                done += zip([job], run([job]))
             except CANDIDATE_ERRORS as exc:
                 log.warning("candidate %d failed: %s", job[0], exc)
-                fitted.append(None)
-
-    models = [(i, TrainedPipeline(config, fit_batch.schema, stages, classifier))
-              for (i, config, stages, _), classifier in zip(ready, fitted)
-              if classifier is not None]
-    try:
-        return _members([model for _, model in models], holdout)
-    except CANDIDATE_ERRORS:
-        # a grouped predict does not say whose prediction failed: predict each alone
-        members = []
-        for i, model in models:
-            try:
-                members += _members([model], holdout)
-            except CANDIDATE_ERRORS as exc:
-                log.warning("candidate %d failed: %s", i, exc)
-        return members
+        return done
 
 
 def run_search(

@@ -74,8 +74,9 @@ def stub_library(probas, y_true, metric="accuracy"):
     """Library of fixed-probability members (pipelines without stages
     around a stub classifier) whose holdout rows the stubs predict. A row's
     one feature numbers its distinct stacked probability row, so rows that
-    share a ``holdout.inverse`` entry get the same bytes in every member, as
-    in a library that models predict."""
+    share a ``holdout.inverse`` entry have the same bytes in every member,
+    and each member holds its rows at the holdout's distinct rows, as in a
+    library that models predict."""
     schema = Schema(
         features=(Feature("x"),),
         label_name="y",
@@ -83,14 +84,16 @@ def stub_library(probas, y_true, metric="accuracy"):
     )
     y = np.asarray(y_true, dtype=np.int64)
     probas = [np.asarray(p, dtype=float) for p in probas]
-    _, row = distinct_rows(np.hstack(probas))
-    val = Batch(schema, row[:, None].astype(float), y)
-    members = tuple(LibraryMember(TrainedPipeline(None, schema, (), FixedProba(p)), p)
+    first, row = distinct_rows(np.hstack(probas))
+    holdout = Holdout.of(Batch(schema, row[:, None].astype(float), y))
+    at_distinct = first[holdout.distinct.X[:, 0].astype(np.int64)]
+    members = tuple(LibraryMember(TrainedPipeline(None, schema, (), FixedProba(p)), p[at_distinct])
                     for p in probas)
-    return ModelLibrary(members, Holdout.of(val), metric)
+    return ModelLibrary(members, holdout, metric)
 
 
 def member_score(lib, member):
     """``member``'s score on the library's holdout: the score that the first
     round of ensemble selection gives it alone."""
-    return score(lib.metric, lib.holdout.batch.y, member.validation_proba)
+    holdout = lib.holdout
+    return score(lib.metric, holdout.batch.y, member.validation_proba[holdout.inverse])

@@ -21,10 +21,11 @@ from test_metrics import reference_score
 def reference_select_ensemble(lib, rounds=50, metric=None):
     """The per-member selection loop that ``select_ensemble`` replaced, kept
     verbatim (checks aside) except that ``reference_score`` scores every
-    candidate mix on every row."""
+    candidate mix on every row, each member's distinct-row predictions
+    expanded to every row by ``holdout.inverse``."""
     metric = lib.metric if metric is None else metric
-    y = lib.holdout.batch.y
-    probas = [np.asarray(m.validation_proba, dtype=np.float64) for m in lib.members]
+    y, inverse = lib.holdout.batch.y, lib.holdout.inverse
+    probas = [np.asarray(m.validation_proba, dtype=np.float64)[inverse] for m in lib.members]
 
     trace: list[int] = []
     prefix_scores: list[float] = []

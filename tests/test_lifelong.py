@@ -31,6 +31,7 @@ from driftml.search import (
 from driftml.stagger import StaggerConfig, generate_stagger
 from conftest import FixedProba, member_score
 from test_drift import reference_fold
+from test_ensemble import reference_select_ensemble
 from test_search import NARROW, mixed_rows, mixed_schema
 
 BUDGET = SearchBudget(max_candidates=6, seed=13)
@@ -248,10 +249,11 @@ def test_add_new_skips_failed_candidates_but_not_bugs(monkeypatch):
 
 @pytest.mark.parametrize("dataset", ["stagger", "mixed"])
 def test_members_predict_rows_that_share_a_distinct_row_alike(dataset):
-    """Selection merges holdout rows by ``holdout.inverse``: in libraries
-    from a search, a rescoring and an Add-New adaptation, every member's
-    predictions are byte-identical on the rows that ``inverse`` maps
-    together."""
+    """Members keep one prediction row per distinct holdout row, so rows
+    that ``holdout.inverse`` maps together get the same bytes: in libraries
+    from a search, a rescoring and an Add-New adaptation, selection equals
+    the reference loop, which expands each member's rows to every holdout
+    row and scores every row."""
     if dataset == "stagger":
         stream = stagger_stream(2_400, (1_200,), ((1, False), (2, False)), 400, seed=12)
     else:  # rows drawn from 60 distinct ones, about a fifth of the cells NaN, -0.0 or 0.0
@@ -267,12 +269,11 @@ def test_members_predict_rows_that_share_a_distinct_row_alike(dataset):
                               portfolio=portfolio)
     assert kind == "add-new" and len(grown) > len(lib)
     for library in (lib, rescored, grown):
-        inverse = library.holdout.inverse
-        first = np.unique(inverse, return_index=True)[1]  # a row for each inverse entry
-        assert first.size < inverse.size
+        holdout = library.holdout
+        assert len(holdout.distinct) < len(holdout)
         for member in library.members:
-            proba = member.validation_proba
-            assert proba[first][inverse].tobytes() == proba.tobytes(), member.pipeline.config
+            assert len(member.validation_proba) == len(holdout.distinct), member.pipeline.config
+        assert repr(select_ensemble(library)) == repr(reference_select_ensemble(library))
 
 
 def test_base_never_reaches_adapt():

@@ -377,3 +377,22 @@ def test_predict_pipelines_equals_each_pipelines_own_predict(n_rows, with_nan, s
         assert proba.tobytes() == model.predict_proba(batch).tobytes(), model.config
     want = [[5, 11, 15], [7], [3]] if with_nan else [[5, 7, 11, 15], [3]]
     assert sorted(groups) == sorted(want)
+
+
+def test_predict_pipelines_applies_each_stage_tuple_once():
+    """One call applies each distinct stage tuple once, also the tuple that
+    k = 5 and 11 share with the tree and the logistic classifier."""
+    pipelines = shared_pipelines()
+    applied = []
+    apply_stages = pipeline._apply_stages
+
+    def spy(stages, X):
+        applied.append(stages)
+        return apply_stages(stages, X)
+
+    batch = batch_of(NUMERIC_SCHEMA, np.random.default_rng(1).normal(size=(40, 3)),
+                     np.zeros(40, dtype=int))
+    with mock.patch.object(pipeline, "_apply_stages", spy):
+        predict_pipelines(pipelines, batch)
+    distinct = {id(model.stages): model.stages for model in pipelines}
+    assert sorted(map(id, applied)) == sorted(distinct)

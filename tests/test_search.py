@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -382,7 +383,7 @@ def test_predicting_the_distinct_rows_equals_predicting_every_row(n_numeric, n_d
         assert holdout.distinct is batch
     else:
         assert len(holdout.distinct) <= max(n_distinct, 2)
-    if holdout.distinct is batch:  # its predictions are stored unscattered
+    if holdout.distinct is batch:  # selection scores its predictions as they are
         assert np.array_equal(holdout.inverse, np.arange(len(batch)))
 
 
@@ -393,13 +394,29 @@ def test_predicting_the_distinct_rows_equals_predicting_every_row(n_numeric, n_d
     (NARROW, [0, 0], False),         # one distinct row, predicted twice
     (NARROW, [0], False),
     (NARROW, [0, 1, 0], False),
+    (NARROW, [0, 0, 0], False),      # one distinct row, two labels: 2 rows merge
+    (NARROW, [0, 0, 0, 1, 1, 1, 2, 0], False),
 ])
 def test_a_holdout_predicted_whole_scatters_by_arange(n_numeric, rows, whole):
-    """Members store a whole holdout's predictions without ``[inverse]``,
-    so ``inverse`` is ``arange`` whenever ``distinct`` is the batch."""
+    """Selection scores a whole holdout's stacked predictions as they are,
+    so ``inverse`` is ``arange`` whenever ``distinct`` is the batch. Its
+    scoring columns hold every (``inverse``, label) pair of the batch once,
+    weighted by its number of rows; when no two rows merge, there are no
+    counts and the columns are ``inverse``. The k-th repeat of a pool row
+    has label k % 2."""
     pool = mixed_rows(4, n_numeric, np.random.default_rng(0))
-    batch = Batch(mixed_schema(n_numeric), pool[rows], np.zeros(len(rows), dtype=int))
+    labels = [rows[:i].count(row) % 2 for i, row in enumerate(rows)]
+    batch = Batch(mixed_schema(n_numeric), pool[rows], np.array(labels))
     holdout = search.Holdout.of(batch)
     assert (holdout.distinct is batch) == whole
     if whole:
         assert np.array_equal(holdout.inverse, np.arange(len(batch)))
+    pairs = Counter(zip(holdout.inverse.tolist(), labels))
+    columns = list(zip(holdout.rows.tolist(), holdout.y.tolist()))
+    assert sorted(columns) == sorted(pairs)
+    if holdout.count is None:
+        assert len(pairs) == len(batch)
+        assert np.array_equal(holdout.rows, holdout.inverse) and holdout.y.tolist() == labels
+    else:
+        assert holdout.count.tolist() == [pairs[column] for column in columns]
+        assert holdout.count.sum() == len(batch)
