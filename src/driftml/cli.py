@@ -365,14 +365,7 @@ def cmd_run(config_path: str, seed: Optional[int], out_dir: Optional[str]) -> in
         return EXIT_CONFIG
 
     out = out_dir or os.path.splitext(os.path.basename(config_path))[0] + "_out"
-    try:
-        reports = run_experiment(cfg, out)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except Exception as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    reports = run_experiment(cfg, out)
     for report in reports:
         mean = "nan" if math.isnan(report.mean_metric) else f"{report.mean_metric:.4f}"
         print(f"{report.strategy}: mean {report.metric} = {mean} "
@@ -382,14 +375,7 @@ def cmd_run(config_path: str, seed: Optional[int], out_dir: Optional[str]) -> in
 
 
 def cmd_report(report_dir: str) -> int:
-    try:
-        table = render_deltas(report_dir)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except Exception as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    table = render_deltas(report_dir)
     out_path = os.path.join(report_dir, "deltas_vs_base.tsv")
     with open(out_path, "w") as fh:
         fh.write(table)
@@ -411,9 +397,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_rep = sub.add_parser("report", help="render per-batch deltas against the Base arm")
     p_rep.add_argument("report_dir")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.seed, args.out)
-    return cmd_report(args.report_dir)
+    try:
+        if args.command == "run":
+            return cmd_run(args.config, args.seed, args.out)
+        return cmd_report(args.report_dir)
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except Exception as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -89,7 +89,7 @@ class Batch:
 
     Arrival order is preserved exactly (the drift detector consumes
     correctness in this order). The backing arrays are read-only. The
-    constructor validates and copies its input; ``take`` does neither.
+    constructor checks and copies its input; ``take`` does neither.
     """
 
     __slots__ = ("schema", "X", "y")

@@ -14,7 +14,7 @@ positive, sum to one, and can be reconstructed from the trace.
 A round scores all members at once, with one ``score`` call: the members'
 predictions on the holdout's distinct rows are stacked as ``(members,
 classes, distinct rows)`` so each class is one contiguous plane, and scored
-on the holdout's columns (``Holdout.rows``), one per (distinct row, label)
+on the holdout's columns (``Holdout.columns``), one per (distinct row, label)
 pair, weighted by its count. Every row of a pair has its distinct row's
 prediction, byte for byte, so the weighted scores equal the per-row ones
 exactly (a STAGGER holdout merges into at most 27 inputs times 2 labels).
@@ -73,14 +73,8 @@ def select_ensemble(lib: ModelLibrary, rounds: int = 50, metric: str | None = No
     if rounds < 1:
         raise EnsembleError("rounds must be >= 1")
     metric = lib.metric if metric is None else metric
-    holdout = lib.holdout
-    planes = np.stack([np.asarray(m.validation_proba, dtype=np.float64).T for m in lib.members])
-    if np.isfinite(planes).all():
-        rows, y, weight = holdout.rows, holdout.y, holdout.count
-    else:  # NaN scores rank by row position, which merging loses: score every row
-        rows, y, weight = holdout.inverse, holdout.batch.y, None
-    if holdout.distinct is not holdout.batch:  # else ``rows`` is arange
-        planes = planes.take(rows, axis=2)
+    planes, y, weight = lib.holdout.columns(
+        np.stack([np.asarray(m.validation_proba, dtype=np.float64).T for m in lib.members]))
 
     trace: list[int] = []
     prefix_scores: list[float] = []

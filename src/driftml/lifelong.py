@@ -89,8 +89,9 @@ def _mean_excluding_nan(values: Sequence[float]) -> float:
 
 
 def stratified_sample(data: Batch, cap: int, rng: np.random.Generator) -> Batch:
-    """Seeded per-class proportional subsample of at most ``cap`` instances
-    (every present class keeps at least one); preserves row order."""
+    """Seeded per-class proportional subsample of ``data`` beyond ``cap``
+    rows, in row order: each present class's quota is rounded half to even
+    and kept at 1 or more, so it draws fewer than ``cap + n_classes`` rows."""
     n = len(data)
     if n <= cap:
         return data
@@ -140,7 +141,7 @@ def adapt(
         else:
             rng = np.random.default_rng(seed)
             kind, validation = "wu-all", stratified_sample(data, WU_VALIDATION_CAP, rng)
-        if np.unique(validation.y[validation.y >= 0]).size < 2:
+        if np.unique(validation.y).size < 2:
             return "degraded", f"{kind}: single-class validation", None
         return (kind, f"validation={len(validation)}",
                 rescore_library(library, search.Holdout.of(validation)))

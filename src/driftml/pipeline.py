@@ -15,7 +15,8 @@ matrix; each classifier config maps to its classifier in one table
 (``_CLASSIFIERS``), built from the config's fields, and logistic-SGD
 classifiers whose matrices share a shape fit in lockstep. Pipelines of one
 prefix may share one stage tuple: fitted stages are never mutated, and their
-arrays are read-only.
+arrays are read-only. Every config checks its ranges when it is built, and
+every pipeline predicts through ``predict_pipelines``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class DecisionTreeConfig:
     min_leaf: int = 2
     split_criterion: str = "gini"
 
-    def validate(self):
+    def __post_init__(self):
         if not 1 <= self.max_depth <= 32:
             raise PipelineError(f"max_depth {self.max_depth} outside 1..32")
         if self.min_leaf < 1:
@@ -65,7 +66,7 @@ class DecisionTreeConfig:
 class NaiveBayesConfig:
     laplace_alpha: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         if not self.laplace_alpha > 0:
             raise PipelineError("laplace_alpha must be > 0")
 
@@ -76,7 +77,7 @@ class LogisticSgdConfig:
     l2: float = 1e-4
     epochs: int = 20
 
-    def validate(self):
+    def __post_init__(self):
         if not self.learning_rate > 0:
             raise PipelineError("learning_rate must be > 0")
         if self.l2 < 0:
@@ -90,7 +91,7 @@ class KnnConfig:
     k: int = 5
     max_reference_points: int = 2048
 
-    def validate(self):
+    def __post_init__(self):
         if self.k < 1 or self.k % 2 == 0:
             raise PipelineError("k must be odd and >= 1")
         if self.max_reference_points < 1:
@@ -104,7 +105,7 @@ ClassifierConfig = Union[DecisionTreeConfig, NaiveBayesConfig, LogisticSgdConfig
 class VarianceThresholdConfig:
     tau: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.tau < 0:
             raise PipelineError("variance threshold must be >= 0")
 
@@ -113,7 +114,7 @@ class VarianceThresholdConfig:
 class TopKMutualInfoConfig:
     k: int = 8
 
-    def validate(self):
+    def __post_init__(self):
         if self.k < 1:
             raise PipelineError("selector k must be >= 1")
 
@@ -129,13 +130,9 @@ class PipelineConfig:
     selector: SelectorConfig = None
     classifier: ClassifierConfig = DecisionTreeConfig()
 
-    def validate(self):
+    def __post_init__(self):
         if self.imputation not in ("mean", "mode"):
             raise PipelineError(f"unknown imputation strategy {self.imputation!r}")
-        if self.selector is not None:
-            self.selector.validate()
-        self.classifier.validate()
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +286,7 @@ class TrainedPipeline:
         self.classifier = classifier
 
     def predict_proba(self, batch: Batch) -> np.ndarray:
-        if not batch.schema.compatible_with(self.schema):
-            raise PipelineError("batch schema incompatible with the fitted schema")
-        return self.classifier.predict_proba(_apply_stages(self.stages, batch.X))
+        return predict_pipelines([self], batch)[0]
 
 
 def _apply_stages(stages: tuple, X: np.ndarray) -> np.ndarray:
@@ -301,17 +296,17 @@ def _apply_stages(stages: tuple, X: np.ndarray) -> np.ndarray:
 
 
 def predict_pipelines(pipelines: Sequence[TrainedPipeline], batch: Batch) -> list[np.ndarray]:
-    """Each pipeline's ``predict_proba`` on ``batch``, byte for byte.
+    """Each pipeline's classifier's ``predict_proba`` on ``batch`` after its
+    stages, byte for byte; ``TrainedPipeline.predict_proba`` passes one.
 
     Each distinct stage tuple is applied once, and each classifier on it
     predicts as it would alone, except that when more than one pipeline is
     k-NN, those whose matrix, ``n_classes``, ``ref_X_`` and ``ref_y_`` are
     byte-identical predict together (``knn_predict_proba``): one distance
     pass serves them all. Pipelines of different stage tuples can meet
-    there, since stages that differ may still give the same matrix.
+    there, since stages that differ may still give the same matrix. With
+    one k-NN pipeline or none, no byte key is built.
     """
-    if len(pipelines) == 1:
-        return [pipelines[0].predict_proba(batch)]
     by_stages = {}  # stage tuple -> indices of the pipelines that apply it
     for i, model in enumerate(pipelines):
         if not batch.schema.compatible_with(model.schema):
@@ -348,7 +343,7 @@ def prefix(config: PipelineConfig) -> tuple:
 
 
 def fit_stages(config: PipelineConfig, train: Batch) -> tuple[tuple, np.ndarray]:
-    """Fit the preprocessing of ``config`` (validated) on ``train``: the
+    """Fit the preprocessing of ``config`` on ``train``: the
     fitted stages in the order they apply, and ``train``'s matrix after
     them. Both are read-only, so every pipeline of the prefix can share
     them."""
@@ -403,7 +398,6 @@ def fit_classifiers(configs: Sequence[PipelineConfig], matrices: Sequence[np.nda
 
 def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:
     """Train a full pipeline; deterministic under (config, data, seed)."""
-    config.validate()
     stages, X = fit_stages(config, train)
     (classifier,) = fit_classifiers([config], [X], train, [seed])
     return TrainedPipeline(config, train.schema, stages, classifier)
@@ -415,7 +409,7 @@ def default_config_portfolio() -> list[PipelineConfig]:
     The list is version-controlled: tests pin its determinism, and search
     evaluates it before drawing random candidates.
     """
-    portfolio = [
+    return [
         PipelineConfig(classifier=DecisionTreeConfig(max_depth=4, min_leaf=2)),
         PipelineConfig(classifier=DecisionTreeConfig(max_depth=8, min_leaf=2)),
         PipelineConfig(
@@ -444,6 +438,3 @@ def default_config_portfolio() -> list[PipelineConfig]:
             classifier=LogisticSgdConfig(learning_rate=0.1, l2=1e-4, epochs=30),
         ),
     ]
-    for cfg in portfolio:
-        cfg.validate()
-    return portfolio

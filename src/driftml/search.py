@@ -4,15 +4,15 @@ Candidates come from a fixed portfolio first, then from seeded random draws
 over the configuration space. Each successful fit is retained in a
 ``ModelLibrary`` together with its predictions on the library's holdout,
 because ensemble selection and the weight-update adaptation strategies need
-those predictions later; only selection scores them. A candidate that fails
-on a bad config or degenerate data (``CANDIDATE_ERRORS``) is logged and
-skipped; any other error propagates.
+those predictions later; only selection scores them. Every config is valid
+once built; a candidate that fails on its data (``CANDIDATE_ERRORS``) is
+logged and skipped, and any other error propagates.
 
 Holdout predictions are made once per distinct row. A ``Holdout`` finds
 the byte-distinct rows of a validation batch once, and with them the
-columns that selection scores: one per (distinct row, label) pair, weighted
-by its count. The models predict those rows together
-(``pipeline.predict_pipelines``: one k-NN distance pass per shared
+columns that selection scores (``Holdout.columns``): one per (distinct
+row, label) pair, weighted by its count. The models predict those rows
+together (``pipeline.predict_pipelines``: one k-NN distance pass per shared
 reference set and input matrix), and a library member keeps one prediction
 row per distinct row, so rows that share an ``inverse`` entry get the same
 bytes in every member. A STAGGER holdout of thousands of rows has at most
@@ -122,19 +122,18 @@ class Holdout:
     Rows of one distinct row and one label merge into one scoring column:
     ``rows`` holds each (distinct row, label) pair's row of ``distinct``,
     ``y`` its label and ``count`` its number of rows, in (distinct row,
-    label) order. When no two rows merge, ``rows`` is ``inverse``, ``y`` is
-    ``batch.y`` and ``count`` is ``None``. A batch whose rows are all
-    distinct, or whose schema can encode to more than
-    ``DISTINCT_ROWS_MAX_WIDTH`` columns, is predicted whole: ``distinct`` is
-    ``batch``, not a copy that a library would keep alive, and ``inverse``
-    and ``rows`` are ``arange``."""
+    label) order. A batch whose rows are all distinct, or whose schema can
+    encode to more than ``DISTINCT_ROWS_MAX_WIDTH`` columns, is predicted
+    whole: ``distinct`` is ``batch``, not a copy that a library would keep
+    alive, and ``inverse`` and ``rows`` are ``arange``. Other modules score
+    a holdout through ``columns`` and read none of these fields."""
 
     batch: Batch
     distinct: Batch
     inverse: np.ndarray
     rows: np.ndarray
     y: np.ndarray
-    count: Optional[np.ndarray]
+    count: np.ndarray
 
     @classmethod
     def of(cls, batch: Batch) -> "Holdout":
@@ -152,9 +151,21 @@ class Holdout:
                 distinct = batch.take(first)
         _, pair, count = np.unique(inverse * batch.schema.n_classes + batch.y,
                                    return_index=True, return_counts=True)
-        if pair.size == len(batch):
-            return cls(batch, distinct, inverse, inverse, batch.y, None)
         return cls(batch, distinct, inverse, inverse[pair], batch.y[pair], count)
+
+    def columns(self, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(planes, y, weight)`` to score: ``planes`` holds predictions on
+        the distinct rows along its last axis, and comes back with one entry
+        per scoring column, each with its label and count. Planes holding a
+        non-finite value are scored row by row, each row with its own label
+        and weight 1: NaN scores rank by row position, which merging loses."""
+        if np.isfinite(planes).all():
+            rows, y, weight = self.rows, self.y, self.count
+        else:
+            rows, y, weight = self.inverse, self.batch.y, np.ones(len(self), np.int64)
+        if self.distinct is not self.batch:  # else ``rows`` is arange
+            planes = planes.take(rows, axis=-1)
+        return planes, y, weight
 
     def __len__(self) -> int:
         return len(self.batch)
@@ -233,7 +244,7 @@ def sample_config(rng: np.random.Generator) -> PipelineConfig:
         one_hot=bool(rng.integers(0, 2)),
         selector=selector,
         classifier=classifier,
-    ).validate()
+    )
 
 
 def _members(models: Sequence[TrainedPipeline], holdout: Holdout) -> list[LibraryMember]:
@@ -261,18 +272,12 @@ def evaluate_candidates(candidates: Sequence[tuple[int, PipelineConfig]], fit_ba
     Each distinct preprocessing prefix is fitted once, and its pipelines
     share the fitted stages; ``fit_classifiers`` steps the logistic-SGD
     classifiers in lockstep. A candidate that fails with one of
-    ``CANDIDATE_ERRORS`` is logged and skipped: a config that does not
-    validate, every candidate of a prefix that does not fit, a classifier
-    that does not fit, or a model that does not predict the holdout.
-    Returns the members in candidate order.
+    ``CANDIDATE_ERRORS`` is logged and skipped: every candidate of a prefix
+    that does not fit, a classifier that does not fit, or a model that does
+    not predict the holdout. Returns the members in candidate order.
     """
     by_prefix = {}  # prefix -> [(index, config)]
     for i, config in candidates:
-        try:
-            config.validate()
-        except CANDIDATE_ERRORS as exc:
-            log.warning("candidate %d failed: %s", i, exc)
-            continue
         by_prefix.setdefault(prefix(config), []).append((i, config))
 
     ready = []  # (index, config, stages, matrix)

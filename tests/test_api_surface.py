@@ -75,3 +75,34 @@ def test_a_definition_alone_is_not_a_use():
         used |= referenced(statement) - defined_names(statement)
     assert "lonely" not in used
     assert "helper" in used
+
+
+# The fields of ``search.Holdout`` that encode its scoring columns; every
+# other module scores a holdout through ``Holdout.columns``.
+HOLDOUT_COLUMNS = {"rows", "inverse", "count", "distinct"}
+
+
+def holdout_field_reads(tree) -> list:
+    """Attribute reads named like a ``Holdout`` column field, minus method
+    calls (``list.count``), with their line numbers."""
+    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in HOLDOUT_COLUMNS
+        and id(node) not in calls
+    )
+
+
+def test_only_search_reads_the_holdout_columns():
+    reads = {
+        name: holdout_field_reads(parse(name))
+        for name in sorted(os.listdir(SRC))
+        if name.endswith(".py") and name != "search.py"
+    }
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_the_holdout_guard_sees_a_field_read_but_not_a_method_call():
+    tree = ast.parse("planes.take(holdout.rows)\nkept.count(1)\nw = holdout.count\n")
+    assert holdout_field_reads(tree) == [(1, "rows"), (3, "count")]

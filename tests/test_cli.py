@@ -6,11 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from driftml import cli
 from driftml.cli import (
     ConfigError,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    EXIT_RUNTIME,
     main,
     parse_config,
     render_deltas,
@@ -184,6 +186,18 @@ def test_exit_codes(tmp_path):
         path = config_file(tmp_path, small.replace(old, bad), "badvalue.conf")
         assert main(["run", path, "--out", str(tmp_path / "never")]) == EXIT_CONFIG, bad
         assert not (tmp_path / "never").exists()
+
+
+def test_other_failures_exit_with_runtime_code(tmp_path, monkeypatch, capsys):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    monkeypatch.setattr(cli, "render_deltas", boom)
+    conf = config_file(tmp_path, SMALL_STAGGER.format(strategies="Base"))
+    assert main(["run", conf, "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert main(["report", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime failure: boom\n" * 2
 
 
 RUN_LOG_LINE = re.compile(

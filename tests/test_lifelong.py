@@ -440,6 +440,22 @@ def test_stratified_sample_caps_and_keeps_classes():
     assert 0.05 <= ratio <= 0.2  # roughly proportional
 
 
+@pytest.mark.parametrize("counts, cap, drawn", [
+    ((14_999, 14_999, 2), 10_000, 10_001),  # the 2-row class keeps a row
+    ((7, 7, 6), 10, 11),                    # 3.5 rounds to 4 twice
+])
+def test_stratified_sample_stays_below_cap_plus_classes(counts, cap, drawn):
+    """Each quota is rounded half to even and kept at one or more, so a
+    sample can pass ``cap``, but holds fewer than ``cap`` plus the number
+    of classes."""
+    schema = Schema((Feature("x"),), "y", ("0", "1", "2"))
+    y = np.repeat(np.arange(3), counts)
+    data = Batch(schema, np.zeros((y.size, 1)), y)
+    sample = stratified_sample(data, cap, np.random.default_rng(0))
+    assert len(sample) == drawn < cap + len(counts)
+    assert np.unique(sample.y).size == len(counts)
+
+
 def test_strategy_parsing():
     assert Strategy.parse("wu_all") is Strategy.WU_ALL
     assert Strategy.parse("Add-New") is Strategy.ADD_NEW

@@ -1,5 +1,5 @@
 import functools
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -211,8 +211,6 @@ def test_portfolio_fixed_and_covering():
     assert first == second
     assert 8 <= len(first) <= 16
     assert {type(cfg.classifier) for cfg in first} == FAMILY_CONFIGS
-    for cfg in first:
-        cfg.validate()
 
 
 def test_each_config_builds_its_classifier_from_its_fields():
@@ -267,14 +265,26 @@ def test_predict_rejects_schema_mismatch():
 
 
 def test_config_invariants_enforced():
-    with pytest.raises(PipelineError):
-        PipelineConfig(classifier=DecisionTreeConfig(max_depth=0)).validate()
-    with pytest.raises(PipelineError):
-        PipelineConfig(classifier=KnnConfig(k=4)).validate()
-    with pytest.raises(PipelineError):
-        PipelineConfig(classifier=NaiveBayesConfig(laplace_alpha=0.0)).validate()
-    with pytest.raises(PipelineError):
-        PipelineConfig(imputation="median").validate()
+    """A config out of range cannot be built, also not by ``replace``."""
+    invalid = [
+        lambda: DecisionTreeConfig(max_depth=0),
+        lambda: DecisionTreeConfig(min_leaf=0),
+        lambda: DecisionTreeConfig(split_criterion="median"),
+        lambda: NaiveBayesConfig(laplace_alpha=0.0),
+        lambda: LogisticSgdConfig(learning_rate=0.0),
+        lambda: LogisticSgdConfig(l2=-1.0),
+        lambda: LogisticSgdConfig(epochs=0),
+        lambda: KnnConfig(k=4),
+        lambda: KnnConfig(max_reference_points=0),
+        lambda: VarianceThresholdConfig(tau=-1.0),
+        lambda: TopKMutualInfoConfig(k=0),
+        lambda: PipelineConfig(imputation="median"),
+        lambda: replace(KnnConfig(k=3), k=4),
+        lambda: replace(PipelineConfig(), imputation="median"),
+    ]
+    for build in invalid:
+        with pytest.raises(PipelineError):
+            build()
 
 
 def test_selector_k_clipped_to_width():
@@ -374,7 +384,8 @@ def test_predict_pipelines_equals_each_pipelines_own_predict(n_rows, with_nan, s
     with mock.patch.object(pipeline, "knn_predict_proba", spy):
         got = predict_pipelines(pipelines, batch)
     for model, proba in zip(pipelines, got, strict=True):
-        assert proba.tobytes() == model.predict_proba(batch).tobytes(), model.config
+        alone = model.classifier.predict_proba(pipeline._apply_stages(model.stages, batch.X))
+        assert proba.tobytes() == alone.tobytes(), model.config
     want = [[5, 11, 15], [7], [3]] if with_nan else [[5, 7, 11, 15], [3]]
     assert sorted(groups) == sorted(want)
 

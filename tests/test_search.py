@@ -16,6 +16,7 @@ from driftml.pipeline import (
     LogisticSgdConfig,
     NaiveBayesConfig,
     PipelineConfig,
+    PipelineError,
     TopKMutualInfoConfig,
     default_config_portfolio,
     fit,
@@ -81,7 +82,6 @@ def test_sample_config_covers_all_families():
     families = set()
     for _ in range(1000):
         cfg = sample_config(rng)
-        cfg.validate()
         families.add(type(cfg.classifier))
     assert families == {DecisionTreeConfig, NaiveBayesConfig, LogisticSgdConfig, KnnConfig}
 
@@ -129,7 +129,7 @@ def test_rescore_label_flip_drops_score():
     assert flipped_score < 0.5
 
 
-def test_search_errors():
+def test_search_errors(monkeypatch):
     tiny = two_class_batch(n=6)
     with pytest.raises(SearchError):
         run_search(tiny, SearchBudget(max_candidates=1, seed=0), SMALL_PORTFOLIO)
@@ -137,10 +137,13 @@ def test_search_errors():
     single = Batch(schema, np.zeros((20, 1)), np.zeros(20, dtype=int))
     with pytest.raises(SearchError):
         run_search(single, SearchBudget(max_candidates=1, seed=0), SMALL_PORTFOLIO)
-    # every candidate invalid -> zero successful fits
-    poison = [PipelineConfig(classifier=KnnConfig(k=2))]  # even k fails validate at fit
+    # every candidate fails -> zero successful fits
+    def fails(*args, **kwargs):
+        raise PipelineError("no fit")
+
+    monkeypatch.setattr(search, "fit_stages", fails)
     with pytest.raises(SearchError):
-        run_search(two_class_batch(), SearchBudget(max_candidates=1, seed=0), poison)
+        run_search(two_class_batch(), SearchBudget(max_candidates=3, seed=0), SMALL_PORTFOLIO)
 
 
 def test_a_bug_inside_a_candidate_propagates(monkeypatch):
@@ -153,19 +156,25 @@ def test_a_bug_inside_a_candidate_propagates(monkeypatch):
 
 
 def test_a_failure_skips_only_its_own_candidates(monkeypatch, caplog):
-    """An invalid config does not fail the valid configs of its prefix, and
+    """A prefix whose stages do not fit fails only its own candidates, and
     a logistic fit that fails in lockstep fails only its own candidate."""
     sgd = [PipelineConfig(standardize=True, classifier=LogisticSgdConfig(learning_rate=rate, epochs=3))
            for rate in (0.1, 0.9, 0.3)]
     tree = PipelineConfig(classifier=DecisionTreeConfig(max_depth=3))
-    portfolio = [PipelineConfig(classifier=KnnConfig(k=2)), *sgd, tree]
-    lockstep = pipeline.fit_logistic_sgd
+    portfolio = [PipelineConfig(one_hot=True, classifier=KnnConfig(k=3)), *sgd, tree]
+    stages, lockstep = search.fit_stages, pipeline.fit_logistic_sgd
+
+    def fails_one_hot(config, train):
+        if config.one_hot:
+            raise PipelineError("no encoding")
+        return stages(config, train)
 
     def overflows_at_rate_0_9(models, *args):
         if any(model.learning_rate == 0.9 for model in models):
             raise FloatingPointError("overflow")
         return lockstep(models, *args)
 
+    monkeypatch.setattr(search, "fit_stages", fails_one_hot)
     monkeypatch.setattr(pipeline, "fit_logistic_sgd", overflows_at_rate_0_9)
     lib = run_search(two_class_batch(), SearchBudget(max_candidates=5, seed=0), portfolio)
     assert [m.pipeline.config for m in lib.members] == [sgd[0], sgd[2], tree]
@@ -401,22 +410,20 @@ def test_a_holdout_predicted_whole_scatters_by_arange(n_numeric, rows, whole):
     """Selection scores a whole holdout's stacked predictions as they are,
     so ``inverse`` is ``arange`` whenever ``distinct`` is the batch. Its
     scoring columns hold every (``inverse``, label) pair of the batch once,
-    weighted by its number of rows; when no two rows merge, there are no
-    counts and the columns are ``inverse``. The k-th repeat of a pool row
-    has label k % 2."""
+    weighted by its number of rows. The k-th repeat of a pool row has
+    label k % 2."""
     pool = mixed_rows(4, n_numeric, np.random.default_rng(0))
     labels = [rows[:i].count(row) % 2 for i, row in enumerate(rows)]
     batch = Batch(mixed_schema(n_numeric), pool[rows], np.array(labels))
     holdout = search.Holdout.of(batch)
     assert (holdout.distinct is batch) == whole
-    if whole:
+    if whole:  # scored without a copy
         assert np.array_equal(holdout.inverse, np.arange(len(batch)))
+        assert np.array_equal(holdout.rows, np.arange(len(batch)))
+        planes = np.zeros((1, 3, len(batch)))
+        assert holdout.columns(planes)[0] is planes
     pairs = Counter(zip(holdout.inverse.tolist(), labels))
     columns = list(zip(holdout.rows.tolist(), holdout.y.tolist()))
     assert sorted(columns) == sorted(pairs)
-    if holdout.count is None:
-        assert len(pairs) == len(batch)
-        assert np.array_equal(holdout.rows, holdout.inverse) and holdout.y.tolist() == labels
-    else:
-        assert holdout.count.tolist() == [pairs[column] for column in columns]
-        assert holdout.count.sum() == len(batch)
+    assert holdout.count.tolist() == [pairs[column] for column in columns]
+    assert holdout.count.sum() == len(batch)
