@@ -16,10 +16,16 @@ one reference set from one distance matrix and one partition per chunk;
 Three kernels take fewer passes than the simple forms they replace and give
 the same bytes; ``tests/test_classifiers.py`` keeps each simple form as a
 reference. The tree grows from the distinct (row, label) pairs weighted by
-count and scores every split of a block of features in one pass, k-NN finds
-its distances and nearest mask in place (each k's k-th distance taken from
-the smallest k_max of a row), and the lockstep SGD step builds the softmax
-in place.
+count (``tree_pairs``, which trees fitted on one matrix share) and scores
+every split of a block of features in one pass, k-NN finds its distances
+and nearest mask in place (each k's k-th distance taken from the smallest
+k_max of a row), and the lockstep SGD step builds the softmax in place.
+
+k-NN forms one distance product per ``CHUNK`` = 1,024 query rows, whose
+shape pins the bytes (at 256 rows the recorded normalized-AUC report
+digests change). The row-local passes after it run on sub-blocks of about
+``BLOCK_CELLS`` cells that stay in a core's L2 cache; their size moves no
+byte and is free to change for speed.
 """
 
 from __future__ import annotations
@@ -107,25 +113,11 @@ class DecisionTreeClassifier:
                     best = (gain, start + i, float((sv[i, k] + sv[i, k + 1]) / 2.0))
         return best
 
-    def fit(self, X: np.ndarray, y: np.ndarray, rng=None):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        # Grow from the distinct (row, label) pairs, each weighted by its
-        # count. Split gains, min_leaf checks and leaf probabilities read only
-        # integer counts, which float64 sums exactly, so the tree is the one
-        # grown row by row. A row holding NaN stays apart: NaN != NaN, so the
-        # row-by-row scan may split between two copies of it.
-        nan_row = np.isnan(X).any(axis=1)
-        first, inverse = distinct_rows(
-            np.column_stack([X, y, np.where(nan_row, np.arange(y.size), -1)]))
-        X, y = X[first], y[first]
-        # one row per distinct pair: its count in its label's column, and
-        # again in the last column, the row count that min_leaf reads
-        counts = np.zeros((first.size, self.n_classes + 1))
-        weight = np.bincount(inverse, minlength=first.size)
-        counts[np.arange(first.size), y] = weight
-        counts[:, -1] = weight
-
+    def fit(self, X: np.ndarray, y: np.ndarray, rng=None, pairs=None):
+        """Grow from the distinct (row, label) pairs of ``X`` and ``y``,
+        each weighted by its count: ``tree_pairs(X, y, n_classes)``, or
+        ``pairs`` when the caller found them already for another tree."""
+        X, counts = tree_pairs(X, y, self.n_classes) if pairs is None else pairs
         feature, threshold, left, right, proba = [], [], [], [], []
 
         def leaf(total):
@@ -177,6 +169,29 @@ class DecisionTreeClassifier:
             cur[active] = np.where(go_left, self.left_[nd], self.right_[nd])
             active = active[self.feature_[cur[active]] >= 0]
         return self.proba_[cur]
+
+
+def tree_pairs(X: np.ndarray, y: np.ndarray, n_classes: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, counts)`` that a tree on ``X`` and ``y`` grows from: each
+    distinct (row, label) pair once, with its count in its label's column
+    and again in the last column, the row count that min_leaf reads.
+
+    Split gains, min_leaf checks and leaf probabilities read only integer
+    counts, which float64 sums exactly, so the tree is the one grown row by
+    row. A row holding NaN stays apart: NaN != NaN, so the row-by-row scan
+    may split between two copies of it.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    nan_row = np.isnan(X).any(axis=1)
+    first, inverse = distinct_rows(
+        np.column_stack([X, y, np.where(nan_row, np.arange(y.size), -1)]))
+    counts = np.zeros((first.size, n_classes + 1))
+    weight = np.bincount(inverse, minlength=first.size)
+    counts[np.arange(first.size), y[first]] = weight
+    counts[:, -1] = weight
+    return X[first], counts
 
 
 class NaiveBayesClassifier:
@@ -345,6 +360,7 @@ class KnnClassifier:
     """
 
     CHUNK = 1024
+    BLOCK_CELLS = 1 << 16
 
     def __init__(self, n_classes: int, k: int, max_reference_points: int):
         self.n_classes = n_classes
@@ -372,6 +388,15 @@ def knn_predict_proba(models, X: np.ndarray) -> list[np.ndarray]:
     largest k; a smaller k finds its k-th distance among those k_max
     columns. The k-th smallest distance is one value however it is found,
     so every model gets the bytes of its own call.
+
+    ``CHUNK`` fixes the rows of each distance product, whose shape decides
+    its rounding, so it stays at 1,024. Every pass after the product reads
+    and writes each row on its own, so a chunk's rows go through those
+    passes ``BLOCK_CELLS // references`` at a time (at least one, at most
+    ``CHUNK``): a 670-reference block of 97 rows is 0.5 MB. On 1,000 query
+    rows and 670 or 2,048 references (an x86-64 core with a 2 MB L2),
+    2**16 and 2**17 cells were fastest; 2**15 lost more to per-call
+    overhead than it saved, and from 2**18 up the passes slowed again.
     """
     X = np.asarray(X, dtype=np.float64)
     first = models[0]
@@ -383,26 +408,30 @@ def knn_predict_proba(models, X: np.ndarray) -> list[np.ndarray]:
     k_max = max(by_k)
     in_class = [first.ref_y_ == c for c in range(n_classes - 1)]
     outs = [np.empty((X.shape[0], n_classes)) for _ in models]
+    step = min(first.CHUNK, max(1, first.BLOCK_CELLS // ref_X.shape[0]))
     for start in range(0, X.shape[0], first.CHUNK):
         xb = X[start : start + first.CHUNK]
         # sq - 2·x·r + ref_sq: the reference's operations in its order,
-        # in one (rows, references) array
+        # in one (rows, references) array whose product spans the chunk
         d2 = (2.0 * xb) @ ref_X.T
-        np.subtract(np.square(xb).sum(axis=1, keepdims=True), d2, out=d2)
-        d2 += ref_sq
-        # each row's k_max smallest, copied so the partitioned block is freed at once
-        smallest = np.partition(d2, k_max - 1, axis=1)[:, :k_max].copy()
-        for k, indices in by_k.items():
-            kth = smallest if k == k_max else np.partition(smallest, k - 1, axis=1)
-            take = _nearest_mask(d2, k, kth[:, k - 1])
-            # every row takes exactly k references: the last class has the rest
-            votes = np.empty((xb.shape[0], n_classes), dtype=np.int64)
-            for c, refs in enumerate(in_class):
-                votes[:, c] = np.count_nonzero(take & refs, axis=1)
-            votes[:, -1] = k - votes[:, :-1].sum(axis=1)
-            share = votes / k
-            for i in indices:
-                outs[i][start : start + first.CHUNK] = share
+        sq = np.square(xb).sum(axis=1, keepdims=True)
+        for at in range(0, xb.shape[0], step):
+            block = d2[at : at + step]
+            np.subtract(sq[at : at + step], block, out=block)
+            block += ref_sq
+            # each row's k_max smallest, copied so the partitioned block is freed at once
+            smallest = np.partition(block, k_max - 1, axis=1)[:, :k_max].copy()
+            for k, indices in by_k.items():
+                kth = smallest if k == k_max else np.partition(smallest, k - 1, axis=1)
+                take = _nearest_mask(block, k, kth[:, k - 1])
+                # every row takes exactly k references: the last class has the rest
+                votes = np.empty((block.shape[0], n_classes), dtype=np.int64)
+                for c, refs in enumerate(in_class):
+                    votes[:, c] = np.count_nonzero(take & refs, axis=1)
+                votes[:, -1] = k - votes[:, :-1].sum(axis=1)
+                share = votes / k
+                for i in indices:
+                    outs[i][start + at : start + at + block.shape[0]] = share
     return outs
 
 

@@ -18,7 +18,12 @@ on the holdout's columns (``Holdout.columns``), one per (distinct row, label)
 pair, weighted by its count. Every row of a pair has its distinct row's
 prediction, byte for byte, so the weighted scores equal the per-row ones
 exactly (a STAGGER holdout merges into at most 27 inputs times 2 labels).
-The first round scores each member alone; a library keeps no scores.
+Under accuracy a round of finite mixes is compared, not argmaxed: a
+column is right for a member when its label's class beats every lower
+class and no higher class beats it, and one float64 product with the counts
+gives every member's hits, exact integers (``metrics``); mixes holding a
+NaN or inf are argmaxed. The first round scores each member alone; a
+library keeps no scores.
 ``ensemble_predict_proba``, the per-batch read path, predicts every row
 directly: finding one batch's distinct rows costs more there than it saves.
 Its members predict together (``pipeline.predict_pipelines``), so k-NN

@@ -9,6 +9,15 @@ w counts as w identical rows, so scoring the distinct rows of a batch with
 their counts gives exactly the score of the whole batch. Predictions and
 scores may carry leading batch axes (rows on the last axis, classes after
 them for probabilities); the result then holds one score per leading index.
+
+Accuracy on probability rows takes each row's argmax, ties to the lower
+class. A finite stack (its sum, one reduction, is finite) with labels that
+are classes is not argmaxed: a row is right when its label's class beats
+every lower class and no higher class beats it (for two classes, one ``>``
+and one ``==``), and the hits are counted by a float64 product with the
+weights, exact below 2**53, then divided as ``accuracy`` divides. Any other
+stack goes through ``_argmax``, whose NaN rows take their first NaN, and
+``accuracy``; both paths give the same bytes wherever both apply.
 """
 
 from __future__ import annotations
@@ -107,18 +116,41 @@ def _argmax(proba: np.ndarray) -> np.ndarray:
     return pred
 
 
+def _label_wins(y: np.ndarray, proba: np.ndarray) -> np.ndarray:
+    """``_argmax(proba) == y`` for finite ``proba`` and labels that are
+    classes: the label's class beats every lower class and no higher class
+    beats it."""
+    if proba.shape[-1] == 2:
+        return (proba[..., 1] > proba[..., 0]) == (y == 1)
+    mine = proba[..., np.arange(y.size), y]
+    wins = np.ones(mine.shape, dtype=bool)
+    for c in range(proba.shape[-1]):
+        x = proba[..., c]
+        wins &= (x < mine) | ((x == mine) & (y <= c))
+    return wins
+
+
 def score(metric: str, y_true: np.ndarray, proba_or_pred: np.ndarray, weight=None):
     """Score hard predictions (1-D int) or probability rows (classes on the
     last axis, any leading batch axes before the rows).
 
-    accuracy takes either form (probability rows are argmaxed, ties to the
-    lowest class index). normalized_auc needs binary labels and real-valued
+    accuracy takes either form (a probability row predicts its argmax, ties
+    to the lowest class index; see the module docstring for how a finite
+    stack is counted). normalized_auc needs binary labels and real-valued
     scores: probability rows contribute their class-1 column.
     """
     arr = np.asarray(proba_or_pred)
     if metric == ACCURACY:
-        y_pred = _argmax(arr) if arr.ndim >= 2 else arr
-        return accuracy(y_true, y_pred, weight)
+        if arr.ndim < 2:
+            return accuracy(y_true, arr, weight)
+        y = np.asarray(y_true)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or huge entries
+            finite = np.isfinite(arr.sum())
+        if y.size and finite and 0 <= y.min() and y.max() < arr.shape[-1]:
+            w = _weights(weight, y.size)
+            # a float64 product counts integer hits exactly below 2**53
+            return _result((_label_wins(y, arr) @ w.astype(np.float64)) / w.sum())
+        return accuracy(y, _argmax(arr), weight)
     if metric == NORMALIZED_AUC:
         if arr.ndim >= 2:
             if arr.shape[-1] != 2:

@@ -34,6 +34,7 @@ from .classifiers import (
     NaiveBayesClassifier,
     fit_logistic_sgd,
     knn_predict_proba,
+    tree_pairs,
 )
 from .data import Batch
 
@@ -376,7 +377,8 @@ def fit_classifiers(configs: Sequence[PipelineConfig], matrices: Sequence[np.nda
     """The classifier of each config, fitted on its matrix (``train``'s rows
     after the config's stages) with a generator seeded by its seed.
     Logistic-SGD classifiers whose matrices share a shape fit in lockstep
-    (``fit_logistic_sgd``)."""
+    (``fit_logistic_sgd``), and trees that share a matrix grow from one
+    ``tree_pairs`` of it."""
     n_classes, y = train.schema.n_classes, train.y
     present = np.unique(y)
     if present.size == 1:
@@ -384,10 +386,15 @@ def fit_classifiers(configs: Sequence[PipelineConfig], matrices: Sequence[np.nda
     classifiers = [_CLASSIFIERS[type(c.classifier)](n_classes, **asdict(c.classifier))
                    for c in configs]
     lockstep = {}  # matrix shape -> [(classifier, matrix, rng)]
+    pairs = {}  # id of a matrix that trees fit on -> its ``tree_pairs``
     for classifier, X, seed in zip(classifiers, matrices, seeds):
         rng = np.random.default_rng(seed)
         if isinstance(classifier, LogisticSgdClassifier):
             lockstep.setdefault(X.shape, []).append((classifier, X, rng))
+        elif isinstance(classifier, DecisionTreeClassifier):
+            if id(X) not in pairs:
+                pairs[id(X)] = tree_pairs(X, y, n_classes)
+            classifier.fit(X, y, rng, pairs[id(X)])
         else:
             classifier.fit(X, y, rng)
     for group in lockstep.values():

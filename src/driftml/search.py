@@ -21,8 +21,13 @@ gives only where numpy's matrix products give a row the same sums wherever
 it sits in a block. With OpenBLAS 0.3.31 they do over fewer than 16
 columns for every family (SkylakeX and Haswell kernels); with the SkylakeX kernels a logistic product over 16 or more
 columns rounds some rows of a block differently. (A k-NN distance product
-can switch kernels with the block's size, but a vote share moves only at
-an exact distance tie, and none showed.) A holdout whose schema can encode
+can switch kernels with the block's size, and a vote share moves only at
+an exact distance tie; none showed between distinct-row and whole-batch
+predictions. The product's rows are another matter: with
+``KnnClassifier.CHUNK`` cut from 1,024 to 256 rows, the recorded
+normalized-AUC report digests changed, while 512 and 768 kept them, so the
+chunk stays at 1,024 and only the passes after the product run in smaller
+blocks.) A holdout whose schema can encode
 to more than ``DISTINCT_ROWS_MAX_WIDTH`` columns is therefore predicted
 whole.
 
@@ -122,11 +127,15 @@ class Holdout:
     Rows of one distinct row and one label merge into one scoring column:
     ``rows`` holds each (distinct row, label) pair's row of ``distinct``,
     ``y`` its label and ``count`` its number of rows, in (distinct row,
-    label) order. A batch whose rows are all distinct, or whose schema can
-    encode to more than ``DISTINCT_ROWS_MAX_WIDTH`` columns, is predicted
-    whole: ``distinct`` is ``batch``, not a copy that a library would keep
-    alive, and ``inverse`` and ``rows`` are ``arange``. Other modules score
-    a holdout through ``columns`` and read none of these fields."""
+    label) order. When no two rows merge, the columns are the batch's rows
+    in stream order, held without a copy: ``rows`` is ``inverse``, ``y`` is
+    ``batch.y`` and ``count`` a broadcast 1 (scores do not depend on the
+    order of columns of weight 1). A batch whose rows are all distinct, or
+    whose schema can encode to more than ``DISTINCT_ROWS_MAX_WIDTH``
+    columns, is predicted whole: ``distinct`` is ``batch``, not a copy that
+    a library would keep alive, and ``inverse`` and ``rows`` are
+    ``arange``. Other modules score a holdout through ``columns`` and read
+    none of these fields."""
 
     batch: Batch
     distinct: Batch
@@ -151,6 +160,9 @@ class Holdout:
                 distinct = batch.take(first)
         _, pair, count = np.unique(inverse * batch.schema.n_classes + batch.y,
                                    return_index=True, return_counts=True)
+        if pair.size == len(batch):  # no two rows merge: the batch's rows are the columns
+            return cls(batch, distinct, inverse, inverse, batch.y,
+                       np.broadcast_to(np.int64(1), pair.size))
         return cls(batch, distinct, inverse, inverse[pair], batch.y[pair], count)
 
     def columns(self, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

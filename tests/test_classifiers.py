@@ -9,6 +9,7 @@ from driftml.classifiers import (
     fit_logistic_sgd,
     knn_predict_proba,
     reservoir_sample,
+    tree_pairs,
 )
 
 
@@ -53,11 +54,18 @@ def fitted_knn(X, y, n_classes, k):
 def knn_case(draw):
     """A fitted k-NN and query rows: tie-heavy integer grids (as on STAGGER)
     or tie-free floats, 1-3,000 references (below k and above ``CHUNK``),
-    0-2,500 query rows (across a chunk boundary), and in half the cases a few
-    NaN and inf entries."""
+    0-60 query rows or a count whose last chunk or sub-block boundary lies
+    0, 1 or block - 1 rows from the end, and in half the cases a few NaN
+    and inf entries."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_ref = draw(st.one_of(st.integers(1, 40), st.integers(1_000, 3_000)))
-    n_rows = draw(st.one_of(st.integers(0, 60), st.integers(1_000, 2_500)))
+    chunk = KnnClassifier.CHUNK
+    step = min(chunk, max(1, KnnClassifier.BLOCK_CELLS // n_ref))  # the kernel's sub-block
+    n_rows = draw(st.one_of(
+        st.integers(0, 60),
+        st.builds(lambda chunks, blocks, tail: chunks * chunk + blocks * step + tail,
+                  st.integers(0, 1), st.integers(0, chunk // step - 1),
+                  st.sampled_from([0, 1, step - 1]))))
     d = draw(st.integers(1, 4))
     n_classes = draw(st.integers(2, 3))
     k = draw(st.sampled_from([1, 3, 5, 7, 25]))
@@ -205,7 +213,7 @@ def reference_tree_fit(model, X, y):
 
 @st.composite
 def tree_case(draw):
-    """A tree config and data: tie-heavy integer grids (as on STAGGER), where
+    """One or two tree configs and data: tie-heavy integer grids (as on STAGGER), where
     rows repeat, some with two labels, or all-distinct floats, with 1-16
     columns. One case in twelve is all-distinct with 5,000-12,000 rows, so
     the split search takes the root's features in more than one block of
@@ -238,25 +246,33 @@ def tree_case(draw):
         bad = rng.random((n, d)) < draw(st.sampled_from([0.005, 0.2]))
         X[bad] = rng.choice([np.nan, -np.nan, np.inf, -np.inf], np.count_nonzero(bad))
     y = rng.integers(0, n_classes, n)
-    model = DecisionTreeClassifier(
+    models = [DecisionTreeClassifier(
         n_classes, max_depth=draw(st.integers(1, 8)),
         min_leaf=draw(st.sampled_from([1, 2, 4, 40])),
         split_criterion=draw(st.sampled_from(["gini", "entropy"])),
-    )
-    return model, X, y
+    ) for _ in range(draw(st.integers(1, 2)))]
+    return models, X, y
 
 
 @settings(max_examples=120)
 @given(tree_case())
 def test_tree_fit_equals_the_row_by_row_reference_exactly(case):
-    model, X, y = case
+    """One tree fitted alone, or two fitted on one ``tree_pairs`` of their
+    matrix (as ``fit_classifiers`` fits them), each equal to the reference."""
+    models, X, y = case
     with np.errstate(invalid="ignore", divide="ignore"):
-        model.fit(X, y)
-        want = reference_tree_fit(model, X, y)
-    got = (model.feature_, model.threshold_, model.left_, model.right_, model.proba_)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+        if len(models) == 1:
+            models[0].fit(X, y)
+        else:
+            pairs = tree_pairs(X, y, models[0].n_classes)
+            for model in models:
+                model.fit(X, y, None, pairs)
+        for model in models:
+            want = reference_tree_fit(model, X, y)
+            got = (model.feature_, model.threshold_, model.left_, model.right_, model.proba_)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
 
 
 def reference_logistic_fit(model, X, y, rng):

@@ -213,7 +213,9 @@ def test_errors():
 def libraries(draw):
     """Tie-heavy random libraries: members predict a few row patterns, so
     validation rows repeat (with differing labels), and probabilities come
-    from a coarse grid. Sometimes one class only, or a NaN probability."""
+    from a coarse grid, so members and their mixes tie between classes.
+    Accuracy libraries have 2 or 3 classes. Sometimes one class only, or a
+    NaN probability."""
     metric = draw(st.sampled_from(METRICS))
     n_classes = 2 if metric == NORMALIZED_AUC else draw(st.integers(2, 3))
     n_members, n_patterns = draw(st.integers(1, 6)), draw(st.integers(1, 8))
@@ -239,10 +241,22 @@ NAN_REPEATS = np.array([[0.5, np.nan], [0.2, 0.8], [0.5, np.nan], [0.3, 0.7], [0
 PERFECT_MIX = [np.array([[0.9, 0.1], [0.6, 0.4]]), np.array([[0.4, 0.6], [0.1, 0.9]])]
 
 
+# accuracy libraries whose members and mixes tie between classes: the
+# binary mix of the two members is 0.5/0.5 on every row, and each 3-class
+# member ties two classes on every row
+TIED_BINARY = [np.array([[0.25, 0.75], [0.25, 0.75], [0.75, 0.25]]),
+               np.array([[0.75, 0.25], [0.75, 0.25], [0.25, 0.75]])]
+TIED_THREE = [np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+              np.array([[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])]
+
+
 @settings(max_examples=300)
 @given(libraries())
 @example((stub_library([NAN_REPEATS], [1, 0, 0, 1, 1], NORMALIZED_AUC), 1))
 @example((stub_library(PERFECT_MIX, [0, 1]), 6))
+@example((stub_library(TIED_BINARY, [0, 1, 1]), 4))
+@example((stub_library(TIED_THREE, [1, 2, 0]), 4))
+@example((stub_library(TIED_THREE, [0, 1, 2]), 4))
 def test_select_ensemble_equals_the_per_member_loop(case):
     lib, rounds = case
     # repr compares the NaN validation score of an all-NaN selection too

@@ -1,14 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftml import metrics
 from driftml.metrics import (
     ACCURACY,
     METRICS,
     NORMALIZED_AUC,
+    _argmax,
     accuracy,
     auc,
     midranks,
@@ -185,3 +188,46 @@ def test_one_weighted_batched_score_equals_a_per_member_loop_over_every_row(case
     assert np.array_equal(score(metric, y, planes.transpose(0, 2, 1), w), expect, equal_nan=True)
     assert np.array_equal([score(metric, rows_y, np.repeat(p, w, axis=0)) for p in proba],
                           expect, equal_nan=True)
+
+
+@st.composite
+def accuracy_stacks(draw):
+    """(proba, labels, weights): 2- or 3-class probability rows under 0-2
+    leading axes, from a coarse grid (exact class ties, -0.0 beside 0.0),
+    with weights 1-4 or none, and in some cases NaN or inf entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_classes, n_rows = draw(st.integers(2, 3)), draw(st.integers(1, 40))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    levels = np.array([0.0, -0.0, 0.25, 0.5, 1.0])
+    proba = levels[rng.integers(0, levels.size, lead + (n_rows, n_classes))]
+    if draw(st.booleans()):
+        n_bad = draw(st.integers(1, 3))
+        proba.flat[rng.integers(0, proba.size, n_bad)] = rng.choice([np.nan, np.inf, -np.inf], n_bad)
+    weight = rng.integers(1, 5, n_rows) if draw(st.booleans()) else None
+    return proba, rng.integers(0, n_classes, n_rows), weight
+
+
+TIED_ROWS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]])
+
+
+@settings(max_examples=300)
+@given(accuracy_stacks())
+@example((TIED_ROWS, np.array([1, 2, 0, 0]), None))
+@example((TIED_ROWS[None], np.array([0, 1, 2, 1]), np.array([2, 1, 1, 3])))
+@example((np.array([[0.5, 0.5], [np.inf, 1.0]]), np.array([1, 0]), None))
+def test_accuracy_of_probability_rows_equals_argmax_then_accuracy(case):
+    """Finite stacks are compared and counted, others take ``_argmax``;
+    both give the bytes of ``accuracy`` on ``_argmax``, which is argmax."""
+    proba, y, weight = case
+    want = accuracy(y, _argmax(proba), weight)
+    assert np.array_equal(_argmax(proba), proba.argmax(axis=-1))
+    with mock.patch.object(metrics, "_label_wins", wraps=metrics._label_wins) as compared:
+        got = score(ACCURACY, y, proba, weight)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert compared.called == bool(np.isfinite(proba).all())
+
+
+def test_labels_outside_the_classes_count_as_wrong():
+    proba = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+    assert score(ACCURACY, np.array([-1, 2, 0]), proba) == accuracy([-1, 2, 0], [0, 1, 0]) == 1 / 3
