@@ -39,8 +39,11 @@ member gets the bytes it gets when fitted alone (``evaluate_candidate``).
 With ``max_seconds`` unset, results are bit-deterministic under a fixed
 seed: each candidate draws from its own seed, and members are assembled by
 candidate index. Only the shared prefixes and the lockstep groups tie the
-candidates' work together, so that is where a parallel executor would have
-to split it.
+candidates' work together. When a search has two or more lockstep groups
+on at least ``pipeline.FORK_MIN_ROWS`` fit rows, as on stored data,
+``fit_classifiers`` fits a share of whole groups in one forked worker on
+the second CPU; a member's bytes do not depend on which process fitted
+it, and a ``CANDIDATE_ERRORS`` raised in the worker comes back typed.
 """
 
 from __future__ import annotations
