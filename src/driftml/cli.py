@@ -217,6 +217,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
     if cfg.batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
+    if not cfg.strategies:
+        raise ConfigError("[run] strategies names no strategy")
     if len(set(cfg.strategies)) != len(cfg.strategies):
         raise ConfigError("duplicate strategies configured")
     if cfg.ensemble_rounds < 1:

@@ -16,7 +16,7 @@ are classes is not argmaxed: a row is right when its label's class beats
 every lower class and no higher class beats it (for two classes, one ``>``
 and one ``==``), and the hits are counted by a float64 product with the
 weights, exact below 2**53, then divided as ``accuracy`` divides. Any other
-stack goes through ``_argmax``, whose NaN rows take their first NaN, and
+stack is argmaxed (a row holding NaN takes its first NaN) and scored by
 ``accuracy``; both paths give the same bytes wherever both apply.
 """
 
@@ -99,27 +99,10 @@ def normalized_auc(y_true: np.ndarray, scores: np.ndarray, weight=None):
     return 2.0 * auc(y_true, scores, weight) - 1.0
 
 
-def _argmax(proba: np.ndarray) -> np.ndarray:
-    """``proba.argmax(axis=-1)``, one class at a time, so a block whose class
-    planes are contiguous (a transposed ``(M, C, n)`` array) reads them in
-    memory order. Ties go to the lower class; a row holding NaN goes to its
-    first NaN, as in ``argmax``."""
-    best = proba[..., 0]
-    pred = np.zeros(best.shape, dtype=np.intp)
-    for c in range(1, proba.shape[-1]):
-        x = proba[..., c]
-        pred = np.where(x > best, c, pred)
-        best = np.maximum(best, x)  # NaN propagates: marks the rows to redo
-    nan = np.isnan(best)
-    if nan.any():
-        pred[nan] = proba[nan].argmax(axis=-1)
-    return pred
-
-
 def _label_wins(y: np.ndarray, proba: np.ndarray) -> np.ndarray:
-    """``_argmax(proba) == y`` for finite ``proba`` and labels that are
-    classes: the label's class beats every lower class and no higher class
-    beats it."""
+    """``proba.argmax(axis=-1) == y`` for finite ``proba`` and labels that
+    are classes, without the argmax: the label's class beats every lower
+    class and no higher class beats it."""
     if proba.shape[-1] == 2:
         return (proba[..., 1] > proba[..., 0]) == (y == 1)
     mine = proba[..., np.arange(y.size), y]
@@ -150,7 +133,7 @@ def score(metric: str, y_true: np.ndarray, proba_or_pred: np.ndarray, weight=Non
             w = _weights(weight, y.size)
             # a float64 product counts integer hits exactly below 2**53
             return _result((_label_wins(y, arr) @ w.astype(np.float64)) / w.sum())
-        return accuracy(y, _argmax(arr), weight)
+        return accuracy(y, arr.argmax(axis=-1), weight)
     if metric == NORMALIZED_AUC:
         if arr.ndim >= 2:
             if arr.shape[-1] != 2:

@@ -43,7 +43,8 @@ candidates' work together. When a search has two or more lockstep groups
 on at least ``pipeline.FORK_MIN_ROWS`` fit rows, as on stored data,
 ``fit_classifiers`` fits a share of whole groups in one forked worker on
 the second CPU; a member's bytes do not depend on which process fitted
-it, and a ``CANDIDATE_ERRORS`` raised in the worker comes back typed.
+it, and a ``CANDIDATE_ERRORS`` raised in the worker comes back typed. A
+failure at any step has one fallback: each candidate is evaluated alone.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -104,6 +105,8 @@ class SearchBudget:
             raise SearchError("max_candidates must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise SearchError("validation_fraction must lie in (0, 1)")
+        if not (self.max_seconds is None or self.max_seconds >= 0):  # NaN never binds
+            raise SearchError("max_seconds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -281,57 +284,38 @@ def evaluate_candidate(config: PipelineConfig, fit_batch: Batch, holdout: Holdou
 
 def evaluate_candidates(candidates: Sequence[tuple[int, PipelineConfig]], fit_batch: Batch,
                         holdout: Holdout, seed: int) -> list[LibraryMember]:
-    """Fit candidate ``(index, config)`` pairs on ``fit_batch`` (candidate
-    ``index`` with seed ``seed + index``) and predict ``holdout`` with them.
-
-    Each distinct preprocessing prefix is fitted once, and its pipelines
-    share the fitted stages; ``fit_classifiers`` steps the logistic-SGD
-    classifiers in lockstep. A candidate that fails with one of
-    ``CANDIDATE_ERRORS`` is logged and skipped: every candidate of a prefix
-    that does not fit, a classifier that does not fit, or a model that does
-    not predict the holdout. Returns the members in candidate order.
-    """
-    by_prefix = {}  # prefix -> [(index, config)]
-    for i, config in candidates:
-        by_prefix.setdefault(prefix(config), []).append((i, config))
-
-    ready = []  # (index, config, stages, matrix)
-    for group in by_prefix.values():
-        try:
-            stages, X = fit_stages(group[0][1], fit_batch)
-        except CANDIDATE_ERRORS as exc:
-            for i, _ in group:
-                log.warning("candidate %d failed: %s", i, exc)
-            continue
-        ready += [(i, config, stages, X) for i, config in group]
-    ready.sort(key=lambda job: job[0])
-
-    def classifiers(jobs):
-        return fit_classifiers([config for _, config, _, _ in jobs], [X for _, _, _, X in jobs],
-                               fit_batch, [seed + i for i, _, _, _ in jobs])
-
-    models = [(i, TrainedPipeline(config, fit_batch.schema, stages, classifier))
-              for (i, config, stages, _), classifier in _each_or_alone(classifiers, ready)]
-    return [member for _, member in
-            _each_or_alone(lambda jobs: _members([model for _, model in jobs], holdout), models)]
-
-
-def _each_or_alone(run: Callable[[list], list], jobs: list) -> list:
-    """``(job, result)`` for each of ``jobs``, whose first field is the
-    candidate index, from ``run(jobs)``. A grouped run (a lockstep fit, a
-    grouped predict) does not say whose part failed: when it raises one of
-    ``CANDIDATE_ERRORS``, each job runs alone, and one that fails is logged
-    and left out."""
+    """The members of candidate ``(index, config)`` pairs (candidate
+    ``index`` fitted with seed ``seed + index``), in candidate order. A
+    grouped fit or predict does not say whose part failed: when
+    ``_evaluate_together`` raises one of ``CANDIDATE_ERRORS``, each candidate
+    is evaluated alone, and one that fails is logged and skipped."""
     try:
-        return list(zip(jobs, run(jobs)))
+        return _evaluate_together(candidates, fit_batch, holdout, seed)
     except CANDIDATE_ERRORS:
-        done = []
-        for job in jobs:
+        members = []
+        for candidate in candidates:
             try:
-                done += zip([job], run([job]))
+                members += _evaluate_together([candidate], fit_batch, holdout, seed)
             except CANDIDATE_ERRORS as exc:
-                log.warning("candidate %d failed: %s", job[0], exc)
-        return done
+                log.warning("candidate %d failed: %s", candidate[0], exc)
+        return members
+
+
+def _evaluate_together(candidates: Sequence[tuple[int, PipelineConfig]], fit_batch: Batch,
+                       holdout: Holdout, seed: int) -> list[LibraryMember]:
+    """``evaluate_candidates`` without error handling: each distinct prefix's
+    stages are fitted once and shared, one ``fit_classifiers`` call fits the
+    classifiers (logistic SGD in lockstep), and the models predict together."""
+    fitted = {}  # prefix -> (stages, matrix)
+    for _, config in candidates:
+        if prefix(config) not in fitted:
+            fitted[prefix(config)] = fit_stages(config, fit_batch)
+    prepared = [fitted[prefix(config)] for _, config in candidates]
+    classifiers = fit_classifiers([config for _, config in candidates], [X for _, X in prepared],
+                                  fit_batch, [seed + i for i, _ in candidates])
+    return _members([TrainedPipeline(config, fit_batch.schema, stages, classifier)
+                     for (_, config), (stages, _), classifier
+                     in zip(candidates, prepared, classifiers)], holdout)
 
 
 def run_search(

@@ -1,13 +1,18 @@
-"""Every name the package exports is called from inside the package.
+"""Every name the package exports or defines is called from inside the package.
 
 A name that ``driftml/__init__.py`` re-exports but no other module of
 ``src/driftml`` refers to is public API that the program itself never
-runs; it should be deleted or moved next to the test that uses it."""
+runs; it should be deleted or moved next to the test that uses it. The
+same holds for every top-level function and class: a helper whose last
+caller went goes with it. The functions ``perfbench/tracer.py`` patches
+are exempt, since the benchmark counts calls to them."""
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "driftml")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "driftml")
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 
 
 def parse(name):
@@ -62,6 +67,31 @@ def test_every_export_is_referenced_inside_the_package():
     uses = uses_by_module()
     everywhere = set().union(*uses.values())
     unused = [f"{module}.{name}" for module, name in exported_names() if name not in everywhere]
+    assert unused == []
+
+
+def traced_names() -> set:
+    """The names the tracer patches: the second argument of each of its
+    ``wrap(owner, "name", ...)`` calls."""
+    with open(TRACER, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "wrap" and isinstance(node.args[1], ast.Constant)
+    }
+
+
+def test_every_definition_is_referenced_inside_the_package():
+    everywhere = set().union(*uses_by_module().values()) | traced_names()
+    unused = [
+        f"{name[:-3]}.{statement.name}"
+        for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+        for statement in parse(name).body
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and statement.name not in everywhere
+    ]
     assert unused == []
 
 

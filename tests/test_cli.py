@@ -94,6 +94,24 @@ def test_parse_errors_carry_line_numbers():
         parse_config(SMALL_STAGGER.format(strategies="Base") + "roundz = 7\n")
 
 
+@pytest.mark.parametrize("strategies", ["", ","])
+def test_an_empty_strategy_list_is_a_config_error(tmp_path, strategies):
+    text = SMALL_STAGGER.format(strategies=strategies)
+    with pytest.raises(ConfigError, match=r"\[run\] strategies"):
+        parse_config(text)
+    path = config_file(tmp_path, text)
+    assert main(["run", path, "--out", str(tmp_path / "never")]) == EXIT_CONFIG
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("seconds", ["nan", "-1", "-inf"])
+def test_a_max_seconds_that_never_binds_is_a_config_error(seconds):
+    text = SMALL_STAGGER.format(strategies="Base").replace(
+        "[budget]\n", f"[budget]\nmax_seconds = {seconds}\n")
+    with pytest.raises(ConfigError, match=r"\[budget\] max_seconds"):
+        parse_config(text)
+
+
 def test_run_base_only(tmp_path):
     cfg = parse_config(SMALL_STAGGER.format(strategies="Base"))
     out = str(tmp_path / "out")

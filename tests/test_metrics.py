@@ -11,7 +11,6 @@ from driftml.metrics import (
     ACCURACY,
     METRICS,
     NORMALIZED_AUC,
-    _argmax,
     accuracy,
     auc,
     midranks,
@@ -216,11 +215,10 @@ TIED_ROWS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.0, 0
 @example((TIED_ROWS[None], np.array([0, 1, 2, 1]), np.array([2, 1, 1, 3])))
 @example((np.array([[0.5, 0.5], [np.inf, 1.0]]), np.array([1, 0]), None))
 def test_accuracy_of_probability_rows_equals_argmax_then_accuracy(case):
-    """Finite stacks are compared and counted, others take ``_argmax``;
-    both give the bytes of ``accuracy`` on ``_argmax``, which is argmax."""
+    """Finite stacks are compared and counted, others are argmaxed; both
+    give the bytes of ``accuracy`` on the argmax."""
     proba, y, weight = case
-    want = accuracy(y, _argmax(proba), weight)
-    assert np.array_equal(_argmax(proba), proba.argmax(axis=-1))
+    want = accuracy(y, proba.argmax(axis=-1), weight)
     with mock.patch.object(metrics, "_label_wins", wraps=metrics._label_wins) as compared:
         got = score(ACCURACY, y, proba, weight)
     assert type(got) is type(want)

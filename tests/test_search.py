@@ -1,14 +1,20 @@
 import functools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from driftml import pipeline, search
-from driftml.classifiers import KnnClassifier, NaiveBayesClassifier
-from driftml.data import Batch, Feature, Schema
+from driftml import classifiers, pipeline, search
+from driftml.classifiers import (
+    DecisionTreeClassifier,
+    KnnClassifier,
+    LogisticSgdClassifier,
+    NaiveBayesClassifier,
+)
+from driftml.data import Batch, DataError, Feature, Schema
 from driftml.metrics import score
 from driftml.pipeline import (
     DecisionTreeConfig,
@@ -204,6 +210,93 @@ def test_a_failed_predict_skips_only_its_own_candidate(monkeypatch, caplog):
     assert failed == ["candidate 2 failed: underflow"]
 
 
+# Per family: the classifier config of candidate ``i``, with a
+# hyperparameter that names ``i``, its classifier class, and the candidate
+# a fitted classifier of that class belongs to.
+TAGGED_FAMILIES = [
+    (lambda i: DecisionTreeConfig(max_depth=i + 1), DecisionTreeClassifier,
+     lambda model: model.max_depth - 1),
+    (lambda i: NaiveBayesConfig(laplace_alpha=i + 1.0), NaiveBayesClassifier,
+     lambda model: round(model.laplace_alpha) - 1),
+    (lambda i: LogisticSgdConfig(learning_rate=(i + 1) / 64, epochs=3), LogisticSgdClassifier,
+     lambda model: round(model.learning_rate * 64) - 1),
+    (lambda i: KnnConfig(k=2 * i + 1), KnnClassifier, lambda model: (model.k - 1) // 2),
+]
+PREFIXES = [{}, {"standardize": True}, {"standardize": True, "imputation": "mode"}]
+
+
+def candidate_of(model):
+    return next(tag(model) for _, cls, tag in TAGGED_FAMILIES if isinstance(model, cls))
+
+
+def failing_for(marked, method, error):
+    """``method`` of a classifier, or of a sequence of them, that raises
+    ``error`` when it is called on a classifier of a ``marked`` candidate."""
+    def run(model, *args, **kwargs):
+        models = model if isinstance(model, (list, tuple)) else [model]
+        if any(candidate_of(m) in marked for m in models):
+            raise error
+        return method(model, *args, **kwargs)
+    return run
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    drawn=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                             st.sampled_from([None, "fit", "predict"])), min_size=1, max_size=8),
+    failing_prefixes=st.sets(st.integers(0, 2)),
+)
+@example(drawn=[(2, 0, None), (2, 1, "fit"), (0, 1, None)], failing_prefixes=set())
+@example(drawn=[(3, 0, "predict"), (3, 1, None), (1, 2, "predict")], failing_prefixes={0})
+def test_candidates_failing_at_any_step_skip_only_themselves(drawn, failing_prefixes):
+    """Candidates forced to fail at stage fit (every candidate of a prefix
+    whose stages raise), at classifier fit (the whole lockstep group of a
+    failing logistic model raises) or at predict (the whole shared k-NN
+    pass of a failing k-NN model raises), in one ``evaluate_candidates``
+    call: the others are the members, in candidate order, each the bytes of
+    ``evaluate_candidate``, and each failure logs one warning, in candidate
+    order."""
+    fit_batch = two_class_batch(n=40, seed=1)
+    holdout = search.Holdout.of(two_class_batch(n=30, seed=2))
+    configs = [PipelineConfig(**PREFIXES[p], classifier=TAGGED_FAMILIES[family][0](i))
+               for i, (family, p, _) in enumerate(drawn)]
+    fail_fit = {i for i, (_, _, step) in enumerate(drawn) if step == "fit"}
+    fail_predict = {i for i, (_, _, step) in enumerate(drawn) if step == "predict"}
+    bad_prefixes = [prefix(PipelineConfig(**PREFIXES[p])) for p in failing_prefixes]
+    failed = [i for i, config in enumerate(configs)
+              if i in fail_fit | fail_predict or prefix(config) in bad_prefixes]
+    stages = search.fit_stages
+
+    def fit_stages(config, train):
+        if prefix(config) in bad_prefixes:
+            raise PipelineError("no stages")
+        return stages(config, train)
+
+    with pytest.MonkeyPatch.context() as patch, mock.patch.object(search.log, "warning") as warn:
+        patch.setattr(search, "fit_stages", fit_stages)
+        patch.setattr(pipeline, "fit_logistic_sgd", failing_for(
+            fail_fit, pipeline.fit_logistic_sgd, FloatingPointError("overflow")))
+        knn = failing_for(fail_predict, pipeline.knn_predict_proba, FloatingPointError("underflow"))
+        patch.setattr(pipeline, "knn_predict_proba", knn)
+        patch.setattr(classifiers, "knn_predict_proba", knn)
+        for _, cls, _ in TAGGED_FAMILIES:
+            if cls is not LogisticSgdClassifier:  # fit in lockstep, through ``fit_logistic_sgd``
+                patch.setattr(cls, "fit", failing_for(
+                    fail_fit, cls.fit, np.linalg.LinAlgError("fit")))
+            if cls is not KnnClassifier:  # predicts through ``knn_predict_proba``
+                patch.setattr(cls, "predict_proba", failing_for(
+                    fail_predict, cls.predict_proba, DataError("predict")))
+        members = search.evaluate_candidates(list(enumerate(configs)), fit_batch, holdout, 3)
+
+    kept = [i for i in range(len(configs)) if i not in failed]
+    assert [m.pipeline.config for m in members] == [configs[i] for i in kept]
+    for i, member in zip(kept, members):
+        alone = search.evaluate_candidate(configs[i], fit_batch, holdout, 3 + i)
+        assert member.validation_proba.tobytes() == alone.validation_proba.tobytes()
+    assert [call.args[:2] for call in warn.call_args_list] == [
+        ("candidate %d failed: %s", i) for i in failed]
+
+
 def search_parts(train, budget, portfolio):
     """The fit batch and holdout ``run_search`` builds, and the configs of
     its ``budget.max_candidates`` candidates."""
@@ -281,6 +374,12 @@ def test_stratified_split_properties(labels, fraction, seed):
     for c, count in zip(*np.unique(y, return_counts=True)):
         assert c in y[fit_idx]
         assert (c in y[val_idx]) == (count >= 2)
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), -1.0, float("-inf")])
+def test_a_max_seconds_that_never_binds_is_rejected(seconds):
+    with pytest.raises(SearchError, match="max_seconds"):
+        SearchBudget(max_seconds=seconds)
 
 
 def test_wall_clock_budget_stops_early_but_fits_at_least_one():
