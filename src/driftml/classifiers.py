@@ -17,9 +17,14 @@ Three kernels take fewer passes than the simple forms they replace and give
 the same bytes; ``tests/test_classifiers.py`` keeps each simple form as a
 reference. The tree grows from the distinct (row, label) pairs weighted by
 count (``tree_pairs``, which trees fitted on one matrix share) and scores
-every split of a block of features in one pass, k-NN finds its distances
-and nearest mask in place (each k's k-th distance taken from the smallest
-k_max of a row), and the lockstep SGD step builds the softmax in place.
+every split of a block of features in one pass. k-NN finds its distances in
+place, takes each k's k-th distance from the smallest k_max of a row, and
+counts the votes as one product of the 0/1 mask ``d2 <= kth`` with the
+references' one-hot labels; only a row with ties at its k-th distance, or
+with a NaN k-th distance, has its counts fixed. The lockstep SGD step
+builds the softmax in place, and for two classes takes its max and sum
+from the two class columns instead of reductions over the class axis; an
+epoch that meets a NaN is redone in the reduce form (``fit_logistic_sgd``).
 
 k-NN forms one distance product per ``CHUNK`` = 1,024 query rows, whose
 shape pins the bytes (at 256 rows the recorded normalized-AUC report
@@ -294,6 +299,21 @@ def fit_logistic_sgd(models, matrices, y: np.ndarray, rngs) -> None:
     lone fit makes, so every model ends with the same bytes. A model leaves
     the stack when its epochs end. Rows are gathered per minibatch: a
     permuted copy of every matrix per epoch would hold K more matrices.
+
+    With two classes a step takes the softmax's max with ``np.maximum``
+    and its sum with one ``+`` of the two class columns: a short-axis
+    reduction costs more per call. The sum is the one numpy's reduce makes
+    (it adds fewer than 8 entries left to right), and the max of values
+    without NaN is one value, so the column form and the reduce form give
+    the same bytes on every step whose softmax meets no NaN. On a NaN they
+    may not: ``max`` and ``np.maximum`` return different NaNs for a row
+    whose first entry alone is NaN. A NaN anywhere in a step's softmax
+    makes that model's bias NaN for good, so after each epoch in the column
+    form a non-finite bias restores the weights and biases the epoch began
+    with, the epoch is redone with the same rows in the reduce form, and
+    the fit keeps the reduce form. At 3 and 4 classes a column form (one
+    more ufunc call per class) was slower than the reductions, so fits of
+    more than two classes reduce from the start.
     """
     order = sorted(range(len(models)), key=lambda k: -models[k].epochs)
     models = [models[k] for k in order]  # the models still training are a prefix
@@ -318,24 +338,52 @@ def fit_logistic_sgd(models, matrices, y: np.ndarray, rngs) -> None:
     l2 = np.array([model.l2 for model in models], dtype=np.float64)[:, None, None]
     epochs = np.array([model.epochs for model in models])
     m = min(LogisticSgdClassifier.MINIBATCH, n)
+    columns = n_classes == 2
     for epoch in range(int(epochs.max())):
         k = int(np.count_nonzero(epochs > epoch))
         rows = np.stack([rng.permutation(n) for rng in rngs[:k]]) + offset[:k]
         Wk, bk, rate_k, l2_k = W[:k], b[:k], rate[:k], l2[:k]
-        for start in range(0, n, m):
-            take = rows[:, start : start + m]
-            xb = X.take(take, axis=0)
-            err = xb @ Wk + bk  # the softmax of the logits, in place
-            err -= err.max(axis=-1, keepdims=True)
-            np.exp(err, out=err)
-            err /= err.sum(axis=-1, keepdims=True)
-            err -= Y.take(take, axis=0)
-            err /= take.shape[1]
-            Wk -= rate_k * (xb.transpose(0, 2, 1) @ err + l2_k * Wk)
-            bk -= rate_k * err.sum(axis=1, keepdims=True)
+        if columns:
+            W0, b0 = Wk.copy(), bk.copy()
+            _sgd_epoch(X, Y, rows, m, Wk, bk, rate_k, l2_k, columns=True)
+            if np.isfinite(bk).all():
+                continue
+            # a NaN met this epoch: redo it in the reduce form, which sets its NaNs
+            Wk[...], bk[...] = W0, b0
+            columns = False
+        _sgd_epoch(X, Y, rows, m, Wk, bk, rate_k, l2_k, columns=False)
     for k, model in enumerate(models):
         model.W_ = W[k].copy()
         model.b_ = b[k, 0].copy()
+
+
+def _sgd_epoch(X, Y, rows, m, W, b, rate, l2, columns: bool) -> None:
+    """One epoch of lockstep minibatch steps, in place on ``W`` and ``b``:
+    minibatch i of model k holds the rows ``rows[k, i*m : (i+1)*m]`` of
+    ``X`` and ``Y``. With ``columns`` (two classes only), the softmax takes
+    each row's max and sum from its two class columns; otherwise it reduces
+    over the class axis, as ``_softmax`` does."""
+    for start in range(0, rows.shape[1], m):
+        take = rows[:, start : start + m]
+        xb = X.take(take, axis=0)
+        err = xb @ W + b  # the softmax of the logits, in place
+        if columns:
+            err -= np.maximum(err[..., :1], err[..., 1:])
+            np.exp(err, out=err)
+            err /= err[..., :1] + err[..., 1:]
+        else:
+            err -= err.max(axis=-1, keepdims=True)
+            np.exp(err, out=err)
+            err /= err.sum(axis=-1, keepdims=True)
+        err -= Y.take(take, axis=0)
+        err /= take.shape[1]
+        grad = xb.transpose(0, 2, 1) @ err
+        grad += l2 * W
+        grad *= rate
+        W -= grad
+        grad = np.add.reduce(err, axis=1, keepdims=True)
+        grad *= rate
+        b -= grad
 
 
 def reservoir_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -389,6 +437,14 @@ def knn_predict_proba(models, X: np.ndarray) -> list[np.ndarray]:
     columns. The k-th smallest distance is one value however it is found,
     so every model gets the bytes of its own call.
 
+    A k's votes are one product: the 0/1 mask ``d2 <= kth``, written into
+    one reused float32 buffer, times the (references, classes) one-hot
+    table of ``ref_y_``. The counts are sums of at most the reference count
+    of ones, exact in float32 up to 2**24 references (float64 beyond), so
+    ``votes / k`` has the bytes of an integer count. The counts' row sums
+    find the rows whose mask does not hold exactly k references, and only
+    those are fixed (``_nearest_votes``).
+
     ``CHUNK`` fixes the rows of each distance product, whose shape decides
     its rounding, so it stays at 1,024. Every pass after the product reads
     and writes each row on its own, so a chunk's rows go through those
@@ -401,14 +457,17 @@ def knn_predict_proba(models, X: np.ndarray) -> list[np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     first = models[0]
     ref_X, ref_sq = first.ref_X_, first.ref_sq_
-    n_classes = first.n_classes
     by_k = {}  # k (at most the reference count) -> the indices of its models
     for i, model in enumerate(models):
         by_k.setdefault(min(model.k, ref_X.shape[0]), []).append(i)
     k_max = max(by_k)
-    in_class = [first.ref_y_ == c for c in range(n_classes - 1)]
-    outs = [np.empty((X.shape[0], n_classes)) for _ in models]
+    # float32 counts to 2**24 exactly: a row's votes never exceed the references
+    exact = np.float32 if ref_X.shape[0] <= 1 << 24 else np.float64
+    onehot = np.zeros((ref_X.shape[0], first.n_classes), dtype=exact)
+    onehot[np.arange(ref_X.shape[0]), first.ref_y_] = 1.0
+    outs = [np.empty((X.shape[0], first.n_classes)) for _ in models]
     step = min(first.CHUNK, max(1, first.BLOCK_CELLS // ref_X.shape[0]))
+    near = np.empty((min(step, X.shape[0]), ref_X.shape[0]), dtype=exact)  # a sub-block's mask
     for start in range(0, X.shape[0], first.CHUNK):
         xb = X[start : start + first.CHUNK]
         # sq - 2·x·r + ref_sq: the reference's operations in its order,
@@ -421,36 +480,47 @@ def knn_predict_proba(models, X: np.ndarray) -> list[np.ndarray]:
             block += ref_sq
             # each row's k_max smallest, copied so the partitioned block is freed at once
             smallest = np.partition(block, k_max - 1, axis=1)[:, :k_max].copy()
+            mask = near[: block.shape[0]]
             for k, indices in by_k.items():
                 kth = smallest if k == k_max else np.partition(smallest, k - 1, axis=1)
-                take = _nearest_mask(block, k, kth[:, k - 1])
-                # every row takes exactly k references: the last class has the rest
-                votes = np.empty((block.shape[0], n_classes), dtype=np.int64)
-                for c, refs in enumerate(in_class):
-                    votes[:, c] = np.count_nonzero(take & refs, axis=1)
-                votes[:, -1] = k - votes[:, :-1].sum(axis=1)
-                share = votes / k
+                votes = _nearest_votes(block, k, kth[:, k - 1], mask, onehot, first.ref_y_)
+                share = np.divide(votes, k, dtype=np.float64)
                 for i in indices:
                     outs[i][start + at : start + at + block.shape[0]] = share
     return outs
 
 
-def _nearest_mask(d2: np.ndarray, k: int, kth: np.ndarray) -> np.ndarray:
-    """Mask of each row's k smallest entries by (value, column index): the
-    set a stable argsort puts first, found without sorting. ``kth`` holds
-    each row's k-th smallest entry (NaN sorting last)."""
-    take = d2 <= kth[:, None]
-    excess = np.count_nonzero(take, axis=1) - k
-    over = np.nonzero(excess > 0)[0]
-    if over.size:  # ties at the k-th value: drop each such row's last ties
-        row, col = np.divmod(np.flatnonzero(d2[over] == kth[over, None]), d2.shape[1])
-        n_tie = np.bincount(row, minlength=over.size)
-        rank = np.arange(row.size) - (np.cumsum(n_tie) - n_tie)[row]  # among its row's ties
-        drop = rank >= (n_tie - excess[over])[row]
-        take[over[row[drop]], col[drop]] = False
-    # a NaN k-th value means fewer than k comparable entries; every comparison
-    # above was false on such a row, so it takes the argsort's choice instead
-    lost = np.nonzero(np.isnan(kth))[0]
-    if lost.size:
-        take[lost[:, None], np.argsort(d2[lost], axis=1, kind="stable")[:, :k]] = True
-    return take
+def _nearest_votes(d2: np.ndarray, k: int, kth: np.ndarray, mask: np.ndarray,
+                   onehot: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's class counts over its k smallest entries by (value, column
+    index), the set a stable argsort puts first, found without sorting.
+    ``kth`` holds each row's k-th smallest entry (NaN sorting last), ``mask``
+    is a buffer of ``d2``'s shape in ``onehot``'s dtype, ``labels`` the
+    columns' classes and ``onehot`` their (columns, classes) 0/1 table.
+
+    The counts are ``mask @ onehot`` on the 0/1 mask ``d2 <= kth``, and
+    their row sums each row's mask count. A row with more than k takes back
+    the votes of its last ties at the k-th value (one ``bincount`` over the
+    dropped cells); a row with none has a NaN k-th value and takes the
+    stable argsort's first k."""
+    np.less_equal(d2, kth[:, None], out=mask)
+    votes = mask @ onehot
+    excess = votes.sum(axis=1) - k
+    off = np.flatnonzero(excess)
+    if off.size:
+        over = off[excess[off] > 0]
+        if over.size:  # ties at the k-th value: take back the votes of each row's last ties
+            row, col = np.divmod(np.flatnonzero(d2[over] == kth[over, None]), d2.shape[1])
+            n_tie = np.bincount(row, minlength=over.size)
+            rank = np.arange(row.size) - (np.cumsum(n_tie) - n_tie)[row]  # among its row's ties
+            drop = rank >= (n_tie - excess[over].astype(np.int64))[row]
+            n_classes = onehot.shape[1]
+            dropped = np.bincount(row[drop] * n_classes + labels[col[drop]],
+                                  minlength=over.size * n_classes)
+            votes[over] -= dropped.reshape(over.size, n_classes)
+        # a NaN k-th value means fewer than k comparable entries; every comparison
+        # above was false on such a row, so it takes the argsort's choice instead
+        lost = off[excess[off] < 0]
+        if lost.size:
+            votes[lost] = onehot[np.argsort(d2[lost], axis=1, kind="stable")[:, :k]].sum(axis=1)
+    return votes

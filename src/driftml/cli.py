@@ -28,7 +28,7 @@ Grammar, by example::
     [budget]
     max_candidates = 16
     validation_fraction = 0.33
-    # max_seconds = 600         # optional wall-clock cap (non-deterministic)
+    # max_seconds = 600         # optional finite wall-clock cap (non-deterministic)
 
     [detector]
     window = 25

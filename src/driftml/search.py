@@ -105,8 +105,9 @@ class SearchBudget:
             raise SearchError("max_candidates must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise SearchError("validation_fraction must lie in (0, 1)")
-        if not (self.max_seconds is None or self.max_seconds >= 0):  # NaN never binds
-            raise SearchError("max_seconds must be >= 0")
+        # NaN and inf never bind
+        if not (self.max_seconds is None or 0 <= self.max_seconds < float("inf")):
+            raise SearchError("max_seconds must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -349,7 +350,7 @@ def run_search(
     started = time.perf_counter()
     members, admitted = [], []
     for i in range(budget.max_candidates):
-        if budget.max_seconds is not None:
+        if budget.max_seconds is not None and admitted:
             members += evaluate_candidates(admitted, fit_batch, holdout, budget.seed)
             admitted = []
             if members and time.perf_counter() - started >= budget.max_seconds:

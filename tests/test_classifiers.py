@@ -1,7 +1,8 @@
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from driftml import classifiers
 from driftml.classifiers import (
     DecisionTreeClassifier,
     KnnClassifier,
@@ -52,9 +53,9 @@ def fitted_knn(X, y, n_classes, k):
 
 @st.composite
 def knn_case(draw):
-    """A fitted k-NN and query rows: tie-heavy integer grids (as on STAGGER)
-    or tie-free floats, 1-3,000 references (below k and above ``CHUNK``),
-    0-60 query rows or a count whose last chunk or sub-block boundary lies
+    """A fitted k-NN over 2-5 classes and query rows: tie-heavy integer
+    grids (as on STAGGER) or tie-free floats, 1-3,000 references (below k
+    and above ``CHUNK``), 0-60 query rows or a count whose last chunk or sub-block boundary lies
     0, 1 or block - 1 rows from the end, and in half the cases a few NaN
     and inf entries."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -67,7 +68,7 @@ def knn_case(draw):
                   st.integers(0, 1), st.integers(0, chunk // step - 1),
                   st.sampled_from([0, 1, step - 1]))))
     d = draw(st.integers(1, 4))
-    n_classes = draw(st.integers(2, 3))
+    n_classes = draw(st.integers(2, 5))
     k = draw(st.sampled_from([1, 3, 5, 7, 25]))
     if draw(st.booleans()):
         levels = draw(st.integers(2, 3))
@@ -113,6 +114,44 @@ def knn_group_case(draw):
 def test_grouped_knn_proba_equals_the_argsort_reference_for_each_model(case):
     models, X = case
     with np.errstate(invalid="ignore", over="ignore"):
+        got = knn_predict_proba(models, X)
+        for model, proba in zip(models, got, strict=True):
+            assert proba.tobytes() == reference_knn_proba(model, X).tobytes(), model.k
+
+
+@st.composite
+def knn_mixed_block_case(draw):
+    """k-NN models with 1-3 distinct k over 2-5 classes on tie-free float
+    references plus more than k copies of one far point, and one sub-block
+    of query rows that mixes three kinds in a drawn order: float rows (each
+    takes exactly k references at its k-th distance), copies of the far
+    point (more than k references tie at distance 0) and rows holding a NaN
+    (every distance is NaN, so the k-th is too)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ks = draw(st.lists(st.sampled_from([1, 3, 5, 11]), min_size=1, max_size=3, unique=True))
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 5))
+    far = np.full(d, 50.0)
+    X_ref = np.vstack([rng.normal(size=(draw(st.integers(max(ks), 60)), d)),
+                       np.tile(far, (max(ks) + draw(st.integers(1, 20)), 1))])
+    y = rng.integers(0, n_classes, len(X_ref))
+    step = min(KnnClassifier.CHUNK, max(1, KnnClassifier.BLOCK_CELLS // len(X_ref)))
+    kinds = draw(st.lists(st.sampled_from(["clean", "tie", "nan"]), min_size=3,
+                          max_size=min(step, 40)).filter(lambda drawn: len(set(drawn)) == 3))
+    X = rng.normal(size=(len(kinds), d))
+    for row, kind in enumerate(kinds):
+        if kind == "tie":
+            X[row] = far
+        elif kind == "nan":
+            X[row, rng.integers(0, d)] = np.nan
+    return [fitted_knn(X_ref, y, n_classes, k) for k in ks], X
+
+
+@settings(max_examples=60)
+@given(knn_mixed_block_case())
+def test_knn_clean_tie_and_nan_rows_in_one_sub_block_equal_the_reference(case):
+    models, X = case
+    with np.errstate(invalid="ignore"):
         got = knn_predict_proba(models, X)
         for model, proba in zip(models, got, strict=True):
             assert proba.tobytes() == reference_knn_proba(model, X).tobytes(), model.k
@@ -351,6 +390,88 @@ def test_lockstep_sgd_equals_fitting_each_model_alone(case):
             W, b = reference_logistic_fit(model, X, y, np.random.default_rng(seed))
         assert model.W_.tobytes() == W.tobytes()
         assert model.b_.tobytes() == b.tobytes()
+
+
+def late_first_logit_nan(epochs):
+    """A binary logistic fit that stays finite in its first epoch and in its
+    second meets a logit row that is NaN in its first entry alone, where
+    ``max`` and ``np.maximum`` return different NaNs (as in
+    ``FIRST_LOGIT_NAN``). 35 rows, so an epoch is a step over 32 rows and
+    one over 3, and the seed's first permutation puts the three last: the
+    32 rows make the three nearly certain of class 1, so only class 0's
+    weights move on them, to +inf and -inf; the third row then sums
+    inf - inf for class 0 alone."""
+    rate = 1e25
+    s, big = np.sqrt(50 / rate), 1e307
+    X = np.zeros((35, 3))
+    X[:32, 0] = np.where(np.arange(32) % 2, s, -s)
+    X[32:] = [[s, big, 0.0], [s, 0.0, -big], [0.0, 1.0, 1.0]]
+    y = np.concatenate([np.arange(32) % 2, [1, 1, 0]])
+    return [LogisticSgdClassifier(2, learning_rate=rate, l2=0.0, epochs=epochs)], [X], y, [10076]
+
+
+@st.composite
+def late_divergence_case(draw):
+    """A logistic model over 2, 3 or 9 classes with 2-4 epochs whose
+    weights, on values near 1e150 and a learning rate of 10**8.5, most often
+    overflow in its second epoch; alone or in lockstep with up to two
+    models that stay finite, on its matrix or on another."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_classes = draw(st.sampled_from([2, 3, 9]))
+    X, y = rng.normal(size=(64, 4)) * 1e150, rng.integers(0, n_classes, 64)
+    models = [LogisticSgdClassifier(n_classes, learning_rate=10**8.5,
+                                    l2=draw(st.sampled_from([0.0, 1e-4])),
+                                    epochs=draw(st.integers(2, 4)))]
+    matrices = [X]
+    for _ in range(draw(st.integers(0, 2))):
+        models.append(LogisticSgdClassifier(n_classes,
+                                            learning_rate=draw(st.sampled_from([0.003, 0.1])),
+                                            l2=1e-4, epochs=draw(st.integers(1, 4))))
+        matrices.append(draw(st.sampled_from([X, X / 1e150])))
+    return models, matrices, y, [draw(st.integers(0, 2**32 - 1)) for _ in models]
+
+
+@settings(max_examples=40)
+@given(late_divergence_case())
+@example(late_first_logit_nan(2))
+@example(late_first_logit_nan(4))
+def test_lockstep_sgd_that_diverges_after_its_first_epoch_equals_the_reference(case):
+    """The first model's bias is finite after one epoch and not at the end,
+    so a binary fit redoes a later epoch from the weights it began with."""
+    models, matrices, y, seeds = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = models[0]
+        one_epoch = LogisticSgdClassifier(first.n_classes, first.learning_rate, first.l2, 1)
+        one_epoch.fit(matrices[0], y, np.random.default_rng(seeds[0]))
+        fit_logistic_sgd(models, matrices, y, [np.random.default_rng(s) for s in seeds])
+        assume(np.isfinite(one_epoch.b_).all() and not np.isfinite(first.b_).all())
+        for model, X, seed in zip(models, matrices, seeds):
+            W, b = reference_logistic_fit(model, X, y, np.random.default_rng(seed))
+            assert model.W_.tobytes() == W.tobytes()
+            assert model.b_.tobytes() == b.tobytes()
+
+
+def test_a_finite_binary_fit_steps_in_the_column_form(monkeypatch):
+    """A binary fit takes the class-column softmax in every epoch while it
+    stays finite, and a late divergence redoes only its epoch in the reduce
+    form and keeps that form."""
+    forms = []
+
+    def spy(*args, columns):
+        forms.append(columns)
+        return sgd_epoch(*args, columns=columns)
+
+    sgd_epoch = classifiers._sgd_epoch
+    monkeypatch.setattr(classifiers, "_sgd_epoch", spy)
+    rng = np.random.default_rng(4)
+    X, y = rng.normal(size=(70, 5)), rng.integers(0, 2, 70)
+    LogisticSgdClassifier(2, learning_rate=0.1, l2=1e-4, epochs=3).fit(X, y, rng)
+    assert forms == [True] * 3
+    forms.clear()
+    models, matrices, y, seeds = late_first_logit_nan(4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        models[0].fit(matrices[0], y, np.random.default_rng(seeds[0]))
+    assert forms == [True, True, False, False, False]
 
 
 def test_logistic_fit_is_the_one_model_lockstep_call():

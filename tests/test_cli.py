@@ -112,6 +112,14 @@ def test_a_max_seconds_that_never_binds_is_a_config_error(seconds):
         parse_config(text)
 
 
+def test_an_infinite_max_seconds_is_a_config_error():
+    text = SMALL_STAGGER.format(strategies="Base").replace(
+        "[budget]\n", "[budget]\nmax_seconds = inf\n")
+    with pytest.raises(ConfigError, match=r"\[budget\] max_seconds"):
+        parse_config(text)
+    assert parse_config(text.replace("= inf", "= 0.0")).max_seconds == 0.0
+
+
 def test_run_base_only(tmp_path):
     cfg = parse_config(SMALL_STAGGER.format(strategies="Base"))
     out = str(tmp_path / "out")

@@ -382,6 +382,34 @@ def test_a_max_seconds_that_never_binds_is_rejected(seconds):
         SearchBudget(max_seconds=seconds)
 
 
+def test_an_infinite_max_seconds_is_rejected_and_zero_is_valid():
+    # an infinite cap never binds either, yet would evaluate the candidates
+    # one at a time instead of together
+    with pytest.raises(SearchError, match="max_seconds"):
+        SearchBudget(max_seconds=float("inf"))
+    assert SearchBudget(max_seconds=0.0).max_seconds == 0.0
+
+
+def test_a_wall_clock_search_evaluates_no_empty_batch(monkeypatch):
+    """With ``max_seconds`` set, each admitted candidate is evaluated alone
+    and nothing is evaluated before the first is admitted; the library is
+    the one evaluated all together."""
+    train = two_class_batch()
+    sizes, evaluate = [], search.evaluate_candidates
+
+    def spy(candidates, *args):
+        sizes.append(len(candidates))
+        return evaluate(candidates, *args)
+
+    together = run_search(train, SearchBudget(max_candidates=4, seed=5), SMALL_PORTFOLIO)
+    monkeypatch.setattr(search, "evaluate_candidates", spy)
+    alone = run_search(train, SearchBudget(max_candidates=4, max_seconds=1e9, seed=5),
+                       SMALL_PORTFOLIO)
+    assert sizes == [1, 1, 1, 1]
+    assert [m.validation_proba.tobytes() for m in alone.members] == \
+        [m.validation_proba.tobytes() for m in together.members]
+
+
 def test_wall_clock_budget_stops_early_but_fits_at_least_one():
     train = two_class_batch()
     budget = SearchBudget(max_candidates=50, max_seconds=0.0, seed=2)
