@@ -6,25 +6,25 @@ schema class set: rows are non-negative and sum to 1, classes absent from
 the training data may receive probability zero. Everything is deterministic
 given (data, hyperparameters, seed).
 
-Logistic SGD has one training routine, ``fit_logistic_sgd``, which steps
-several models in lockstep; ``LogisticSgdClassifier.fit`` is its one-model
-call. Each model ends with the bytes it gets when fitted alone. k-NN has one
-prediction routine, ``knn_predict_proba``, which serves several models of
-one reference set from one distance matrix and one partition per chunk;
+Logistic SGD runs each epoch as one call into a small C kernel
+(``_sgd.c``, compiled with ``cc`` at the first fit and cached outside the
+package; ``KernelBuildError`` when that fails). The kernel sums in a fixed
+order and takes libm's ``exp``, so a model's bytes do not depend on BLAS or
+on numpy's SIMD ``exp``. k-NN has one prediction routine,
+``knn_predict_proba``, which serves several models of one reference set
+from one distance matrix and one partition per chunk;
 ``KnnClassifier.predict_proba`` is its one-model call.
 
-Three kernels take fewer passes than the simple forms they replace and give
-the same bytes; ``tests/test_classifiers.py`` keeps each simple form as a
-reference. The tree grows from the distinct (row, label) pairs weighted by
-count (``tree_pairs``, which trees fitted on one matrix share) and scores
-every split of a block of features in one pass. k-NN finds its distances in
+The tree and k-NN kernels take fewer passes than the simple forms they
+replace and give the same bytes; ``tests/test_classifiers.py`` keeps each
+simple form as a reference, and a pure-Python form of the SGD kernel. The
+tree grows from the distinct (row, label) pairs weighted by count
+(``tree_pairs``, which trees fitted on one matrix share) and scores every
+split of a block of features in one pass. k-NN finds its distances in
 place, takes each k's k-th distance from the smallest k_max of a row, and
 counts the votes as one product of the 0/1 mask ``d2 <= kth`` with the
 references' one-hot labels; only a row with ties at its k-th distance, or
-with a NaN k-th distance, has its counts fixed. The lockstep SGD step
-builds the softmax in place, and for two classes takes its max and sum
-from the two class columns instead of reductions over the class axis; an
-epoch that meets a NaN is redone in the reduce form (``fit_logistic_sgd``).
+with a NaN k-th distance, has its counts fixed.
 
 k-NN forms one distance product per ``CHUNK`` = 1,024 query rows, whose
 shape pins the bytes (at 256 rows the recorded normalized-AUC report
@@ -258,10 +258,15 @@ class NaiveBayesClassifier:
         return out / out.sum(axis=1, keepdims=True)
 
 
+class KernelBuildError(RuntimeError):
+    """The SGD kernel ``_sgd.c`` could not be compiled or loaded."""
+
+
 class LogisticSgdClassifier:
     """Multinomial logistic regression trained with seeded mini-batch SGD
-    (L2 on the weights, not the bias). ``fit`` is ``fit_logistic_sgd`` on
-    one model."""
+    (L2 on the weights, not the bias). Each epoch is one call into the
+    compiled kernel ``_sgd.c``, whose fixed summation order and libm ``exp``
+    pin the weights' bytes."""
 
     MINIBATCH = 32
 
@@ -272,118 +277,78 @@ class LogisticSgdClassifier:
         self.epochs = epochs
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
-        fit_logistic_sgd([self], [X], y, [rng])
+        """Steps from zero weights over ``rng.permutation(n)`` per epoch."""
+        epoch = _sgd_kernel()
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        (n, d), n_classes = X.shape, self.n_classes
+        Y = np.zeros((n, n_classes))
+        Y[np.arange(n), np.asarray(y, dtype=np.int64)] = 1.0
+        W, b = np.zeros((d, n_classes)), np.zeros(n_classes)
+        m = min(self.MINIBATCH, n)
+        err, grad = np.empty((m, n_classes)), np.empty((d, n_classes))
+        for _ in range(self.epochs):
+            rows = rng.permutation(n).astype(np.int64, copy=False)
+            epoch(X.ctypes.data, Y.ctypes.data, rows.ctypes.data, n, d, n_classes, m,
+                  W.ctypes.data, b.ctypes.data, self.learning_rate, self.l2,
+                  err.ctypes.data, grad.ctypes.data)
+        self.W_, self.b_ = W, b
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _softmax(np.asarray(X, dtype=np.float64) @ self.W_ + self.b_)
+        logits = np.asarray(X, dtype=np.float64) @ self.W_ + self.b_
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_kernel = None
 
 
-def fit_logistic_sgd(models, matrices, y: np.ndarray, rngs) -> None:
-    """Fit ``models[k]`` on ``matrices[k]`` and ``y`` with ``rngs[k]``, all
-    models in lockstep.
+def _sgd_kernel():
+    """``sgd_epoch`` of ``_sgd.c``, compiled with ``cc`` at its first use.
 
-    The matrices share one shape ``(n, d)``; the same array may serve several
-    models. Each model draws its own permutation per epoch and takes the
-    same minibatch steps as when fitted alone, with its own learning rate,
-    ``l2`` and epoch count. The weights of the models still training are
-    stacked as ``(K, d, C)``, so a step is one stacked product per
-    operation; numpy multiplies each model's slice as the 2-D product a
-    lone fit makes, so every model ends with the same bytes. A model leaves
-    the stack when its epochs end. Rows are gathered per minibatch: a
-    permuted copy of every matrix per epoch would hold K more matrices.
+    The library is cached in ``$XDG_CACHE_HOME/driftml`` (``~/.cache/driftml``
+    when unset) under the sha256 of the source, the flags and ``cc
+    --version``. Each build writes a name of its own and renames it into
+    place, so processes that build at once each load a whole library. The
+    modules for this are imported here, not with the package."""
+    global _kernel
+    if _kernel is None:
+        import ctypes
+        import hashlib
+        import os
+        import subprocess
+        import tempfile
 
-    With two classes a step takes the softmax's max with ``np.maximum``
-    and its sum with one ``+`` of the two class columns: a short-axis
-    reduction costs more per call. The sum is the one numpy's reduce makes
-    (it adds fewer than 8 entries left to right), and the max of values
-    without NaN is one value, so the column form and the reduce form give
-    the same bytes on every step whose softmax meets no NaN. On a NaN they
-    may not: ``max`` and ``np.maximum`` return different NaNs for a row
-    whose first entry alone is NaN. A NaN anywhere in a step's softmax
-    makes that model's bias NaN for good, so after each epoch in the column
-    form a non-finite bias restores the weights and biases the epoch began
-    with, the epoch is redone with the same rows in the reduce form, and
-    the fit keeps the reduce form. At 3 and 4 classes a column form (one
-    more ufunc call per class) was slower than the reductions, so fits of
-    more than two classes reduce from the start.
-    """
-    order = sorted(range(len(models)), key=lambda k: -models[k].epochs)
-    models = [models[k] for k in order]  # the models still training are a prefix
-    rngs = [rngs[k] for k in order]
-    blocks = {}  # id of each distinct matrix -> (its block in ``X``, the matrix)
-    for M in matrices:
-        blocks.setdefault(id(M), (len(blocks), M))
-    block = np.array([blocks[id(matrices[k])][0] for k in order])
-    distinct = [np.asarray(M, dtype=np.float64) for _, M in blocks.values()]
-    X = np.concatenate(distinct) if len(distinct) > 1 else distinct[0]
-    n, d = matrices[0].shape
-    offset = (block * n)[:, None]
-    n_classes = models[0].n_classes
-    y_onehot = np.zeros((n, n_classes))
-    y_onehot[np.arange(n), np.asarray(y, dtype=np.int64)] = 1.0
-    Y = np.tile(y_onehot, (len(distinct), 1))  # the label of every row of X
-
-    K = len(models)
-    W = np.zeros((K, d, n_classes))
-    b = np.zeros((K, 1, n_classes))
-    rate = np.array([model.learning_rate for model in models], dtype=np.float64)[:, None, None]
-    l2 = np.array([model.l2 for model in models], dtype=np.float64)[:, None, None]
-    epochs = np.array([model.epochs for model in models])
-    m = min(LogisticSgdClassifier.MINIBATCH, n)
-    columns = n_classes == 2
-    for epoch in range(int(epochs.max())):
-        k = int(np.count_nonzero(epochs > epoch))
-        rows = np.stack([rng.permutation(n) for rng in rngs[:k]]) + offset[:k]
-        Wk, bk, rate_k, l2_k = W[:k], b[:k], rate[:k], l2[:k]
-        if columns:
-            W0, b0 = Wk.copy(), bk.copy()
-            _sgd_epoch(X, Y, rows, m, Wk, bk, rate_k, l2_k, columns=True)
-            if np.isfinite(bk).all():
-                continue
-            # a NaN met this epoch: redo it in the reduce form, which sets its NaNs
-            Wk[...], bk[...] = W0, b0
-            columns = False
-        _sgd_epoch(X, Y, rows, m, Wk, bk, rate_k, l2_k, columns=False)
-    for k, model in enumerate(models):
-        model.W_ = W[k].copy()
-        model.b_ = b[k, 0].copy()
-
-
-def _sgd_epoch(X, Y, rows, m, W, b, rate, l2, columns: bool) -> None:
-    """One epoch of lockstep minibatch steps, in place on ``W`` and ``b``:
-    minibatch i of model k holds the rows ``rows[k, i*m : (i+1)*m]`` of
-    ``X`` and ``Y``. With ``columns`` (two classes only), the softmax takes
-    each row's max and sum from its two class columns; otherwise it reduces
-    over the class axis, as ``_softmax`` does."""
-    for start in range(0, rows.shape[1], m):
-        take = rows[:, start : start + m]
-        xb = X.take(take, axis=0)
-        err = xb @ W + b  # the softmax of the logits, in place
-        if columns:
-            err -= np.maximum(err[..., :1], err[..., 1:])
-            np.exp(err, out=err)
-            err /= err[..., :1] + err[..., 1:]
-        else:
-            err -= err.max(axis=-1, keepdims=True)
-            np.exp(err, out=err)
-            err /= err.sum(axis=-1, keepdims=True)
-        err -= Y.take(take, axis=0)
-        err /= take.shape[1]
-        grad = xb.transpose(0, 2, 1) @ err
-        grad += l2 * W
-        grad *= rate
-        W -= grad
-        grad = np.add.reduce(err, axis=1, keepdims=True)
-        grad *= rate
-        b -= grad
+        source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sgd.c")
+        cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
+                             "driftml")
+        try:
+            with open(source, "rb") as fh:
+                key = hashlib.sha256(fh.read() + repr(_KERNEL_FLAGS).encode() + subprocess.run(
+                    ["cc", "--version"], capture_output=True, check=True).stdout).hexdigest()
+            library = os.path.join(cache, f"_sgd-{key[:24]}.so")
+            if not os.path.exists(library):
+                os.makedirs(cache, exist_ok=True)
+                fd, built = tempfile.mkstemp(suffix=".so", dir=cache)
+                os.close(fd)
+                try:
+                    subprocess.run(["cc", *_KERNEL_FLAGS, "-o", built, source, "-lm"],
+                                   capture_output=True, check=True)
+                    os.replace(built, library)
+                finally:
+                    if os.path.exists(built):
+                        os.unlink(built)
+            epoch = ctypes.CDLL(library).sgd_epoch
+        except (OSError, subprocess.CalledProcessError) as exc:
+            stderr = getattr(exc, "stderr", None) or b""
+            raise KernelBuildError(f"cannot build {source} with cc: {exc} "
+                                   f"{stderr.decode(errors='replace')}".strip()) from exc
+        epoch.restype = None
+        epoch.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 2
+                          + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 2)
+        _kernel = epoch
+    return _kernel
 
 
 def reservoir_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,30 +12,15 @@ that order and the optional stages are written, and it returns the stages as
 a read-only tuple in application order together with the transformed
 training matrix. ``fit_classifiers`` fits each config's classifier on its
 matrix; each classifier config maps to its classifier in one table
-(``_CLASSIFIERS``), built from the config's fields, and logistic-SGD
-classifiers whose matrices share a shape fit in lockstep. Pipelines of one
-prefix may share one stage tuple: fitted stages are never mutated, and their
-arrays are read-only. Every config checks its ranges when it is built, and
-every pipeline predicts through ``predict_pipelines``.
-
-Lockstep groups of different shapes share no state. When there are two or
-more of them on at least ``FORK_MIN_ROWS`` rows and the process may run on
-two CPUs, ``fit_classifiers`` forks one short-lived worker after the stages
-are fitted. The worker inherits the matrices and the models, fits its share
-of whole groups and sends back only each model's ``W_`` and ``b_`` through a
-pipe; meanwhile this process fits the other classifiers and the costliest
-group. The worker is reaped before ``fit_classifiers`` returns, so no
-process outlives a call, and the bytes are those of the serial path.
+(``_CLASSIFIERS``), built from the config's fields, and trees that share a
+matrix grow from one ``tree_pairs`` of it. Pipelines of one prefix may share
+one stage tuple: fitted stages are never mutated, and their arrays are
+read-only. Every config checks its ranges when it is built, and every
+pipeline predicts through ``predict_pipelines``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import pickle
-import signal
-import threading
-import traceback
 from dataclasses import asdict, dataclass
 from typing import Sequence, Union
 
@@ -47,7 +32,6 @@ from .classifiers import (
     KnnClassifier,
     LogisticSgdClassifier,
     NaiveBayesClassifier,
-    fit_logistic_sgd,
     knn_predict_proba,
     tree_pairs,
 )
@@ -390,142 +374,24 @@ def fit_stages(config: PipelineConfig, train: Batch) -> tuple[tuple, np.ndarray]
 def fit_classifiers(configs: Sequence[PipelineConfig], matrices: Sequence[np.ndarray],
                     train: Batch, seeds: Sequence[int]) -> list:
     """The classifier of each config, fitted on its matrix (``train``'s rows
-    after the config's stages) with a generator seeded by its seed.
-    Logistic-SGD classifiers whose matrices share a shape fit in lockstep
-    (``fit_logistic_sgd``), and trees that share a matrix grow from one
-    ``tree_pairs`` of it.
-
-    With two or more lockstep groups on at least ``FORK_MIN_ROWS`` rows and
-    a second CPU, a forked worker fits a share of whole groups
-    (``_share``, ``_lockstep_worker``) while this process fits the other
-    classifiers and its own share. A model's bytes do not depend on the
-    stack it steps in, so they do not depend on the process either. An
-    error the worker raises is raised here with its type."""
+    after the config's stages) with a generator seeded by its seed. Trees
+    that share a matrix grow from one ``tree_pairs`` of it."""
     n_classes, y = train.schema.n_classes, train.y
     present = np.unique(y)
     if present.size == 1:
         return [ConstantClassifier(n_classes, int(present[0])) for _ in configs]
     classifiers = [_CLASSIFIERS[type(c.classifier)](n_classes, **asdict(c.classifier))
                    for c in configs]
-    lockstep = {}  # matrix shape -> [(classifier, matrix, rng)]
-    others = []  # (classifier, matrix, rng) of every other classifier
+    pairs = {}  # id of a matrix that trees fit on -> its ``tree_pairs``
     for classifier, X, seed in zip(classifiers, matrices, seeds):
         rng = np.random.default_rng(seed)
-        if isinstance(classifier, LogisticSgdClassifier):
-            lockstep.setdefault(X.shape, []).append((classifier, X, rng))
+        if isinstance(classifier, DecisionTreeClassifier):
+            if id(X) not in pairs:
+                pairs[id(X)] = tree_pairs(X, y, n_classes)
+            classifier.fit(X, y, rng, pairs[id(X)])
         else:
-            others.append((classifier, X, rng))
-    ours, theirs = _share([tuple(zip(*group)) for group in lockstep.values()], len(y))
-    with _lockstep_worker(theirs, y):
-        pairs = {}  # id of a matrix that trees fit on -> its ``tree_pairs``
-        for classifier, X, rng in others:
-            if isinstance(classifier, DecisionTreeClassifier):
-                if id(X) not in pairs:
-                    pairs[id(X)] = tree_pairs(X, y, n_classes)
-                classifier.fit(X, y, rng, pairs[id(X)])
-            else:
-                classifier.fit(X, y, rng)
-        _fit_lockstep(ours, y)
+            classifier.fit(X, y, rng)
     return classifiers
-
-
-# The fewest fit rows at which ``fit_classifiers`` forks a lockstep worker.
-# Measured on 2 vCPUs with one BLAS thread (``two_core_lockstep`` in
-# ``BENCH_stagger-reweight-auc.json`` and ``BENCH_stagger-refit.json``): with
-# the worker forced on, the 670-row initial STAGGER search raised
-# ``first_model_s`` from 0.117 to 0.129 s and ``batch_p50_ms`` from 0.66 to
-# 0.71 ms (4 of 4 pairs), while the searches on 2,010 and more stored rows
-# cut ``stagger-refit``'s ``adapt_p50_s`` from 0.327 to 0.251 s (10 of 10).
-FORK_MIN_ROWS = 1_000
-
-
-def _fit_lockstep(groups, y: np.ndarray) -> None:
-    for models, matrices, rngs in groups:
-        fit_logistic_sgd(models, matrices, y, rngs)
-
-
-def _share(groups: list, n_rows: int) -> tuple[list, list]:
-    """``(ours, theirs)``: lockstep ``groups`` (``(models, matrices,
-    rngs)``) split by whole groups between this process and a worker,
-    greedily by cost (the most epochs times the rows), this process first.
-    A group is never split: in a prototype, two processes stepping one
-    group's models made Add-New's adaptation slower than one process did
-    (its 4,690-row group of two: 0.227 to 0.290 s).
-    The worker gets nothing with one group, fewer than ``FORK_MIN_ROWS``
-    rows, one CPU, no ``os.fork``, or another thread running: a forked
-    copy of a lock that thread holds could block the worker forever."""
-    if (len(groups) < 2 or n_rows < FORK_MIN_ROWS or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-            or threading.active_count() > 1):
-        return groups, []
-
-    def cost(group):
-        models, matrices, _ = group
-        return max(model.epochs for model in models) * matrices[0].shape[0]
-
-    shares, loads = ([], []), [0, 0]
-    for group in sorted(groups, key=cost, reverse=True):
-        side = int(loads[1] < loads[0])
-        shares[side].append(group)
-        loads[side] += cost(group)
-    return shares
-
-
-@contextlib.contextmanager
-def _lockstep_worker(groups: list, y: np.ndarray):
-    """Fit lockstep ``groups`` in a forked worker while the body runs.
-
-    The worker inherits the matrices and the models, fits the groups and
-    sends back through a pipe only each model's ``W_`` and ``b_``, or the
-    exception it raised, which is raised here with its type (so a
-    ``search.CANDIDATE_ERRORS`` still makes the search retry each candidate
-    alone). On leaving, the weights are set on the models; the worker is
-    always reaped, and killed first when the body raises. With no groups,
-    nothing is forked."""
-    if not groups:
-        yield
-        return
-    read, write = os.pipe()
-    with open(read, "rb") as pipe, open(write, "wb") as out:
-        pid = os.fork()
-        if pid == 0:
-            _worker_main(groups, y, out)
-        out.close()
-        try:
-            yield
-            data = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-    if status != 0:
-        raise RuntimeError(f"lockstep worker exited with code {os.waitstatus_to_exitcode(status)}")
-    result = pickle.loads(data)
-    if isinstance(result, BaseException):
-        raise result
-    for model, (W, b) in zip([m for models, _, _ in groups for m in models], result, strict=True):
-        model.W_, model.b_ = W, b
-
-
-def _worker_main(groups: list, y: np.ndarray, out) -> None:
-    """The forked worker of ``_lockstep_worker``: fits ``groups``, writes
-    the pickled weights or exception to ``out`` and leaves through
-    ``os._exit``, so it never returns and runs no exit handler of the
-    process it was forked from."""
-    status = 1
-    try:
-        try:
-            _fit_lockstep(groups, y)
-            result = [(m.W_, m.b_) for models, _, _ in groups for m in models]
-        except BaseException as exc:
-            exc.add_note("in the lockstep worker:\n" + "".join(traceback.format_tb(exc.__traceback__)))
-            result = exc
-        pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
-        out.close()
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def fit(config: PipelineConfig, train: Batch, seed: int = 0) -> TrainedPipeline:

@@ -33,18 +33,14 @@ whole.
 
 Candidates admitted together are evaluated together
 (``evaluate_candidates``): each distinct preprocessing prefix is fitted once
-on the fit batch and its pipelines share the fitted stages, and logistic-SGD
-candidates whose matrices share a shape are trained in lockstep. Every
-member gets the bytes it gets when fitted alone (``evaluate_candidate``).
-With ``max_seconds`` unset, results are bit-deterministic under a fixed
-seed: each candidate draws from its own seed, and members are assembled by
-candidate index. Only the shared prefixes and the lockstep groups tie the
-candidates' work together. When a search has two or more lockstep groups
-on at least ``pipeline.FORK_MIN_ROWS`` fit rows, as on stored data,
-``fit_classifiers`` fits a share of whole groups in one forked worker on
-the second CPU; a member's bytes do not depend on which process fitted
-it, and a ``CANDIDATE_ERRORS`` raised in the worker comes back typed. A
-failure at any step has one fallback: each candidate is evaluated alone.
+on the fit batch and its pipelines share the fitted stages, and trees on one
+matrix share its distinct (row, label) pairs. Every member gets the bytes it
+gets when fitted alone (``evaluate_candidate``). With ``max_seconds`` unset,
+results are bit-deterministic under a fixed seed: each candidate draws from
+its own seed, and members are assembled by candidate index. A failure at any
+step has one fallback: each candidate is evaluated alone. An SGD kernel that
+cannot be built (``classifiers.KernelBuildError``) is not a candidate's
+failure, so it fails the search.
 """
 
 from __future__ import annotations
@@ -306,7 +302,7 @@ def _evaluate_together(candidates: Sequence[tuple[int, PipelineConfig]], fit_bat
                        holdout: Holdout, seed: int) -> list[LibraryMember]:
     """``evaluate_candidates`` without error handling: each distinct prefix's
     stages are fitted once and shared, one ``fit_classifiers`` call fits the
-    classifiers (logistic SGD in lockstep), and the models predict together."""
+    classifiers, and the models predict together."""
     fitted = {}  # prefix -> (stages, matrix)
     for _, config in candidates:
         if prefix(config) not in fitted:

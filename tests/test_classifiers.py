@@ -1,17 +1,22 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftml import classifiers
 from driftml.classifiers import (
     DecisionTreeClassifier,
     KnnClassifier,
     LogisticSgdClassifier,
-    fit_logistic_sgd,
     knn_predict_proba,
     reservoir_sample,
     tree_pairs,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def reference_knn_proba(model, X):
@@ -315,87 +320,88 @@ def test_tree_fit_equals_the_row_by_row_reference_exactly(case):
 
 
 def reference_logistic_fit(model, X, y, rng):
-    """Reference for ``fit_logistic_sgd``: one model's minibatch steps as a
-    loop of 2-D products; returns ``(W, b)``."""
-
-    def softmax(logits):
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
+    """Reference for ``LogisticSgdClassifier.fit``: the steps of ``_sgd.c``
+    in Python floats and ``math.exp``, each sum in the kernel's order and
+    the max by its NaN rule (a later entry replaces it only when greater);
+    returns ``(W, b)``."""
     n, d = X.shape
-    y_onehot = np.zeros((n, model.n_classes))
-    y_onehot[np.arange(n), y] = 1.0
-    W = np.zeros((d, model.n_classes))
-    b = np.zeros(model.n_classes)
+    C, rate, l2 = model.n_classes, model.learning_rate, model.l2
+    rows, labels = X.tolist(), y.tolist()
+    W = [[0.0] * C for _ in range(d)]
+    b = [0.0] * C
     m = min(model.MINIBATCH, n)
     for _ in range(model.epochs):
-        perm = rng.permutation(n)
+        perm = rng.permutation(n).tolist()
         for start in range(0, n, m):
-            take = perm[start : start + m]
-            xb, yb = X[take], y_onehot[take]
-            p = softmax(xb @ W + b)
-            err = (p - yb) / take.size
-            W -= model.learning_rate * (xb.T @ err + model.l2 * W)
-            b -= model.learning_rate * err.sum(axis=0)
-    return W, b
+            batch = [rows[r] for r in perm[start : start + m]]
+            batch_labels = [labels[r] for r in perm[start : start + m]]
+            errs = []
+            for x, label in zip(batch, batch_labels):
+                logits = []
+                for c in range(C):
+                    s = 0.0
+                    for j in range(d):
+                        s += x[j] * W[j][c]
+                    logits.append(s + b[c])
+                top = logits[0]
+                for v in logits[1:]:
+                    if v > top:
+                        top = v
+                e = [math.exp(v - top) for v in logits]
+                total = 0.0
+                for v in e:
+                    total += v
+                errs.append([(v / total - (1.0 if c == label else 0.0)) / len(batch)
+                             for c, v in enumerate(e)])
+            for j in range(d):
+                for c in range(C):
+                    g = 0.0
+                    for x, err in zip(batch, errs):
+                        g += x[j] * err[c]
+                    W[j][c] -= (g + l2 * W[j][c]) * rate
+            for c in range(C):
+                g = 0.0
+                for err in errs:
+                    g += err[c]
+                b[c] -= g * rate
+    return np.array(W, dtype=np.float64).reshape(d, C), np.array(b, dtype=np.float64)
 
 
 @st.composite
-def lockstep_case(draw):
-    """1-6 logistic models with mixed epochs, learning rates and ``l2``
-    (0 among them) over 2-9 classes (numpy sums a row of 8 or more
-    pairwise); n of 1, below the minibatch, and not a multiple of it; up to
-    20 columns; each model's matrix drawn from a pool, so some models share
-    one array and others do not. A quarter of the cases diverge: large
-    unscaled values and a large learning rate drive the logits to +-inf and
-    NaN."""
+def logistic_case(draw):
+    """A logistic model over 2-9 classes with 1-4 epochs, a learning rate
+    and ``l2`` (0 among them); n of 1, below the minibatch, and not a
+    multiple of it; up to 20 columns, C- or Fortran-ordered. A third of the
+    cases diverge: large unscaled values and a large learning rate drive
+    the logits to +-inf and NaN, either in the first steps or, near 1e150
+    and a learning rate of 10**8.5, most often in the second epoch."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.sampled_from([1, 2, 31, 32, 33, 95, 150]))
     d = draw(st.integers(1, 20))
     n_classes = draw(st.integers(2, 9))
-    k = draw(st.integers(1, 6))
-    diverge = draw(st.integers(0, 3)) == 0
-    scales, rates = ([1e160, 1e200], [10.0, 1e3]) if diverge else ([1.0, 5.0], [0.003, 0.1, 0.9])
-    pool = [rng.normal(size=(n, d)) * draw(st.sampled_from(scales))
-            for _ in range(draw(st.integers(1, k)))]
-    matrices = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(k)]
-    models = [
-        LogisticSgdClassifier(n_classes, learning_rate=draw(st.sampled_from(rates)),
-                              l2=draw(st.sampled_from([0.0, 1e-4, 0.05])),
-                              epochs=draw(st.integers(1, 4)))
-        for _ in range(k)
-    ]
-    seeds = [draw(st.integers(0, 2**32 - 1)) for _ in range(k)]
-    return models, matrices, rng.integers(0, n_classes, n), seeds
+    scales, rates = draw(st.sampled_from([
+        ([1.0, 5.0], [0.003, 0.1, 0.9]), ([1.0, 5.0], [0.003, 0.1, 0.9]),
+        ([1e160, 1e200], [10.0, 1e3]), ([1e150], [10**8.5]),
+    ]))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from(scales))
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    model = LogisticSgdClassifier(n_classes, learning_rate=draw(st.sampled_from(rates)),
+                                  l2=draw(st.sampled_from([0.0, 1e-4, 0.05])),
+                                  epochs=draw(st.integers(1, 4)))
+    return model, X, rng.integers(0, n_classes, n), draw(st.integers(0, 2**32 - 1))
 
 
 # The first step drives W to +-inf; in the second, the logit row of the
-# second input is NaN in its first entry alone (inf - inf). ``max`` over the
-# row returns another NaN there than an ``np.maximum`` chain over the
-# class planes does, so the weights' NaN bytes tell the two apart.
-FIRST_LOGIT_NAN = ([LogisticSgdClassifier(3, learning_rate=1e3, l2=0.0, epochs=2)],
-                   [np.array([[1.0, 1.0], [1.0, -1.0]]) * 1e307], np.array([0, 1]), [0])
-
-
-@settings(max_examples=120)
-@given(lockstep_case())
-@example(FIRST_LOGIT_NAN)
-def test_lockstep_sgd_equals_fitting_each_model_alone(case):
-    models, matrices, y, seeds = case
-    with np.errstate(over="ignore", invalid="ignore"):
-        fit_logistic_sgd(models, matrices, y, [np.random.default_rng(s) for s in seeds])
-    for model, X, seed in zip(models, matrices, seeds):
-        with np.errstate(over="ignore", invalid="ignore"):
-            W, b = reference_logistic_fit(model, X, y, np.random.default_rng(seed))
-        assert model.W_.tobytes() == W.tobytes()
-        assert model.b_.tobytes() == b.tobytes()
+# second input is NaN in its first entry alone (inf - inf), so the max is
+# that NaN.
+FIRST_LOGIT_NAN = (LogisticSgdClassifier(3, learning_rate=1e3, l2=0.0, epochs=2),
+                   np.array([[1.0, 1.0], [1.0, -1.0]]) * 1e307, np.array([0, 1]), 0)
 
 
 def late_first_logit_nan(epochs):
     """A binary logistic fit that stays finite in its first epoch and in its
-    second meets a logit row that is NaN in its first entry alone, where
-    ``max`` and ``np.maximum`` return different NaNs (as in
+    second meets a logit row that is NaN in its first entry alone (as in
     ``FIRST_LOGIT_NAN``). 35 rows, so an epoch is a step over 32 rows and
     one over 3, and the seed's first permutation puts the three last: the
     32 rows make the three nearly certain of class 1, so only class 0's
@@ -407,77 +413,57 @@ def late_first_logit_nan(epochs):
     X[:32, 0] = np.where(np.arange(32) % 2, s, -s)
     X[32:] = [[s, big, 0.0], [s, 0.0, -big], [0.0, 1.0, 1.0]]
     y = np.concatenate([np.arange(32) % 2, [1, 1, 0]])
-    return [LogisticSgdClassifier(2, learning_rate=rate, l2=0.0, epochs=epochs)], [X], y, [10076]
+    return LogisticSgdClassifier(2, learning_rate=rate, l2=0.0, epochs=epochs), X, y, 10076
 
 
-@st.composite
-def late_divergence_case(draw):
-    """A logistic model over 2, 3 or 9 classes with 2-4 epochs whose
-    weights, on values near 1e150 and a learning rate of 10**8.5, most often
-    overflow in its second epoch; alone or in lockstep with up to two
-    models that stay finite, on its matrix or on another."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_classes = draw(st.sampled_from([2, 3, 9]))
-    X, y = rng.normal(size=(64, 4)) * 1e150, rng.integers(0, n_classes, 64)
-    models = [LogisticSgdClassifier(n_classes, learning_rate=10**8.5,
-                                    l2=draw(st.sampled_from([0.0, 1e-4])),
-                                    epochs=draw(st.integers(2, 4)))]
-    matrices = [X]
-    for _ in range(draw(st.integers(0, 2))):
-        models.append(LogisticSgdClassifier(n_classes,
-                                            learning_rate=draw(st.sampled_from([0.003, 0.1])),
-                                            l2=1e-4, epochs=draw(st.integers(1, 4))))
-        matrices.append(draw(st.sampled_from([X, X / 1e150])))
-    return models, matrices, y, [draw(st.integers(0, 2**32 - 1)) for _ in models]
-
-
-@settings(max_examples=40)
-@given(late_divergence_case())
+@settings(max_examples=100, deadline=None)
+@given(logistic_case())
+@example(FIRST_LOGIT_NAN)
 @example(late_first_logit_nan(2))
 @example(late_first_logit_nan(4))
-def test_lockstep_sgd_that_diverges_after_its_first_epoch_equals_the_reference(case):
-    """The first model's bias is finite after one epoch and not at the end,
-    so a binary fit redoes a later epoch from the weights it began with."""
-    models, matrices, y, seeds = case
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = models[0]
-        one_epoch = LogisticSgdClassifier(first.n_classes, first.learning_rate, first.l2, 1)
-        one_epoch.fit(matrices[0], y, np.random.default_rng(seeds[0]))
-        fit_logistic_sgd(models, matrices, y, [np.random.default_rng(s) for s in seeds])
-        assume(np.isfinite(one_epoch.b_).all() and not np.isfinite(first.b_).all())
-        for model, X, seed in zip(models, matrices, seeds):
-            W, b = reference_logistic_fit(model, X, y, np.random.default_rng(seed))
-            assert model.W_.tobytes() == W.tobytes()
-            assert model.b_.tobytes() == b.tobytes()
+def test_logistic_fit_equals_the_python_reference(case):
+    model, X, y, seed = case
+    assert model.fit(X, y, np.random.default_rng(seed)) is model
+    W, b = reference_logistic_fit(model, X, y, np.random.default_rng(seed))
+    assert model.W_.tobytes() == W.tobytes()
+    assert model.b_.tobytes() == b.tobytes()
 
 
-def test_a_finite_binary_fit_steps_in_the_column_form(monkeypatch):
-    """A binary fit takes the class-column softmax in every epoch while it
-    stays finite, and a late divergence redoes only its epoch in the reduce
-    form and keeps that form."""
-    forms = []
-
-    def spy(*args, columns):
-        forms.append(columns)
-        return sgd_epoch(*args, columns=columns)
-
-    sgd_epoch = classifiers._sgd_epoch
-    monkeypatch.setattr(classifiers, "_sgd_epoch", spy)
-    rng = np.random.default_rng(4)
-    X, y = rng.normal(size=(70, 5)), rng.integers(0, 2, 70)
-    LogisticSgdClassifier(2, learning_rate=0.1, l2=1e-4, epochs=3).fit(X, y, rng)
-    assert forms == [True] * 3
-    forms.clear()
-    models, matrices, y, seeds = late_first_logit_nan(4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        models[0].fit(matrices[0], y, np.random.default_rng(seeds[0]))
-    assert forms == [True, True, False, False, False]
+def test_the_nan_examples_reach_nan_where_their_docstrings_say():
+    """``FIRST_LOGIT_NAN`` ends with NaN weights, and ``late_first_logit_nan``
+    is finite after one epoch and not after two."""
+    model, X, y, seed = FIRST_LOGIT_NAN
+    assert np.isnan(model.fit(X, y, np.random.default_rng(seed)).W_).any()
+    model, X, y, seed = late_first_logit_nan(1)
+    assert np.isfinite(model.fit(X, y, np.random.default_rng(seed)).b_).all()
+    model, X, y, seed = late_first_logit_nan(2)
+    assert not np.isfinite(model.fit(X, y, np.random.default_rng(seed)).b_).all()
 
 
-def test_logistic_fit_is_the_one_model_lockstep_call():
-    rng = np.random.default_rng(3)
-    X, y = rng.normal(size=(70, 16)), rng.integers(0, 3, 70)
-    model = LogisticSgdClassifier(3, learning_rate=0.1, l2=1e-4, epochs=3)
-    assert model.fit(X, y, np.random.default_rng(9)) is model
-    W, b = reference_logistic_fit(model, X, y, np.random.default_rng(9))
-    assert (model.W_.tobytes(), model.b_.tobytes()) == (W.tobytes(), b.tobytes())
+def fit_in_a_fresh_process(cache, X, y):
+    """A process that fits a logistic model with ``cache`` as
+    ``XDG_CACHE_HOME`` and prints its weights' bytes as hex."""
+    script = ("import sys, numpy as np; from driftml.classifiers import LogisticSgdClassifier; "
+              "X, y = np.load(sys.argv[1]), np.load(sys.argv[2]); "
+              "m = LogisticSgdClassifier(3, 0.1, 1e-4, 5).fit(X, y, np.random.default_rng(7)); "
+              "print(m.W_.tobytes().hex(), m.b_.tobytes().hex())")
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache),
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-c", script, str(X), str(y)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_two_processes_building_the_kernel_at_once_fit_the_same_bytes(tmp_path):
+    rng = np.random.default_rng(2)
+    X, y = rng.normal(size=(100, 6)), rng.integers(0, 3, 100)
+    np.save(tmp_path / "X.npy", X)
+    np.save(tmp_path / "y.npy", y)
+    cache = tmp_path / "cache"
+    procs = [fit_in_a_fresh_process(cache, tmp_path / "X.npy", tmp_path / "y.npy")
+             for _ in range(2)]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outs]
+    model = LogisticSgdClassifier(3, 0.1, 1e-4, 5).fit(X, y, np.random.default_rng(7))
+    here = f"{model.W_.tobytes().hex()} {model.b_.tobytes().hex()}\n"
+    assert [out for out, _ in outs] == [here, here]
+    assert [p.suffix for p in (cache / "driftml").iterdir()] == [".so"]  # no build left over

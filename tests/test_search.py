@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from driftml import classifiers, pipeline, search
 from driftml.classifiers import (
     DecisionTreeClassifier,
+    KernelBuildError,
     KnnClassifier,
     LogisticSgdClassifier,
     NaiveBayesClassifier,
@@ -163,29 +164,44 @@ def test_a_bug_inside_a_candidate_propagates(monkeypatch):
 
 def test_a_failure_skips_only_its_own_candidates(monkeypatch, caplog):
     """A prefix whose stages do not fit fails only its own candidates, and
-    a logistic fit that fails in lockstep fails only its own candidate."""
+    a failing logistic fit fails only its own candidate."""
     sgd = [PipelineConfig(standardize=True, classifier=LogisticSgdConfig(learning_rate=rate, epochs=3))
            for rate in (0.1, 0.9, 0.3)]
     tree = PipelineConfig(classifier=DecisionTreeConfig(max_depth=3))
     portfolio = [PipelineConfig(one_hot=True, classifier=KnnConfig(k=3)), *sgd, tree]
-    stages, lockstep = search.fit_stages, pipeline.fit_logistic_sgd
+    stages, logistic_fit = search.fit_stages, LogisticSgdClassifier.fit
 
     def fails_one_hot(config, train):
         if config.one_hot:
             raise PipelineError("no encoding")
         return stages(config, train)
 
-    def overflows_at_rate_0_9(models, *args):
-        if any(model.learning_rate == 0.9 for model in models):
+    def overflows_at_rate_0_9(model, *args):
+        if model.learning_rate == 0.9:
             raise FloatingPointError("overflow")
-        return lockstep(models, *args)
+        return logistic_fit(model, *args)
 
     monkeypatch.setattr(search, "fit_stages", fails_one_hot)
-    monkeypatch.setattr(pipeline, "fit_logistic_sgd", overflows_at_rate_0_9)
+    monkeypatch.setattr(LogisticSgdClassifier, "fit", overflows_at_rate_0_9)
     lib = run_search(two_class_batch(), SearchBudget(max_candidates=5, seed=0), portfolio)
     assert [m.pipeline.config for m in lib.members] == [sgd[0], sgd[2], tree]
     failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
     assert [msg.split(":")[0] for msg in failed] == ["candidate 0 failed", "candidate 2 failed"]
+
+
+def test_without_a_compiler_a_logistic_search_fails_with_a_kernel_build_error(
+        monkeypatch, tmp_path, caplog):
+    """With no ``cc`` on the PATH and an empty cache, the first logistic fit
+    raises ``KernelBuildError``, which fails the search instead of skipping
+    the candidate."""
+    monkeypatch.setattr(classifiers, "_kernel", None)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    portfolio = [PipelineConfig(classifier=DecisionTreeConfig(max_depth=3)),
+                 PipelineConfig(standardize=True, classifier=LogisticSgdConfig(epochs=2))]
+    with pytest.raises(KernelBuildError):
+        run_search(two_class_batch(), SearchBudget(max_candidates=2, seed=0), portfolio)
+    assert not [r for r in caplog.records if "failed" in r.getMessage()]
 
 
 def test_a_failed_predict_skips_only_its_own_candidate(monkeypatch, caplog):
@@ -250,8 +266,7 @@ def failing_for(marked, method, error):
 @example(drawn=[(3, 0, "predict"), (3, 1, None), (1, 2, "predict")], failing_prefixes={0})
 def test_candidates_failing_at_any_step_skip_only_themselves(drawn, failing_prefixes):
     """Candidates forced to fail at stage fit (every candidate of a prefix
-    whose stages raise), at classifier fit (the whole lockstep group of a
-    failing logistic model raises) or at predict (the whole shared k-NN
+    whose stages raise), at classifier fit or at predict (the whole shared k-NN
     pass of a failing k-NN model raises), in one ``evaluate_candidates``
     call: the others are the members, in candidate order, each the bytes of
     ``evaluate_candidate``, and each failure logs one warning, in candidate
@@ -274,15 +289,11 @@ def test_candidates_failing_at_any_step_skip_only_themselves(drawn, failing_pref
 
     with pytest.MonkeyPatch.context() as patch, mock.patch.object(search.log, "warning") as warn:
         patch.setattr(search, "fit_stages", fit_stages)
-        patch.setattr(pipeline, "fit_logistic_sgd", failing_for(
-            fail_fit, pipeline.fit_logistic_sgd, FloatingPointError("overflow")))
         knn = failing_for(fail_predict, pipeline.knn_predict_proba, FloatingPointError("underflow"))
         patch.setattr(pipeline, "knn_predict_proba", knn)
         patch.setattr(classifiers, "knn_predict_proba", knn)
         for _, cls, _ in TAGGED_FAMILIES:
-            if cls is not LogisticSgdClassifier:  # fit in lockstep, through ``fit_logistic_sgd``
-                patch.setattr(cls, "fit", failing_for(
-                    fail_fit, cls.fit, np.linalg.LinAlgError("fit")))
+            patch.setattr(cls, "fit", failing_for(fail_fit, cls.fit, np.linalg.LinAlgError("fit")))
             if cls is not KnnClassifier:  # predicts through ``knn_predict_proba``
                 patch.setattr(cls, "predict_proba", failing_for(
                     fail_predict, cls.predict_proba, DataError("predict")))
@@ -317,7 +328,7 @@ def stage_arrays(stages):
 
 @pytest.mark.parametrize("dataset", ["stagger", "mixed"])
 def test_search_members_equal_each_candidate_fitted_alone(dataset):
-    """Shared preprocessing and lockstep SGD leave every member's
+    """Shared preprocessing and shared tree pairs leave every member's
     transformed matrix and holdout predictions byte-identical to fitting
     the candidate alone; members with one prefix share one stage tuple,
     whose arrays are read-only."""
