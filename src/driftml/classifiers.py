@@ -6,34 +6,33 @@ schema class set: rows are non-negative and sum to 1, classes absent from
 the training data may receive probability zero. Everything is deterministic
 given (data, hyperparameters, seed).
 
-Logistic SGD runs each epoch as one call into a small C kernel
-(``_sgd.c``, compiled with ``cc`` at the first fit and cached outside the
-package; ``KernelBuildError`` when that fails). The kernel sums in a fixed
-order and takes libm's ``exp``, so a model's bytes do not depend on BLAS or
-on numpy's SIMD ``exp``. k-NN has one prediction routine,
+Logistic SGD and k-NN run their inner loops in ``_kernels.c``, compiled
+with ``cc`` at the first logistic fit or k-NN prediction and cached
+outside the package (``KernelBuildError`` when that fails). The kernels
+sum and compare in a fixed order. SGD takes libm's ``exp``, so its weights
+do not depend on BLAS or on numpy's SIMD ``exp``; k-NN's distance product
+stays a BLAS product. k-NN has one prediction routine,
 ``knn_predict_proba``, which serves several models of one reference set
-from one distance matrix and one partition per chunk;
-``KnnClassifier.predict_proba`` is its one-model call.
+from one distance product per chunk; ``KnnClassifier.predict_proba`` is
+its one-model call.
 
 The tree and k-NN kernels take fewer passes than the simple forms they
 replace and give the same bytes; ``tests/test_classifiers.py`` keeps each
 simple form as a reference, and a pure-Python form of the SGD kernel. The
 tree grows from the distinct (row, label) pairs weighted by count
 (``tree_pairs``, which trees fitted on one matrix share) and scores every
-split of a block of features in one pass. k-NN finds its distances in
-place, takes each k's k-th distance from the smallest k_max of a row, and
-counts the votes as one product of the 0/1 mask ``d2 <= kth`` with the
-references' one-hot labels; only a row with ties at its k-th distance, or
-with a NaN k-th distance, has its counts fixed.
+split of a block of features in one pass. k-NN keeps each row's nearest
+references in the stable argsort's order as it forms their distances, and
+counts the votes of every k among them.
 
 k-NN forms one distance product per ``CHUNK`` = 1,024 query rows, whose
 shape pins the bytes (at 256 rows the recorded normalized-AUC report
-digests change). The row-local passes after it run on sub-blocks of about
-``BLOCK_CELLS`` cells that stay in a core's L2 cache; their size moves no
-byte and is free to change for speed.
+digests change).
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -259,14 +258,14 @@ class NaiveBayesClassifier:
 
 
 class KernelBuildError(RuntimeError):
-    """The SGD kernel ``_sgd.c`` could not be compiled or loaded."""
+    """The kernels of ``_kernels.c`` could not be compiled or loaded."""
 
 
 class LogisticSgdClassifier:
     """Multinomial logistic regression trained with seeded mini-batch SGD
-    (L2 on the weights, not the bias). Each epoch is one call into the
-    compiled kernel ``_sgd.c``, whose fixed summation order and libm ``exp``
-    pin the weights' bytes."""
+    (L2 on the weights, not the bias). Each epoch is one call into
+    ``sgd_epoch`` of ``_kernels.c``, whose fixed summation order and libm
+    ``exp`` pin the weights' bytes."""
 
     MINIBATCH = 32
 
@@ -278,7 +277,7 @@ class LogisticSgdClassifier:
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
         """Steps from zero weights over ``rng.permutation(n)`` per epoch."""
-        epoch = _sgd_kernel()
+        epoch = _kernels().sgd_epoch
         X = np.ascontiguousarray(X, dtype=np.float64)
         (n, d), n_classes = X.shape, self.n_classes
         Y = np.zeros((n, n_classes))
@@ -304,51 +303,69 @@ _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _kernel = None
 
 
-def _sgd_kernel():
-    """``sgd_epoch`` of ``_sgd.c``, compiled with ``cc`` at its first use.
+def _kernels():
+    """The library of ``_kernels.c``, compiled with ``cc`` at its first use.
 
     The library is cached in ``$XDG_CACHE_HOME/driftml`` (``~/.cache/driftml``
-    when unset) under the sha256 of the source, the flags and ``cc
-    --version``. Each build writes a name of its own and renames it into
-    place, so processes that build at once each load a whole library. The
-    modules for this are imported here, not with the package."""
+    when unset) under the sha256 of the source, the flags and the ``cc``
+    found on ``PATH``, named by its resolved path, size and mtime, so
+    loading a cached library starts no process. The modules for this are
+    imported here, not with the package."""
     global _kernel
     if _kernel is None:
         import ctypes
         import hashlib
-        import os
-        import subprocess
-        import tempfile
+        import shutil
 
-        source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sgd.c")
+        source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
         cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
                              "driftml")
+        cc = shutil.which("cc")
         try:
+            if cc is None:
+                raise FileNotFoundError("no cc on PATH")
+            compiler = os.path.realpath(cc)
+            found = os.stat(compiler)
             with open(source, "rb") as fh:
-                key = hashlib.sha256(fh.read() + repr(_KERNEL_FLAGS).encode() + subprocess.run(
-                    ["cc", "--version"], capture_output=True, check=True).stdout).hexdigest()
-            library = os.path.join(cache, f"_sgd-{key[:24]}.so")
+                key = hashlib.sha256(fh.read() + repr(
+                    (_KERNEL_FLAGS, compiler, found.st_size, found.st_mtime_ns)).encode())
+            library = os.path.join(cache, f"_kernels-{key.hexdigest()[:24]}.so")
             if not os.path.exists(library):
-                os.makedirs(cache, exist_ok=True)
-                fd, built = tempfile.mkstemp(suffix=".so", dir=cache)
-                os.close(fd)
-                try:
-                    subprocess.run(["cc", *_KERNEL_FLAGS, "-o", built, source, "-lm"],
-                                   capture_output=True, check=True)
-                    os.replace(built, library)
-                finally:
-                    if os.path.exists(built):
-                        os.unlink(built)
-            epoch = ctypes.CDLL(library).sgd_epoch
-        except (OSError, subprocess.CalledProcessError) as exc:
-            stderr = getattr(exc, "stderr", None) or b""
-            raise KernelBuildError(f"cannot build {source} with cc: {exc} "
-                                   f"{stderr.decode(errors='replace')}".strip()) from exc
-        epoch.restype = None
-        epoch.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 2
-                          + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 2)
-        _kernel = epoch
+                _build(cc, source, library)
+            lib = ctypes.CDLL(library)
+        except OSError as exc:
+            raise KernelBuildError(f"cannot build {source} with cc: {exc}") from exc
+        lib.sgd_epoch.restype = lib.knn_votes.restype = None
+        lib.sgd_epoch.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
+                                  + [ctypes.c_void_p] * 2 + [ctypes.c_double] * 2
+                                  + [ctypes.c_void_p] * 2)
+        lib.knn_votes.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3
+                                  + [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
+                                  + [ctypes.c_void_p] * 2)
+        _kernel = lib
     return _kernel
+
+
+def _build(cc: str, source: str, library: str) -> None:
+    """Compile ``source`` with ``cc`` into a name of its own beside
+    ``library``, then rename it into place, so processes that build at once
+    each load a whole library."""
+    import subprocess
+    import tempfile
+
+    os.makedirs(os.path.dirname(library), exist_ok=True)
+    fd, built = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(library))
+    os.close(fd)
+    try:
+        done = subprocess.run([cc, *_KERNEL_FLAGS, "-o", built, source, "-lm"],
+                              capture_output=True)
+        if done.returncode:
+            raise KernelBuildError(f"cannot build {source} with cc: "
+                                   f"{done.stderr.decode(errors='replace')}".strip())
+        os.replace(built, library)
+    finally:
+        if os.path.exists(built):
+            os.unlink(built)
 
 
 def reservoir_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -373,7 +390,6 @@ class KnnClassifier:
     """
 
     CHUNK = 1024
-    BLOCK_CELLS = 1 << 16
 
     def __init__(self, n_classes: int, k: int, max_reference_points: int):
         self.n_classes = n_classes
@@ -397,95 +413,31 @@ def knn_predict_proba(models, X: np.ndarray) -> list[np.ndarray]:
     """Each model's ``KnnClassifier.predict_proba`` on ``X``, for models
     whose ``n_classes``, ``ref_X_`` and ``ref_y_`` are byte-identical.
 
-    Each chunk's distances are computed once and partitioned once, at the
-    largest k; a smaller k finds its k-th distance among those k_max
-    columns. The k-th smallest distance is one value however it is found,
-    so every model gets the bytes of its own call.
-
-    A k's votes are one product: the 0/1 mask ``d2 <= kth``, written into
-    one reused float32 buffer, times the (references, classes) one-hot
-    table of ``ref_y_``. The counts are sums of at most the reference count
-    of ones, exact in float32 up to 2**24 references (float64 beyond), so
-    ``votes / k`` has the bytes of an integer count. The counts' row sums
-    find the rows whose mask does not hold exactly k references, and only
-    those are fixed (``_nearest_votes``).
-
-    ``CHUNK`` fixes the rows of each distance product, whose shape decides
-    its rounding, so it stays at 1,024. Every pass after the product reads
-    and writes each row on its own, so a chunk's rows go through those
-    passes ``BLOCK_CELLS // references`` at a time (at least one, at most
-    ``CHUNK``): a 670-reference block of 97 rows is 0.5 MB. On 1,000 query
-    rows and 670 or 2,048 references (an x86-64 core with a 2 MB L2),
-    2**16 and 2**17 cells were fastest; 2**15 lost more to per-call
-    overhead than it saved, and from 2**18 up the passes slowed again.
+    numpy forms each chunk's distance product ``(2·x) @ ref_X.T`` and row
+    norms once; one call into ``knn_votes`` of ``_kernels.c`` then finds
+    every row's distances ``(sq - prod) + ref_sq`` in that order, keeps its
+    k_max nearest references as a stable argsort orders them (NaN last),
+    and writes ``count / k`` over the first k of them into each model's
+    output. ``CHUNK`` fixes the rows of each distance product, whose shape
+    decides its rounding, so it stays at 1,024.
     """
     X = np.asarray(X, dtype=np.float64)
     first = models[0]
-    ref_X, ref_sq = first.ref_X_, first.ref_sq_
-    by_k = {}  # k (at most the reference count) -> the indices of its models
-    for i, model in enumerate(models):
-        by_k.setdefault(min(model.k, ref_X.shape[0]), []).append(i)
-    k_max = max(by_k)
-    # float32 counts to 2**24 exactly: a row's votes never exceed the references
-    exact = np.float32 if ref_X.shape[0] <= 1 << 24 else np.float64
-    onehot = np.zeros((ref_X.shape[0], first.n_classes), dtype=exact)
-    onehot[np.arange(ref_X.shape[0]), first.ref_y_] = 1.0
-    outs = [np.empty((X.shape[0], first.n_classes)) for _ in models]
-    step = min(first.CHUNK, max(1, first.BLOCK_CELLS // ref_X.shape[0]))
-    near = np.empty((min(step, X.shape[0]), ref_X.shape[0]), dtype=exact)  # a sub-block's mask
+    ref_X, n_classes = first.ref_X_, first.n_classes
+    ref_sq = np.ascontiguousarray(first.ref_sq_, dtype=np.float64)
+    ref_y = np.ascontiguousarray(first.ref_y_, dtype=np.int64)
+    if ref_y.size and not 0 <= ref_y.min() <= ref_y.max() < n_classes:
+        raise ValueError("k-NN reference labels must index the classes")
+    k = np.array([min(model.k, ref_X.shape[0]) for model in models], dtype=np.int64)
+    outs = [np.empty((X.shape[0], n_classes)) for _ in models]
+    out_at = np.array([out.ctypes.data for out in outs], dtype=np.uintp)
+    near, labels = np.empty(k.max()), np.empty(k.max() + n_classes, dtype=np.int64)
+    votes = _kernels().knn_votes
     for start in range(0, X.shape[0], first.CHUNK):
         xb = X[start : start + first.CHUNK]
-        # sq - 2·x·r + ref_sq: the reference's operations in its order,
-        # in one (rows, references) array whose product spans the chunk
-        d2 = (2.0 * xb) @ ref_X.T
-        sq = np.square(xb).sum(axis=1, keepdims=True)
-        for at in range(0, xb.shape[0], step):
-            block = d2[at : at + step]
-            np.subtract(sq[at : at + step], block, out=block)
-            block += ref_sq
-            # each row's k_max smallest, copied so the partitioned block is freed at once
-            smallest = np.partition(block, k_max - 1, axis=1)[:, :k_max].copy()
-            mask = near[: block.shape[0]]
-            for k, indices in by_k.items():
-                kth = smallest if k == k_max else np.partition(smallest, k - 1, axis=1)
-                votes = _nearest_votes(block, k, kth[:, k - 1], mask, onehot, first.ref_y_)
-                share = np.divide(votes, k, dtype=np.float64)
-                for i in indices:
-                    outs[i][start + at : start + at + block.shape[0]] = share
+        prod = (2.0 * xb) @ ref_X.T
+        sq = np.square(xb).sum(axis=1)
+        votes(prod.ctypes.data, sq.ctypes.data, ref_sq.ctypes.data, ref_y.ctypes.data,
+              xb.shape[0], ref_X.shape[0], n_classes, k.ctypes.data, out_at.ctypes.data,
+              len(models), start, near.ctypes.data, labels.ctypes.data)
     return outs
-
-
-def _nearest_votes(d2: np.ndarray, k: int, kth: np.ndarray, mask: np.ndarray,
-                   onehot: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each row's class counts over its k smallest entries by (value, column
-    index), the set a stable argsort puts first, found without sorting.
-    ``kth`` holds each row's k-th smallest entry (NaN sorting last), ``mask``
-    is a buffer of ``d2``'s shape in ``onehot``'s dtype, ``labels`` the
-    columns' classes and ``onehot`` their (columns, classes) 0/1 table.
-
-    The counts are ``mask @ onehot`` on the 0/1 mask ``d2 <= kth``, and
-    their row sums each row's mask count. A row with more than k takes back
-    the votes of its last ties at the k-th value (one ``bincount`` over the
-    dropped cells); a row with none has a NaN k-th value and takes the
-    stable argsort's first k."""
-    np.less_equal(d2, kth[:, None], out=mask)
-    votes = mask @ onehot
-    excess = votes.sum(axis=1) - k
-    off = np.flatnonzero(excess)
-    if off.size:
-        over = off[excess[off] > 0]
-        if over.size:  # ties at the k-th value: take back the votes of each row's last ties
-            row, col = np.divmod(np.flatnonzero(d2[over] == kth[over, None]), d2.shape[1])
-            n_tie = np.bincount(row, minlength=over.size)
-            rank = np.arange(row.size) - (np.cumsum(n_tie) - n_tie)[row]  # among its row's ties
-            drop = rank >= (n_tie - excess[over].astype(np.int64))[row]
-            n_classes = onehot.shape[1]
-            dropped = np.bincount(row[drop] * n_classes + labels[col[drop]],
-                                  minlength=over.size * n_classes)
-            votes[over] -= dropped.reshape(over.size, n_classes)
-        # a NaN k-th value means fewer than k comparable entries; every comparison
-        # above was false on such a row, so it takes the argsort's choice instead
-        lost = off[excess[off] < 0]
-        if lost.size:
-            votes[lost] = onehot[np.argsort(d2[lost], axis=1, kind="stable")[:, :k]].sum(axis=1)
-    return votes

@@ -14,8 +14,9 @@ Accuracy on probability rows takes each row's argmax, ties to the lower
 class. A finite stack (its sum, one reduction, is finite) with labels that
 are classes is not argmaxed: a row is right when its label's class beats
 every lower class and no higher class beats it (for two classes, one ``>``
-and one ``==``), and the hits are counted by a float64 product with the
-weights, exact below 2**53, then divided as ``accuracy`` divides. Any other
+and one ``==``), and the hits are counted as ``accuracy`` counts them:
+``count_nonzero`` without weights, a float64 product with them (exact
+below 2**53), over the row count or the weights' sum. Any other
 stack is argmaxed (a row holding NaN takes its first NaN) and scored by
 ``accuracy``; both paths give the same bytes wherever both apply.
 """
@@ -29,8 +30,14 @@ NORMALIZED_AUC = "normalized_auc"
 METRICS = (ACCURACY, NORMALIZED_AUC)
 
 
-def _weights(weight, n: int) -> np.ndarray:
-    return np.ones(n, dtype=np.int64) if weight is None else np.asarray(weight, dtype=np.int64)
+def _hit_share(hits: np.ndarray, weight):
+    """The weighted share of true entries along the last axis of ``hits``:
+    an exact integer count (``count_nonzero``, or a float64 product with
+    the weights, exact below 2**53) over the exact total."""
+    if weight is None:
+        return np.count_nonzero(hits, axis=-1) / hits.shape[-1]
+    w = np.asarray(weight, dtype=np.int64)
+    return (hits @ w.astype(np.float64)) / w.sum()
 
 
 def _result(values):
@@ -43,8 +50,7 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray, weight=None):
     y_pred = np.asarray(y_pred)
     if y_true.size == 0:
         raise ValueError("accuracy of an empty batch is undefined")
-    w = _weights(weight, y_true.size)
-    return _result(((y_true == y_pred) @ w) / w.sum())  # exact integer counts
+    return _result(_hit_share(y_true == y_pred, weight))
 
 
 def midranks(values: np.ndarray, weight=None) -> np.ndarray:
@@ -68,7 +74,7 @@ def midranks(values: np.ndarray, weight=None) -> np.ndarray:
     if weight is None:  # rows ranked before each sorted entry, block-wide
         before = np.arange(values.size + 1)
     else:
-        before = np.concatenate([[0], np.cumsum(_weights(weight, n)[order % n])])
+        before = np.concatenate([[0], np.cumsum(np.asarray(weight, dtype=np.int64)[order % n])])
     ahead = before[starts]
     ranks = np.empty(values.size)
     ranks[order] = np.repeat(ahead + (before[ends] - ahead + 1) / 2.0, ends - starts)
@@ -130,9 +136,7 @@ def score(metric: str, y_true: np.ndarray, proba_or_pred: np.ndarray, weight=Non
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or huge entries
             finite = np.isfinite(arr.sum())
         if y.size and finite and 0 <= y.min() and y.max() < arr.shape[-1]:
-            w = _weights(weight, y.size)
-            # a float64 product counts integer hits exactly below 2**53
-            return _result((_label_wins(y, arr) @ w.astype(np.float64)) / w.sum())
+            return _result(_hit_share(_label_wins(y, arr), weight))
         return accuracy(y, arr.argmax(axis=-1), weight)
     if metric == NORMALIZED_AUC:
         if arr.ndim >= 2:

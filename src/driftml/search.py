@@ -26,8 +26,7 @@ an exact distance tie; none showed between distinct-row and whole-batch
 predictions. The product's rows are another matter: with
 ``KnnClassifier.CHUNK`` cut from 1,024 to 256 rows, the recorded
 normalized-AUC report digests changed, while 512 and 768 kept them, so the
-chunk stays at 1,024 and only the passes after the product run in smaller
-blocks.) A holdout whose schema can encode
+chunk stays at 1,024.) A holdout whose schema can encode
 to more than ``DISTINCT_ROWS_MAX_WIDTH`` columns is therefore predicted
 whole.
 
@@ -38,9 +37,10 @@ matrix share its distinct (row, label) pairs. Every member gets the bytes it
 gets when fitted alone (``evaluate_candidate``). With ``max_seconds`` unset,
 results are bit-deterministic under a fixed seed: each candidate draws from
 its own seed, and members are assembled by candidate index. A failure at any
-step has one fallback: each candidate is evaluated alone. An SGD kernel that
-cannot be built (``classifiers.KernelBuildError``) is not a candidate's
-failure, so it fails the search.
+step has one fallback: each candidate is evaluated alone. A kernel library
+that cannot be built (``classifiers.KernelBuildError``, at the first
+logistic fit or k-NN prediction) is not a candidate's failure, so it fails
+the search.
 """
 
 from __future__ import annotations

@@ -2,11 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from driftml import classifiers
 from driftml.classifiers import (
     DecisionTreeClassifier,
     KnnClassifier,
@@ -53,41 +56,49 @@ def reference_reservoir_sample(n, k, rng):
 
 def fitted_knn(X, y, n_classes, k):
     model = KnnClassifier(n_classes, k=k, max_reference_points=max(len(X), 1))
-    return model.fit(X, y, np.random.default_rng(0))
+    with np.errstate(over="ignore"):  # |r|^2 of a reference at 1e200
+        return model.fit(X, y, np.random.default_rng(0))
+
+
+# Entries that make a row's distances NaN (inf - inf) or infinite: a row
+# at 1e200 is infinitely far from every finite reference, and a query row and
+# a reference both at 1e154 on one axis are at -inf (1e308 - inf).
+BAD = [np.nan, np.inf, -np.inf, 1e154, -1e154, 1e200]
 
 
 @st.composite
 def knn_case(draw):
-    """A fitted k-NN over 2-5 classes and query rows: tie-heavy integer
-    grids (as on STAGGER) or tie-free floats, 1-3,000 references (below k
-    and above ``CHUNK``), 0-60 query rows or a count whose last chunk or sub-block boundary lies
-    0, 1 or block - 1 rows from the end, and in half the cases a few NaN
-    and inf entries."""
+    """A fitted k-NN and query rows. 1-40 or 1,000-3,000 references (below
+    k and above ``CHUNK``): tie-heavy grids whose levels hold -0.0 beside
+    0.0 (as on STAGGER), tie-free floats, or 1-4 points each copied many
+    times, so byte-equal references tie across the k-th place. 0-60 query
+    rows, or ``CHUNK`` - 1, ``CHUNK`` or ``CHUNK`` + 1, so the last chunk
+    ends one row short of, at or one row past a chunk boundary. 2-5 or 6-12
+    classes; k from 1 to 25, or at or above the reference count. In half the
+    cases a few entries come from ``BAD``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_ref = draw(st.one_of(st.integers(1, 40), st.integers(1_000, 3_000)))
     chunk = KnnClassifier.CHUNK
-    step = min(chunk, max(1, KnnClassifier.BLOCK_CELLS // n_ref))  # the kernel's sub-block
-    n_rows = draw(st.one_of(
-        st.integers(0, 60),
-        st.builds(lambda chunks, blocks, tail: chunks * chunk + blocks * step + tail,
-                  st.integers(0, 1), st.integers(0, chunk // step - 1),
-                  st.sampled_from([0, 1, step - 1]))))
+    n_rows = draw(st.one_of(st.integers(0, 60), st.sampled_from([chunk - 1, chunk, chunk + 1])))
     d = draw(st.integers(1, 4))
-    n_classes = draw(st.integers(2, 5))
-    k = draw(st.sampled_from([1, 3, 5, 7, 25]))
-    if draw(st.booleans()):
-        levels = draw(st.integers(2, 3))
-        X_ref = rng.integers(0, levels, (n_ref, d)).astype(np.float64)
-        X = rng.integers(0, levels, (n_rows, d)).astype(np.float64)
+    n_classes = draw(st.one_of(st.integers(2, 5), st.integers(6, 12)))
+    k = draw(st.one_of(st.sampled_from([1, 3, 5, 7, 25]), st.sampled_from([n_ref, n_ref + 2])))
+    kind = draw(st.sampled_from(["grid", "float", "copies"]))
+    if kind == "grid":
+        levels = np.array([0.0, 1.0, -0.0, 2.0])[: draw(st.integers(2, 4))]
+        X_ref, X = rng.choice(levels, (n_ref, d)), rng.choice(levels, (n_rows, d))
+    elif kind == "float":
+        X_ref, X = rng.normal(size=(n_ref, d)), rng.normal(size=(n_rows, d))
     else:
-        X_ref = rng.normal(size=(n_ref, d))
-        X = rng.normal(size=(n_rows, d))
+        points = rng.normal(size=(draw(st.integers(1, 4)), d))
+        X_ref = points[rng.integers(0, len(points), n_ref)]
+        X = np.where(rng.random((n_rows, 1)) < 0.5, points[rng.integers(0, len(points), n_rows)],
+                     rng.normal(size=(n_rows, d)))
     if draw(st.booleans()):
         for arr in (X_ref, X):
             n_bad = draw(st.integers(0, 3))
             if arr.size and n_bad:
-                cells = rng.integers(0, arr.size, n_bad)
-                arr.flat[cells] = rng.choice([np.nan, np.inf, -np.inf], n_bad)
+                arr.flat[rng.integers(0, arr.size, n_bad)] = rng.choice(BAD, n_bad)
     y = rng.integers(0, n_classes, n_ref)
     return fitted_knn(X_ref, y, n_classes, k), X
 
@@ -124,39 +135,47 @@ def test_grouped_knn_proba_equals_the_argsort_reference_for_each_model(case):
             assert proba.tobytes() == reference_knn_proba(model, X).tobytes(), model.k
 
 
+ROW_KINDS = ("clean", "tie", "nan", "inf", "-inf")
+
+
 @st.composite
-def knn_mixed_block_case(draw):
-    """k-NN models with 1-3 distinct k over 2-5 classes on tie-free float
-    references plus more than k copies of one far point, and one sub-block
-    of query rows that mixes three kinds in a drawn order: float rows (each
-    takes exactly k references at its k-th distance), copies of the far
-    point (more than k references tie at distance 0) and rows holding a NaN
-    (every distance is NaN, so the k-th is too)."""
+def knn_mixed_chunk_case(draw):
+    """k-NN models with 1-3 distinct k over 2-5 or 6-12 classes on tie-free
+    float references, more than k copies of one far point and one
+    reference at 1e154 on the first axis, and one chunk of query rows that
+    holds each of five kinds at least once, in a drawn order: float rows
+    (each takes exactly k references at its k-th distance), copies of the
+    far point (more than k references tie at distance 0), rows holding a
+    NaN (every distance is NaN), rows at 1e200 (every distance is inf or
+    NaN) and rows at 1e154 on the first axis (one distance is -inf)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ks = draw(st.lists(st.sampled_from([1, 3, 5, 11]), min_size=1, max_size=3, unique=True))
     d = draw(st.integers(1, 4))
-    n_classes = draw(st.integers(2, 5))
-    far = np.full(d, 50.0)
+    n_classes = draw(st.one_of(st.integers(2, 5), st.integers(6, 12)))
+    far, huge = np.full(d, 50.0), np.eye(1, d)[0] * 1e154
     X_ref = np.vstack([rng.normal(size=(draw(st.integers(max(ks), 60)), d)),
-                       np.tile(far, (max(ks) + draw(st.integers(1, 20)), 1))])
+                       np.tile(far, (max(ks) + draw(st.integers(1, 20)), 1)), huge])
     y = rng.integers(0, n_classes, len(X_ref))
-    step = min(KnnClassifier.CHUNK, max(1, KnnClassifier.BLOCK_CELLS // len(X_ref)))
-    kinds = draw(st.lists(st.sampled_from(["clean", "tie", "nan"]), min_size=3,
-                          max_size=min(step, 40)).filter(lambda drawn: len(set(drawn)) == 3))
+    kinds = draw(st.permutations(
+        list(ROW_KINDS) + draw(st.lists(st.sampled_from(ROW_KINDS), max_size=35))))
     X = rng.normal(size=(len(kinds), d))
     for row, kind in enumerate(kinds):
         if kind == "tie":
             X[row] = far
         elif kind == "nan":
             X[row, rng.integers(0, d)] = np.nan
+        elif kind == "inf":
+            X[row] = 1e200
+        elif kind == "-inf":
+            X[row] = huge
     return [fitted_knn(X_ref, y, n_classes, k) for k in ks], X
 
 
 @settings(max_examples=60)
-@given(knn_mixed_block_case())
-def test_knn_clean_tie_and_nan_rows_in_one_sub_block_equal_the_reference(case):
+@given(knn_mixed_chunk_case())
+def test_knn_clean_tie_nan_and_infinite_rows_in_one_chunk_equal_the_reference(case):
     models, X = case
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         got = knn_predict_proba(models, X)
         for model, proba in zip(models, got, strict=True):
             assert proba.tobytes() == reference_knn_proba(model, X).tobytes(), model.k
@@ -171,6 +190,22 @@ def test_knn_rows_with_a_nan_kth_distance_still_vote_over_k():
     with np.errstate(invalid="ignore"):
         proba = model.predict_proba(np.array([[0.0], [np.inf]]))
     assert proba.tolist() == [[2 / 3, 1 / 3], [2 / 3, 1 / 3]]
+
+
+def test_knn_without_references_predicts_the_reference_nan_rows():
+    model = fitted_knn(np.empty((0, 2)), np.empty(0, dtype=np.int64), 3, k=5)
+    X = np.ones((4, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no votes
+        want = reference_knn_proba(model, X)
+    assert np.isnan(want).all()
+    assert model.predict_proba(X).tobytes() == want.tobytes()
+
+
+def test_knn_rejects_reference_labels_outside_the_classes():
+    model = fitted_knn(np.zeros((3, 1)), np.array([0, 1, 2]), 2, k=1)
+    with pytest.raises(ValueError):
+        model.predict_proba(np.zeros((1, 1)))
 
 
 def test_reservoir_sample_equals_algorithm_r():
@@ -320,7 +355,7 @@ def test_tree_fit_equals_the_row_by_row_reference_exactly(case):
 
 
 def reference_logistic_fit(model, X, y, rng):
-    """Reference for ``LogisticSgdClassifier.fit``: the steps of ``_sgd.c``
+    """Reference for ``LogisticSgdClassifier.fit``: the steps of ``sgd_epoch``
     in Python floats and ``math.exp``, each sum in the kernel's order and
     the max by its NaN rule (a later entry replaces it only when greater);
     returns ``(W, b)``."""
@@ -564,3 +599,19 @@ def test_two_processes_building_the_kernel_at_once_fit_the_same_bytes(tmp_path):
     here = f"{model.W_.tobytes().hex()} {model.b_.tobytes().hex()}\n"
     assert [out for out, _ in outs] == [here, here]
     assert [p.suffix for p in (cache / "driftml").iterdir()] == [".so"]  # no build left over
+
+
+def test_a_load_from_a_warm_cache_starts_no_process(monkeypatch, tmp_path):
+    """Only a build runs ``cc``: the cache key reads the compiler's file."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(classifiers, "_kernel", None)
+    classifiers._kernels()
+    monkeypatch.setattr(classifiers, "_kernel", None)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError(f"started a process: {args}")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    assert classifiers._kernels() is not None
+    assert len(list((tmp_path / "driftml").iterdir())) == 1

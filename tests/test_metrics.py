@@ -226,6 +226,21 @@ def test_accuracy_of_probability_rows_equals_argmax_then_accuracy(case):
     assert compared.called == bool(np.isfinite(proba).all())
 
 
+@settings(max_examples=200)
+@given(accuracy_stacks())
+def test_unweighted_accuracy_has_the_bytes_of_unit_weights(case):
+    """``weight=None`` counts hits without a weight vector; the scores keep
+    the bytes of explicit unit weights, for probability rows and for hard
+    predictions, alone or under leading axes."""
+    proba, y, _ = case
+    ones = np.ones(y.size, dtype=np.int64)
+    hard = proba.argmax(axis=-1)
+    for got, want in [(score(ACCURACY, y, proba), score(ACCURACY, y, proba, ones)),
+                      (accuracy(y, hard), accuracy(y, hard, ones))]:
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_labels_outside_the_classes_count_as_wrong():
     proba = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
     assert score(ACCURACY, np.array([-1, 2, 0]), proba) == accuracy([-1, 2, 0], [0, 1, 0]) == 1 / 3

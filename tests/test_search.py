@@ -204,6 +204,21 @@ def test_without_a_compiler_a_logistic_search_fails_with_a_kernel_build_error(
     assert not [r for r in caplog.records if "failed" in r.getMessage()]
 
 
+def test_without_a_compiler_a_knn_search_fails_with_a_kernel_build_error(
+        monkeypatch, tmp_path, caplog):
+    """k-NN votes through the same compiled library: with no ``cc`` on the
+    PATH and an empty cache, a search whose only other candidate is a tree
+    fails with ``KernelBuildError`` at the first k-NN prediction."""
+    monkeypatch.setattr(classifiers, "_kernel", None)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    portfolio = [PipelineConfig(classifier=DecisionTreeConfig(max_depth=3)),
+                 PipelineConfig(standardize=True, classifier=KnnConfig(k=3))]
+    with pytest.raises(KernelBuildError):
+        run_search(two_class_batch(), SearchBudget(max_candidates=2, seed=0), portfolio)
+    assert not [r for r in caplog.records if "failed" in r.getMessage()]
+
+
 def test_a_failed_predict_skips_only_its_own_candidate(monkeypatch, caplog):
     """Members predict their holdout together; when that raises one of
     ``CANDIDATE_ERRORS``, each predicts alone and only the failing
