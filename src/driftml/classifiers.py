@@ -18,12 +18,12 @@ its one-model call.
 
 The tree and k-NN kernels take fewer passes than the simple forms they
 replace and give the same bytes; ``tests/test_classifiers.py`` keeps each
-simple form as a reference, and a pure-Python form of the SGD kernel. The
-tree grows from the distinct (row, label) pairs weighted by count
-(``tree_pairs``, which trees fitted on one matrix share) and scores every
-split of a block of features in one pass. k-NN keeps each row's nearest
-references in the stable argsort's order as it forms their distances, and
-counts the votes of every k among them.
+simple form as a reference, and a pure-Python form of the SGD kernel. A
+``TreeGrower`` grows the trees fitted on one matrix (or a lone tree) level
+by level from its distinct (row, label) pairs weighted by count, with one
+split search per depth for the open nodes of all of them. k-NN keeps each
+row's nearest references in the stable argsort's order as it forms their
+distances, and counts the votes of every k among them.
 
 k-NN forms one distance product per ``CHUNK`` = 1,024 query rows, whose
 shape pins the bytes (at 256 rows the recorded normalized-AUC report
@@ -67,100 +67,11 @@ class DecisionTreeClassifier:
         self.min_leaf = min_leaf
         self.split_criterion = split_criterion
 
-    def _impurity(self, counts: np.ndarray, total) -> np.ndarray:
-        """Impurity of count rows (..., n_classes) with row sums ``total``."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = counts / total
-            if self.split_criterion == "gini":
-                val = 1.0 - np.sum(np.square(p), axis=-1)
-            else:  # entropy
-                logp = np.where(p > 0, np.log2(np.maximum(p, 1e-300)), 0.0)
-                val = -np.sum(p * logp, axis=-1)
-        return val
-
-    def _best_split(self, X, counts, total):
-        """Best (feature, threshold, gain) over all features, None if no split.
-
-        Row i of ``X`` stands for ``counts[i, -1]`` rows whose labels
-        ``counts[i, :-1]`` counts; ``total`` is the column sum of ``counts``.
-        Features are searched a block at a time, each block in one pass; a
-        block holds about ``SPLIT_CELLS`` (feature, row) cells, so its
-        ``(features, rows, classes + 1)`` cumulative counts stay in cache."""
-        total_counts, n = total[:-1], total[-1]
-        parent = float(self._impurity(total_counts, n))
-        best = None  # (gain, feature, threshold)
-        d = X.shape[1]
-        width = max(1, self.SPLIT_CELLS // X.shape[0])
-        for start in range(0, d, width):
-            feats = np.arange(start, min(start + width, d))
-            order = np.argsort(X.T[feats], axis=1, kind="stable")
-            sv = X.take(order * d + feats[:, None])  # each feature's sorted values
-            cum = np.cumsum(counts.take(order, axis=0), axis=1)
-            # a split after position i of a feature leaves left_n[i] rows on
-            # the left; after the last position none are left on the right
-            left_n = cum[:, :, -1]
-            ok = (left_n >= self.min_leaf) & (n - left_n >= self.min_leaf)
-            ok[:, :-1] &= sv[:, :-1] != sv[:, 1:]
-            cell = np.flatnonzero(ok)
-            left = cum.reshape(-1, cum.shape[2]).take(cell, axis=0)
-            left_counts, nl = left[:, :-1], left[:, -1]
-            nr = n - nl
-            gains = np.full(ok.size, -np.inf)
-            gains[cell] = parent - (nl * self._impurity(left_counts, nl[:, None])
-                                    + nr * self._impurity(total_counts - left_counts,
-                                                          nr[:, None])) / n
-            gains = gains.reshape(ok.shape)
-            at = gains.argmax(axis=1)  # each feature's first best position
-            top = gains[np.arange(at.size), at]
-            for i, (k, gain) in enumerate(zip(at.tolist(), top.tolist())):
-                if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-                    best = (gain, start + i, float((sv[i, k] + sv[i, k + 1]) / 2.0))
-        return best
-
-    def fit(self, X: np.ndarray, y: np.ndarray, rng=None, pairs=None):
-        """Grow from the distinct (row, label) pairs of ``X`` and ``y``,
-        each weighted by its count: ``tree_pairs(X, y, n_classes)``, or
-        ``pairs`` when the caller found them already for another tree."""
-        X, counts = tree_pairs(X, y, self.n_classes) if pairs is None else pairs
-        feature, threshold, left, right, proba = [], [], [], [], []
-
-        def leaf(total):
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            proba.append(total[:-1] / total[-1])
-            return len(feature) - 1
-
-        def build(rows: np.ndarray, depth: int) -> int:
-            node_counts = counts[rows]
-            total = node_counts.sum(axis=0)
-            if depth >= self.max_depth or total[-1] < 2 * self.min_leaf \
-                    or np.count_nonzero(total[:-1]) <= 1:
-                return leaf(total)
-            split = self._best_split(X[rows], node_counts, total)
-            if split is None:
-                return leaf(total)
-            _, j, thr = split
-            node = len(feature)
-            feature.append(j)
-            threshold.append(thr)
-            left.append(-1)
-            right.append(-1)
-            proba.append(np.zeros(self.n_classes))
-            mask = X[rows, j] <= thr
-            left_id = build(rows[mask], depth + 1)
-            right_id = build(rows[~mask], depth + 1)
-            left[node] = left_id
-            right[node] = right_id
-            return node
-
-        build(np.arange(X.shape[0]), 0)
-        self.feature_ = np.array(feature, dtype=np.int64)
-        self.threshold_ = np.array(threshold, dtype=np.float64)
-        self.left_ = np.array(left, dtype=np.int64)
-        self.right_ = np.array(right, dtype=np.int64)
-        self.proba_ = np.array(proba, dtype=np.float64)
+    def fit(self, X: np.ndarray, y: np.ndarray, rng=None, grower=None):
+        """Grow on ``X`` and ``y``: alone, or as one of the trees of
+        ``grower``, which grows all of them at the first ``fit`` that asks."""
+        grower = TreeGrower(X, y, self.n_classes, [self]) if grower is None else grower
+        self.feature_, self.threshold_, self.left_, self.right_, self.proba_ = grower.tree(self)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -173,6 +84,137 @@ class DecisionTreeClassifier:
             cur[active] = np.where(go_left, self.left_[nd], self.right_[nd])
             active = active[self.feature_[cur[active]] >= 0]
         return self.proba_[cur]
+
+
+class TreeGrower:
+    """The trees fitted on one matrix, grown level by level from its ``tree_pairs``.
+    Trees with one ``(split_criterion, min_leaf)`` share one growth to their deepest
+    ``max_depth``, each cut at its own depth; ``_best_splits`` searches the open
+    nodes of a depth, in every growth, as segments of one ``(features, pairs)`` array."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, trees: list):
+        self.data, self.trees, self.nodes = (X, y, n_classes), trees, None
+
+    def tree(self, model: DecisionTreeClassifier) -> tuple:
+        """``(feature, threshold, left, right, proba)`` of ``model``, one of ``trees``."""
+        self.nodes = self.nodes or self._grow()
+        keys, order, growth, depth, feature, threshold, left, right, total = self.nodes
+        order = order[(growth[order] == keys.index((model.split_criterion, model.min_leaf)))
+                      & (depth[order] <= model.max_depth)]
+        rank = np.empty(growth.size, np.int64)
+        rank[order] = np.arange(order.size)
+        inner, total = (feature[order] >= 0) & (depth[order] < model.max_depth), total[order]
+        return (np.where(inner, feature[order], -1), np.where(inner, threshold[order], 0.0),
+                np.where(inner, rank[left[order]], -1), np.where(inner, rank[right[order]], -1),
+                np.where(inner[:, None], 0.0, total[:, :-2] / total[:, -2:-1]))
+
+    def _grow(self) -> tuple:
+        """Each growth's key, the nodes grown in depth-first preorder, and their arrays."""
+        X, weights = tree_pairs(*self.data)
+        keys = sorted({(tree.split_criterion, tree.min_leaf) for tree in self.trees})
+        max_depth = np.array([max(t.max_depth for t in self.trees
+                                  if (t.split_criterion, t.min_leaf) == key) for key in keys])
+        entropy = np.array([criterion == "entropy" for criterion, _ in keys])
+        min_leaf = np.array([leaf for _, leaf in keys])
+        # each node of a depth: growth, path (a bit a depth), totals of counts and pairs
+        growth, path = np.arange(len(keys)), np.zeros(len(keys), np.int64)
+        weights = np.column_stack([weights, np.ones(len(X))])  # and a column of pair counts
+        total = np.tile(weights.sum(axis=0), (growth.size, 1))
+        rows = X.T.argsort(axis=1, kind="stable").astype(np.min_scalar_type(-len(X)))
+        rows, side = np.tile(rows, growth.size), np.empty((growth.size, len(X)), np.uint8)
+        levels, grown = [], 0
+        for depth in range(max_depth.max() + 1):
+            limit = np.where(depth < max_depth, 2 * min_leaf, np.inf)[growth]
+            # a node holding one class has all its rows in that class's count
+            is_open = (total[:, -2] >= limit) & (total[:, :-2].max(axis=1) < total[:, -2])
+            rows = rows[:, is_open.repeat(total[:, -1].astype(np.intp))]
+            feature, left, right, threshold = *np.full((3, growth.size), -1), np.zeros(growth.size)
+            levels.append((growth, np.full(growth.size, depth), path, feature, threshold,
+                           left, right, total))
+            node = is_open.nonzero()[0]
+            if node.size == 0:
+                break
+            seglen = total[node, -1].astype(np.intp)
+            start = np.concatenate([[0], seglen.cumsum()])
+            feat, pos = _best_splits(X, weights, rows, start, total[node, :-1],
+                                     entropy[growth[node]], min_leaf[growth[node]])
+            has = feat >= 0
+            split, j, k = node[has], feat[has], pos[has]
+            feature[split] = j
+            threshold[split] = [float((a + b) / 2.0) for a, b in zip(X[rows[j, k], j],
+                                                                     X[rows[j, k + 1], j])]
+            grown += growth.size
+            left[split], right[split] = grown + np.arange(2 * split.size).reshape(2, -1)
+            # left children, then right ones (a NaN or inf threshold can leave one empty)
+            at = np.arange(node.size).repeat(seglen)  # node of each position
+            go = X[rows[0], feat[at]] <= threshold[node][at]  # any column where unsplit
+            went = np.add.reduceat(weights[rows[0]] * go[:, None], start[:-1])[has]
+            at_growth = growth[node][at]
+            side[at_growth, rows[0]] = np.where(has[at], ~go, 2)  # 2: unsplit
+            code = side[at_growth, rows]
+            rows = np.concatenate([rows[code == c].reshape(len(rows), -1) for c in (0, 1)], axis=1)
+            growth, path = np.tile(growth[split], 2), (2 * path[split] + [[0], [1]]).ravel()
+            total = np.concatenate([went, total[split] - went])
+        growth, depth, path, *rest = (np.concatenate(part) for part in zip(*levels))
+        # preorder: by growth, then by path, each node before its subtrees
+        return (keys, np.lexsort((depth, path << (depth.max() - depth), growth)),
+                growth, depth, *rest)
+
+
+def _impurity(counts: np.ndarray, total: np.ndarray, entropy: np.ndarray) -> np.ndarray:
+    """Impurity of count rows with sums ``total``: entropy where ``entropy`` holds, else Gini."""
+    p = counts / total
+    if not entropy.any():
+        return 1.0 - np.square(p).sum(axis=-1)
+    val = -(p * np.where(p > 0, np.log2(np.maximum(p, 1e-300)), 0.0)).sum(axis=-1)
+    val[~entropy] = 1.0 - np.square(p[~entropy]).sum(axis=-1)
+    return val
+
+
+def _best_splits(X, weights, rows, start, total, entropy, min_leaf) -> tuple:
+    """``(feature, position)`` of each node's best split (feature -1: none); node
+    i holds ``rows[:, start[i]:start[i + 1]]``, ``total[i]``, ``entropy[i]`` and
+    ``min_leaf[i]``. A pass takes about ``SPLIT_CELLS`` (feature, pair) cells."""
+    d, n_nodes, cells = len(rows), start.size - 1, DecisionTreeClassifier.SPLIT_CELLS
+    seglen, n = start[1:] - start[:-1], total[:, -1]
+    parent = _impurity(total[:, :-1], total[:, -1:], entropy)
+    top, first = np.empty((d, n_nodes)), np.empty((d, n_nodes), np.intp)
+    chunk = (start[1:-1] // cells != start[:-2] // cells).nonzero()[0] + 1
+    for s0, s1 in zip([0, *chunk.tolist()], [*chunk.tolist(), n_nodes]):
+        r0, width = start[s0], start[s1] - start[s0]
+        lens, local = seglen[s0:s1], start[s0:s1] - r0
+        at = np.arange(s0, s1).repeat(lens)  # node of each position
+        step = max(1, cells // width)
+        for f0 in range(0, d, step):
+            block = rows[f0:f0 + step, r0:r0 + width]
+            sv = X[block, np.arange(f0, f0 + len(block))[:, None]]
+            cum = weights[block, :-1]
+            cum[:, local[1:]] -= total[s0:s1 - 1]  # so each segment sums from 0
+            np.cumsum(cum, axis=1, out=cum)
+            # after a segment's last position no pair is left on the right
+            ok = (cum[:, :, -1] >= min_leaf[at]) & (cum[:, :, -1] <= n[at] - min_leaf[at])
+            ok[:, :-1] &= sv[:, :-1] != sv[:, 1:]
+            cell = ok.ravel().nonzero()[0]
+            node, left = at[cell % width], cum.reshape(-1, cum.shape[2])[cell]
+            right, crit = total[node] - left, entropy[node]
+            gains = np.full(ok.shape, -np.inf)
+            gains.flat[cell] = parent[node] - (
+                left[:, -1] * _impurity(left[:, :-1], left[:, -1:], crit)
+                + right[:, -1] * _impurity(right[:, :-1], right[:, -1:], crit)) / n[node]
+            best = np.maximum.reduceat(gains, local, axis=1)
+            pos = np.where(gains == best.repeat(lens, axis=1), np.arange(width), width)
+            top[f0:f0 + len(block), s0:s1] = best
+            first[f0:f0 + len(block), s0:s1] = np.minimum.reduceat(pos, local, axis=1) + r0
+    # the fixed tie-break (in feature order, a gain above 1e-12 and the best so far + 1e-12)
+    # takes the first best feature unless another comes within 1e-12 of it
+    best, feature = top.max(axis=0), top.argmax(axis=0)
+    feature[best <= 1e-12] = -1
+    for i in ((top + 1e-12 >= best).sum(axis=0) > 1).nonzero()[0].tolist():
+        feature[i], bar = -1, 1e-12
+        for f, gain in enumerate(top[:, i].tolist()):
+            if gain > bar:
+                feature[i], bar = f, gain + 1e-12
+    return feature, first[feature, np.arange(n_nodes)]
 
 
 def tree_pairs(X: np.ndarray, y: np.ndarray, n_classes: int

@@ -13,10 +13,10 @@ a read-only tuple in application order together with the transformed
 training matrix. ``fit_classifiers`` fits each config's classifier on its
 matrix; each classifier config maps to its classifier in one table
 (``_CLASSIFIERS``), built from the config's fields, and trees that share a
-matrix grow from one ``tree_pairs`` of it. Pipelines of one prefix may share
-one stage tuple: fitted stages are never mutated, and their arrays are
-read-only. Every config checks its ranges when it is built, and every
-pipeline predicts through ``predict_pipelines``.
+matrix grow together through one ``TreeGrower``. Pipelines of one prefix
+may share one stage tuple: fitted stages are never mutated, and their
+arrays are read-only. Every config checks its ranges when it is built, and
+every pipeline predicts through ``predict_pipelines``.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .classifiers import (
     KnnClassifier,
     LogisticSgdClassifier,
     NaiveBayesClassifier,
+    TreeGrower,
     knn_predict_proba,
-    tree_pairs,
 )
 from .data import Batch
 
@@ -375,22 +375,20 @@ def fit_classifiers(configs: Sequence[PipelineConfig], matrices: Sequence[np.nda
                     train: Batch, seeds: Sequence[int]) -> list:
     """The classifier of each config, fitted on its matrix (``train``'s rows
     after the config's stages) with a generator seeded by its seed. Trees
-    that share a matrix grow from one ``tree_pairs`` of it."""
+    that share a matrix grow together: the first of them to fit grows all."""
     n_classes, y = train.schema.n_classes, train.y
     present = np.unique(y)
     if present.size == 1:
         return [ConstantClassifier(n_classes, int(present[0])) for _ in configs]
     classifiers = [_CLASSIFIERS[type(c.classifier)](n_classes, **asdict(c.classifier))
                    for c in configs]
-    pairs = {}  # id of a matrix that trees fit on -> its ``tree_pairs``
-    for classifier, X, seed in zip(classifiers, matrices, seeds):
-        rng = np.random.default_rng(seed)
+    growers = {}  # id of a matrix that trees fit on -> the grower of its trees
+    for classifier, X in zip(classifiers, matrices):
         if isinstance(classifier, DecisionTreeClassifier):
-            if id(X) not in pairs:
-                pairs[id(X)] = tree_pairs(X, y, n_classes)
-            classifier.fit(X, y, rng, pairs[id(X)])
-        else:
-            classifier.fit(X, y, rng)
+            growers.setdefault(id(X), TreeGrower(X, y, n_classes, [])).trees.append(classifier)
+    for classifier, X, seed in zip(classifiers, matrices, seeds):
+        grower = (growers[id(X)],) if isinstance(classifier, DecisionTreeClassifier) else ()
+        classifier.fit(X, y, np.random.default_rng(seed), *grower)
     return classifiers
 
 

@@ -14,9 +14,9 @@ from driftml.classifiers import (
     DecisionTreeClassifier,
     KnnClassifier,
     LogisticSgdClassifier,
+    TreeGrower,
     knn_predict_proba,
     reservoir_sample,
-    tree_pairs,
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -291,25 +291,23 @@ def reference_tree_fit(model, X, y):
 
 
 @st.composite
-def tree_case(draw):
-    """One or two tree configs and data: tie-heavy integer grids (as on STAGGER), where
-    rows repeat, some with two labels, or all-distinct floats, with 1-16
-    columns. One case in twelve is all-distinct with 5,000-12,000 rows, so
-    the split search takes the root's features in more than one block of
-    ``SPLIT_CELLS`` cells. Some cases add a copied column (gain ties
-    between features, across blocks when the copy lands in another), a
-    constant column, -0.0 beside 0.0, or NaN and +-inf cells, sparse or in a
-    fifth of the cells (so NaN rows repeat). ``min_leaf`` goes up to 40,
-    above the distinct-row count of small grids."""
+def tree_matrix(draw, n_classes, large=True):
+    """Data for trees: tie-heavy integer grids (as on STAGGER), where rows
+    repeat, some with two labels, or all-distinct floats, with 1-16
+    columns. With ``large``, one case in twelve is all-distinct with
+    5,000-12,000 rows, so the split search takes the root's features in
+    more than one block of ``SPLIT_CELLS`` cells. Some cases add a copied
+    column (gain ties between features, across blocks when the copy lands
+    in another), a constant column, -0.0 beside 0.0, or NaN and +-inf
+    cells, sparse or in a fifth of the cells (so NaN rows repeat)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    large = draw(st.integers(0, 11)) == 0
+    large = large and draw(st.integers(0, 11)) == 0
     if large:
         n, d = draw(st.integers(5_000, 12_000)), draw(st.integers(2, 8))
         assert n * d > DecisionTreeClassifier.SPLIT_CELLS
     else:
         n = draw(st.one_of(st.integers(1, 60), st.integers(200, 3_000)))
         d = draw(st.integers(1, 16))
-    n_classes = draw(st.integers(2, 3))
     if not large and draw(st.booleans()):
         X = rng.integers(-1, draw(st.integers(1, 3)), (n, d)).astype(np.float64)
     else:
@@ -324,7 +322,16 @@ def tree_case(draw):
     if draw(st.booleans()):
         bad = rng.random((n, d)) < draw(st.sampled_from([0.005, 0.2]))
         X[bad] = rng.choice([np.nan, -np.nan, np.inf, -np.inf], np.count_nonzero(bad))
-    y = rng.integers(0, n_classes, n)
+    return X, rng.integers(0, n_classes, n)
+
+
+@st.composite
+def tree_case(draw):
+    """One or two tree configs with 2-3 classes on ``tree_matrix`` data;
+    ``min_leaf`` goes up to 40, above the distinct-row count of small
+    grids."""
+    n_classes = draw(st.integers(2, 3))
+    X, y = draw(tree_matrix(n_classes))
     models = [DecisionTreeClassifier(
         n_classes, max_depth=draw(st.integers(1, 8)),
         min_leaf=draw(st.sampled_from([1, 2, 4, 40])),
@@ -333,25 +340,129 @@ def tree_case(draw):
     return models, X, y
 
 
-@settings(max_examples=120)
-@given(tree_case())
-def test_tree_fit_equals_the_row_by_row_reference_exactly(case):
-    """One tree fitted alone, or two fitted on one ``tree_pairs`` of their
-    matrix (as ``fit_classifiers`` fits them), each equal to the reference."""
-    models, X, y = case
+def assert_fits_equal_the_reference(models, X, y):
+    """Fit ``models`` on one ``TreeGrower`` (one alone through ``fit``),
+    each equal to ``reference_tree_fit`` byte for byte."""
     with np.errstate(invalid="ignore", divide="ignore"):
         if len(models) == 1:
             models[0].fit(X, y)
         else:
-            pairs = tree_pairs(X, y, models[0].n_classes)
+            grower = TreeGrower(X, y, models[0].n_classes, models)
             for model in models:
-                model.fit(X, y, None, pairs)
+                model.fit(X, y, None, grower)
         for model in models:
             want = reference_tree_fit(model, X, y)
             got = (model.feature_, model.threshold_, model.left_, model.right_, model.proba_)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=120)
+@given(tree_case())
+def test_tree_fit_equals_the_row_by_row_reference_exactly(case):
+    """One tree fitted alone, or two fitted on one ``TreeGrower`` of their
+    matrix (as ``fit_classifiers`` fits them), each equal to the reference."""
+    assert_fits_equal_the_reference(*case)
+
+
+@st.composite
+def tree_group_case(draw):
+    """1-6 trees on one ``tree_matrix`` with 2-12 classes (as
+    ``fit_classifiers`` fits the trees of one prefix): each draws its
+    ``(split_criterion, min_leaf)`` from 1-3 keys, so some share a growth,
+    which the shallower of them cut, and ``max_depth`` from 1-32."""
+    n_classes = draw(st.integers(2, 12))
+    X, y = draw(tree_matrix(n_classes, large=False))
+    keys = draw(st.lists(st.tuples(st.sampled_from(["gini", "entropy"]),
+                                   st.sampled_from([1, 2, 4, 40])), min_size=1, max_size=3))
+    models = []
+    for _ in range(draw(st.integers(1, 6))):
+        criterion, min_leaf = draw(st.sampled_from(keys))
+        models.append(DecisionTreeClassifier(n_classes, draw(st.integers(1, 32)), min_leaf,
+                                             criterion))
+    return models, X, y
+
+
+def trees(*specs, n_classes=2):
+    return [DecisionTreeClassifier(n_classes, depth, leaf, criterion)
+            for depth, leaf, criterion in specs]
+
+
+INF, NAN = np.inf, np.nan
+# -inf beside inf, and 0.0 beside a NaN cell: both midpoints are NaN, whose
+# split sends every row right and leaves the left child empty
+NAN_MIDPOINTS = (trees((3, 1, "gini"), (5, 1, "entropy"), (2, 1, "gini")),
+                 np.array([[-INF, 0.0], [-INF, 0.0], [INF, 0.0], [INF, -NAN], [INF, -NAN]]),
+                 np.array([0, 0, 1, 1, 1]))
+# 0.0 beside inf: the midpoint is inf, which sends every row left
+EMPTY_RIGHT = (trees((4, 1, "gini"), (4, 2, "entropy")),
+               np.array([[0.0], [0.0], [INF], [INF]]), np.array([0, 0, 1, 1]))
+# a checkerboard that needs depth 6; the depth-2 and depth-4 trees cut the
+# growth of the depth-9 one
+CUT = (trees((2, 1, "gini"), (9, 1, "gini"), (4, 1, "gini"), (3, 2, "entropy"), n_classes=3),
+       np.column_stack([np.arange(64) % 8, np.arange(64) // 8]).astype(np.float64),
+       (np.arange(64) % 8 + np.arange(64) // 8) % 3)
+
+# at the root, feature 0's best gain falls short of feature 1's by less
+# than 1e-12, so the tie-break keeps feature 0
+NEAR_TIE = (trees((3, 1, "gini"), (2, 1, "gini"), n_classes=4),
+            np.array([[2.0, 2], [0, 0], [0, 1], [2, 1], [1, 0], [2, 1], [2, 2], [1, 2]]),
+            np.array([0, 0, 0, 0, 3, 2, 0, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_group_case())
+@example(NAN_MIDPOINTS)
+@example(NEAR_TIE)
+@example(EMPTY_RIGHT)
+@example(CUT)
+def test_trees_grown_together_equal_the_row_by_row_reference(case):
+    assert_fits_equal_the_reference(*case)
+
+
+def test_the_tree_examples_reach_their_cases():
+    """``NAN_MIDPOINTS`` splits on NaN thresholds and grows empty left
+    children, ``EMPTY_RIGHT`` an empty right one, and ``CUT``'s shallower
+    trees stop above nodes that its deepest tree splits."""
+    def fitted(case):
+        models, X, y = case
+        models = trees(*[(m.max_depth, m.min_leaf, m.split_criterion) for m in models],
+                       n_classes=models[0].n_classes)
+        grower = TreeGrower(X, y, models[0].n_classes, models)
+        with np.errstate(invalid="ignore"):
+            return [model.fit(X, y, None, grower) for model in models]
+
+    for model in fitted(NAN_MIDPOINTS):
+        assert np.isnan(model.threshold_).any()
+        assert np.isnan(model.proba_[model.left_[model.feature_ >= 0]]).all()
+    for model in fitted(EMPTY_RIGHT):
+        assert np.isnan(model.proba_[model.right_[model.feature_ >= 0]]).all()
+    shallow, deep, *_ = fitted(CUT)
+    assert 0 < shallow.feature_.size < deep.feature_.size
+
+
+def test_a_cell_cap_of_64_grows_the_same_trees(monkeypatch):
+    """Levels split into passes of nodes and features of about
+    ``SPLIT_CELLS`` cells leave every tree as it is."""
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 6, (500, 4)).astype(np.float64)
+    X[:, 3] = rng.normal(size=500)
+    y = rng.integers(0, 3, 500)
+    specs = [(6, 1, "gini"), (12, 2, "entropy"), (3, 1, "gini")]
+    want = [(m.feature_, m.threshold_, m.left_, m.right_, m.proba_)
+            for m in grown(specs, X, y)]
+    monkeypatch.setattr(DecisionTreeClassifier, "SPLIT_CELLS", 64)
+    for model in grown(specs, X, y):
+        got = (model.feature_, model.threshold_, model.left_, model.right_, model.proba_)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want.pop(0)))
+    assert_fits_equal_the_reference(trees(*specs, n_classes=3), X, y)
+
+
+def grown(specs, X, y):
+    models = trees(*specs, n_classes=3)
+    grower = TreeGrower(X, y, 3, models)
+    return [model.fit(X, y, None, grower) for model in models]
 
 
 def reference_logistic_fit(model, X, y, rng):
