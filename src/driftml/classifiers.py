@@ -11,7 +11,11 @@ with ``cc`` at the first logistic fit or k-NN prediction and cached
 outside the package (``KernelBuildError`` when that fails). The kernels
 sum and compare in a fixed order. SGD takes libm's ``exp``, so its weights
 do not depend on BLAS or on numpy's SIMD ``exp``; k-NN's distance product
-stays a BLAS product. k-NN has one prediction routine,
+stays a BLAS product. A logistic fit is one call into ``sgd_fit``, which
+draws each epoch's row order from the bit generator of the fit's
+``Generator`` with numpy's ``Generator.permutation`` algorithm, so the
+weights also depend on numpy keeping that algorithm (a test pins the
+draws to ``Generator.permutation``). k-NN has one prediction routine,
 ``knn_predict_proba``, which serves several models of one reference set
 from one distance product per chunk; ``KnnClassifier.predict_proba`` is
 its one-model call.
@@ -305,9 +309,9 @@ class KernelBuildError(RuntimeError):
 
 class LogisticSgdClassifier:
     """Multinomial logistic regression trained with seeded mini-batch SGD
-    (L2 on the weights, not the bias). Each epoch is one call into
-    ``sgd_epoch`` of ``_kernels.c``, whose fixed summation order and libm
-    ``exp`` pin the weights' bytes."""
+    (L2 on the weights, not the bias). A fit is one call into ``sgd_fit``
+    of ``_kernels.c``, whose fixed summation order and libm ``exp`` pin the
+    weights' bytes."""
 
     MINIBATCH = 32
 
@@ -318,20 +322,25 @@ class LogisticSgdClassifier:
         self.epochs = epochs
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
-        """Steps from zero weights over ``rng.permutation(n)`` per epoch."""
-        epoch = _kernels().sgd_epoch
+        """Steps from zero weights over ``rng.permutation(n)`` per epoch, which
+        the kernel draws from ``rng``'s bit generator as numpy does."""
         X = np.ascontiguousarray(X, dtype=np.float64)
+        y = np.ascontiguousarray(y, dtype=np.int64)
         (n, d), n_classes = X.shape, self.n_classes
-        Y = np.zeros((n, n_classes))
-        Y[np.arange(n), np.asarray(y, dtype=np.int64)] = 1.0
+        if y.shape != (n,):
+            raise ValueError(f"logistic labels have shape {y.shape}, not ({n},)")
+        if n and not 0 <= y.min() <= y.max() < n_classes:
+            raise ValueError("logistic labels must index the classes")
         W, b = np.zeros((d, n_classes)), np.zeros(n_classes)
         m = min(self.MINIBATCH, n)
-        err, grad = np.empty((m, n_classes)), np.empty((d, n_classes))
-        for _ in range(self.epochs):
-            rows = rng.permutation(n).astype(np.int64, copy=False)
-            epoch(X.ctypes.data, Y.ctypes.data, rows.ctypes.data, n, d, n_classes, m,
-                  W.ctypes.data, b.ctypes.data, self.learning_rate, self.l2,
-                  err.ctypes.data, grad.ctypes.data)
+        rows, scratch = np.empty(n, dtype=np.int64), np.empty(m * (d + n_classes))
+        fit, bits = _kernels().sgd_fit, rng.bit_generator
+        draw = bits.ctypes
+        with bits.lock:
+            fit(X.ctypes.data, y.ctypes.data, n, d, n_classes, m, self.epochs,
+                self.learning_rate, self.l2, draw.state_address, draw.next_uint32,
+                draw.next_uint64, W.ctypes.data, b.ctypes.data, rows.ctypes.data,
+                scratch.ctypes.data)
         self.W_, self.b_ = W, b
         return self
 
@@ -377,10 +386,9 @@ def _kernels():
             lib = ctypes.CDLL(library)
         except OSError as exc:
             raise KernelBuildError(f"cannot build {source} with cc: {exc}") from exc
-        lib.sgd_epoch.restype = lib.knn_votes.restype = None
-        lib.sgd_epoch.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
-                                  + [ctypes.c_void_p] * 2 + [ctypes.c_double] * 2
-                                  + [ctypes.c_void_p] * 2)
+        lib.sgd_fit.restype = lib.knn_votes.restype = None
+        lib.sgd_fit.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64] * 5
+                                + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 7)
         lib.knn_votes.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3
                                   + [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
                                   + [ctypes.c_void_p] * 2)

@@ -1,5 +1,6 @@
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -466,8 +467,8 @@ def grown(specs, X, y):
 
 
 def reference_logistic_fit(model, X, y, rng):
-    """Reference for ``LogisticSgdClassifier.fit``: the steps of ``sgd_epoch``
-    in Python floats and ``math.exp``, each sum in the kernel's order and
+    """Reference for ``LogisticSgdClassifier.fit``: the steps of ``sgd_fit``
+    over ``rng.permutation(n)`` per epoch, in Python floats and ``math.exp``, each sum in the kernel's order and
     the max by its NaN rule (a later entry replaces it only when greater);
     returns ``(W, b)``."""
     n, d = X.shape
@@ -584,6 +585,40 @@ def test_logistic_fit_is_the_one_model_lockstep_call():
     model = LogisticSgdClassifier(3, learning_rate=0.1, l2=1e-4, epochs=3)
     assert model.fit(X, y, np.random.default_rng(9)) is model
     assert_equals_the_reference(model, X, y, 9)
+
+
+def test_logistic_fit_over_gathers_that_span_the_matrix_equals_the_reference():
+    """2,000 rows of 12 features: each minibatch gathers rows from all over
+    a 192 kB matrix."""
+    rng = np.random.default_rng(4)
+    X, y = rng.normal(size=(2000, 12)), rng.integers(0, 3, 2000)
+    model = LogisticSgdClassifier(3, learning_rate=0.1, l2=1e-4, epochs=2)
+    model.fit(X, y, np.random.default_rng(8))
+    assert_equals_the_reference(model, X, y, 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
+def test_logistic_fit_draws_what_generator_permutation_draws(n):
+    """The kernel draws each epoch's order from the generator as
+    ``Generator.permutation(n)`` does: after a fit of ``epochs`` epochs the
+    generator's state is that of ``epochs`` calls to it, also over two fits
+    in a row on one generator."""
+    rng = np.random.default_rng(n)
+    X, y = rng.normal(size=(n, 3)), rng.integers(0, 2, n)
+    fitted, drawn = np.random.default_rng(11), np.random.default_rng(11)
+    for epochs in (3, 2):
+        LogisticSgdClassifier(2, learning_rate=0.1, l2=1e-4, epochs=epochs).fit(X, y, fitted)
+        for _ in range(epochs):
+            drawn.permutation(n)
+        assert fitted.bit_generator.state == drawn.bit_generator.state
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_logistic_fit_rejects_labels_outside_the_classes(label):
+    X, y = np.zeros((4, 2)), np.array([0, 1, label, 2])
+    with pytest.raises(ValueError, match="index the classes"):
+        LogisticSgdClassifier(3, learning_rate=0.1, l2=0.0, epochs=1).fit(
+            X, y, np.random.default_rng(0))
 
 
 @st.composite
@@ -726,3 +761,16 @@ def test_a_load_from_a_warm_cache_starts_no_process(monkeypatch, tmp_path):
     monkeypatch.setattr(subprocess, "Popen", no_process)
     assert classifiers._kernels() is not None
     assert len(list((tmp_path / "driftml").iterdir())) == 1
+
+
+def test_the_kernels_compile_without_warnings(tmp_path):
+    """``_kernels.c`` builds with the production flags and ``-Wall -Wextra
+    -Werror``."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no cc on PATH")
+    source = os.path.join(SRC, "driftml", "_kernels.c")
+    done = subprocess.run([cc, *classifiers._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "kernels.so"), source, "-lm"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
