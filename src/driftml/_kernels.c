@@ -31,6 +31,29 @@
  * count_c / k[m] over the first k[m] of those (k[m] <= k_max; 0 / 0 for
  * k[m] = 0) in row at + i of its (rows, C) output outs[m]. Every ref_y is
  * in [0, C). near (k_max doubles) and labels (k_max + C int64) are scratch.
+ *
+ * select_rounds: greedy ensemble selection with replacement, at most
+ * rounds rounds. Member m's plane is the C x G block at planes + m * C * G,
+ * one row per class and one column per scoring column; column g has label
+ * y[g] and weight w[g], the rows it stands for. running (C x G, zeros)
+ * sums the planes picked. Round r scores every member's mix
+ * (running + plane) / r, entry by entry, and picks the first member of the
+ * highest score, NaN below every number (all NaN: member 0); trace and best
+ * get the pick and its score. A round that scores 1.0 ends the selection,
+ * else the pick's plane is added to running. Returns the rounds run.
+ *   - auc == 0, accuracy: a column predicts its first max class, or its
+ *     first NaN (numpy's argmax); the score is the weight of the columns
+ *     whose label is predicted over the total weight, integers below 2**53.
+ *     The columns go in blocks, each block through every member at once.
+ *     scratch holds M + 2 G int64.
+ *   - auc != 0, normalized AUC (C == 2): the class-1 entries in stable
+ *     order of value, NaN after every number; a run of equal numbers of
+ *     total weight W after a weight of ahead shares the rank
+ *     ahead + (W + 1) / 2, and a NaN entry is a run of its own. With the
+ *     weights n_pos of label 1 and n_neg of the others both above 0, the
+ *     score is 2 * ((rank_sum - n_pos (n_pos + 1) / 2) / (n_pos n_neg)) - 1,
+ *     rank_sum summing the label-1 weight of each run times its rank
+ *     (kept doubled in an int64, exact); else NaN. scratch holds 5 G int64.
  */
 #include <math.h>
 #include <stdint.h>
@@ -212,4 +235,211 @@ void knn_votes(const double *prod, const double *sq, const double *ref_sq,
                 count[labels[taken]]++;
         }
     }
+}
+
+/* A sort key of an AUC entry: unsigned order is the order of the values,
+ * -0.0 is 0.0 and every NaN is UINT64_MAX, after every number. */
+static uint64_t rank_key(double v)
+{
+    uint64_t bits;
+    if (v != v)
+        return UINT64_MAX;
+    if (v == 0.0)
+        v = 0.0;
+    memcpy(&bits, &v, sizeof bits);
+    return bits >> 63 ? ~bits : bits | (1ULL << 63);
+}
+
+/* Sorts the n (key, value) pairs of a by key, keeping the order of equal
+ * keys; b is scratch of the same size. Returns the sorted array: a or b. */
+static int64_t *sort_pairs(int64_t *a, int64_t *b, int64_t n)
+{
+    int64_t count[8][256];
+    if (n <= 64) {
+        for (int64_t i = 1; i < n; i++) {
+            int64_t key = a[2 * i], value = a[2 * i + 1], j = i;
+            for (; j > 0 && (uint64_t)a[2 * j - 2] > (uint64_t)key; j--) {
+                a[2 * j] = a[2 * j - 2];
+                a[2 * j + 1] = a[2 * j - 1];
+            }
+            a[2 * j] = key;
+            a[2 * j + 1] = value;
+        }
+        return a;
+    }
+    /* by one byte at a time, the lowest first; a byte every key shares is skipped */
+    memset(count, 0, sizeof count);
+    for (int64_t i = 0; i < n; i++)
+        for (int byte = 0; byte < 8; byte++)
+            count[byte][((uint64_t)a[2 * i] >> (8 * byte)) & 255]++;
+    for (int byte = 0; byte < 8; byte++) {
+        int64_t *at = count[byte], *t, start = 0;
+        if (at[((uint64_t)a[0] >> (8 * byte)) & 255] == n)
+            continue;
+        for (int v = 0; v < 256; v++) {
+            int64_t k = at[v];
+            at[v] = start;
+            start += k;
+        }
+        for (int64_t i = 0; i < n; i++) {
+            int64_t to = at[((uint64_t)a[2 * i] >> (8 * byte)) & 255]++;
+            b[2 * to] = a[2 * i];
+            b[2 * to + 1] = a[2 * i + 1];
+        }
+        t = a;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/* The normalized AUC of the G class-1 entries of the mix (ones + p) / d.
+ * wy holds 2 w + (y == 1) per column; pairs and spare (2 G int64 each) are
+ * scratch. */
+static double normalized_auc(const double *ones, const double *p, double d,
+                             const int64_t *wy, int64_t G, int64_t n_pos,
+                             int64_t n_neg, int64_t *pairs, int64_t *spare)
+{
+    int64_t ahead = 0, twice = 0;
+    for (int64_t g = 0; g < G; g++) {
+        pairs[2 * g] = (int64_t)rank_key((ones[g] + p[g]) / d);
+        pairs[2 * g + 1] = wy[g];
+    }
+    pairs = sort_pairs(pairs, spare, G);
+    for (int64_t i = 0; i < G;) {
+        int64_t key = pairs[2 * i], weight = 0, pos = 0;
+        do {
+            int64_t t = pairs[2 * i + 1];
+            weight += t >> 1;
+            pos += t & 1 ? t >> 1 : 0;
+            i++;
+        } while (i < G && pairs[2 * i] == key && (uint64_t)key != UINT64_MAX);
+        twice += pos * (2 * ahead + weight + 1);
+        ahead += weight;
+    }
+    return 2.0 * ((twice / 2.0 - (double)(n_pos * (n_pos + 1)) / 2.0)
+                  / (double)(n_pos * n_neg)) - 1.0;
+}
+
+/* Two lanes at once (SSE2 on x86-64): each lane rounds as a double does. */
+typedef double pair __attribute__((vector_size(16)));
+typedef int64_t pair_i __attribute__((vector_size(16)));
+
+static pair load2(const double *p)
+{
+    pair v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static pair_i load2i(const int64_t *p)
+{
+    pair_i v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/* The weight of the n columns whose label the two-class mix
+ * (running + p) / d predicts: class 1 when class 0 is a number and class 1
+ * is not at most it. w0 and w1 hold each column's weight where its label
+ * is 0 and where it is 1, else 0. Rows of the planes are G apart. */
+static int64_t hits2(const double *running, const double *p, double d, const int64_t *w0,
+                     const int64_t *w1, int64_t G, int64_t n)
+{
+    const double *r1 = running + G, *p1 = p + G;
+    pair dd = {d, d};
+    pair_i sum = {0, 0};
+    int64_t g = 0, total;
+    for (; g + 2 <= n; g += 2) {
+        pair v0 = (load2(running + g) + load2(p + g)) / dd;
+        pair v1 = (load2(r1 + g) + load2(p1 + g)) / dd;
+        pair_i one = (pair_i)(v0 == v0) & ~(pair_i)(v1 <= v0);
+        sum += (one & load2i(w1 + g)) | (~one & load2i(w0 + g));
+    }
+    total = sum[0] + sum[1];
+    for (; g < n; g++) {
+        double v0 = (running[g] + p[g]) / d, v1 = (r1[g] + p1[g]) / d;
+        total += v0 == v0 && !(v1 <= v0) ? w1[g] : w0[g];
+    }
+    return total;
+}
+
+/* hits2 for any C: a column predicts its first max class, or its first NaN. */
+static int64_t hits(const double *running, const double *p, double d, const int64_t *y,
+                    const int64_t *w, int64_t C, int64_t G, int64_t n)
+{
+    int64_t total = 0;
+    for (int64_t g = 0; g < n; g++) {
+        double top = (running[g] + p[g]) / d;
+        int64_t label = 0;
+        for (int64_t c = 1; c < C && top == top; c++) {
+            double v = (running[c * G + g] + p[c * G + g]) / d;
+            if (!(v <= top)) {
+                top = v;
+                label = c;
+            }
+        }
+        total += label == y[g] ? w[g] : 0;
+    }
+    return total;
+}
+
+/* columns per pass under accuracy: the running sums and weights of a block
+ * stay in cache while every member's block passes */
+#define SELECT_BLOCK 512
+
+int64_t select_rounds(const double *planes, const int64_t *y, const int64_t *w,
+                      int64_t M, int64_t C, int64_t G, int64_t auc, int64_t rounds,
+                      double *running, int64_t *trace, double *best, int64_t *scratch)
+{
+    int64_t total = 0, n_pos = 0, *tally = scratch, *w0 = scratch + M, *w1 = w0 + G;
+    for (int64_t g = 0; g < G; g++) {
+        total += w[g];
+        n_pos += y[g] == 1 ? w[g] : 0;
+        if (auc) {
+            scratch[g] = 2 * w[g] + (y[g] == 1);
+        } else if (C == 2) {
+            w0[g] = y[g] == 0 ? w[g] : 0;
+            w1[g] = y[g] == 1 ? w[g] : 0;
+        }
+    }
+    for (int64_t r = 1; r <= rounds; r++) {
+        double d = (double)r, top = 0.0, rank = 0.0;
+        int64_t pick = 0;
+        if (!auc) {
+            for (int64_t m = 0; m < M; m++)
+                tally[m] = 0;
+            for (int64_t at = 0; at < G; at += SELECT_BLOCK) {
+                int64_t n = G - at < SELECT_BLOCK ? G - at : SELECT_BLOCK;
+                for (int64_t m = 0; m < M; m++) {
+                    const double *p = planes + m * C * G + at;
+                    tally[m] += C == 2 ? hits2(running + at, p, d, w0 + at, w1 + at, G, n)
+                                       : hits(running + at, p, d, y + at, w + at, C, G, n);
+                }
+            }
+        }
+        for (int64_t m = 0; m < M; m++) {
+            double s, k;
+            if (!auc)
+                s = (double)tally[m] / (double)total;
+            else if (n_pos > 0 && total - n_pos > 0)
+                s = normalized_auc(running + G, planes + m * C * G + G, d, scratch, G,
+                                   n_pos, total - n_pos, scratch + G, scratch + 3 * G);
+            else
+                s = NAN;
+            k = s == s ? s : -INFINITY;
+            if (m == 0 || k > rank) {
+                pick = m;
+                top = s;
+                rank = k;
+            }
+        }
+        trace[r - 1] = pick;
+        best[r - 1] = top;
+        if (top == 1.0)
+            return r;
+        for (int64_t i = 0; i < C * G; i++)
+            running[i] += planes[pick * C * G + i];
+    }
+    return rounds;
 }

@@ -7,8 +7,9 @@ the training data may receive probability zero. Everything is deterministic
 given (data, hyperparameters, seed).
 
 Logistic SGD and k-NN run their inner loops in ``_kernels.c``, compiled
-with ``cc`` at the first logistic fit or k-NN prediction and cached
-outside the package (``KernelBuildError`` when that fails). The kernels
+with ``cc`` at its first use (a logistic fit, a k-NN prediction or an
+ensemble selection, whose rounds it also runs) and cached outside the
+package (``KernelBuildError`` when that fails). The kernels
 sum and compare in a fixed order. SGD takes libm's ``exp``, so its weights
 do not depend on BLAS or on numpy's SIMD ``exp``; k-NN's distance product
 stays a BLAS product. A logistic fit is one call into ``sgd_fit``, which
@@ -392,6 +393,9 @@ def _kernels():
         lib.knn_votes.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3
                                   + [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
                                   + [ctypes.c_void_p] * 2)
+        lib.select_rounds.restype = ctypes.c_int64
+        lib.select_rounds.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 5
+                                      + [ctypes.c_void_p] * 4)
         _kernel = lib
     return _kernel
 

@@ -11,19 +11,17 @@ round that scores 1.0, which no metric exceeds.
 Member weights are selection frequencies within the kept prefix, so they are
 positive, sum to one, and can be reconstructed from the trace.
 
-A round scores all members at once, with one ``score`` call: the members'
-predictions on the holdout's distinct rows are stacked as ``(members,
-classes, distinct rows)`` so each class is one contiguous plane, and scored
-on the holdout's columns (``Holdout.columns``), one per (distinct row, label)
-pair, weighted by its count. Every row of a pair has its distinct row's
-prediction, byte for byte, so the weighted scores equal the per-row ones
-exactly (a STAGGER holdout merges into at most 27 inputs times 2 labels).
-Under accuracy a round of finite mixes is compared, not argmaxed: a
-column is right for a member when its label's class beats every lower
-class and no higher class beats it, and one float64 product with the counts
-gives every member's hits, exact integers (``metrics``); mixes holding a
-NaN or inf are argmaxed. The first round scores each member alone; a
-library keeps no scores.
+Every round runs in one call into ``select_rounds`` of ``_kernels.c``. The
+members' predictions on the holdout's distinct rows are stacked as
+``(members, classes, distinct rows)``, so each class is one contiguous
+plane, and scored on the holdout's columns (``Holdout.columns``), one per
+(distinct row, label) pair, weighted by its count. Every row of a pair has
+its distinct row's prediction, byte for byte, so the weighted scores equal
+the per-row ones exactly (a STAGGER holdout merges into at most 27 inputs
+times 2 labels): accuracy counts integer weights, AUC sums half-integer
+weighted midranks. The kernel forms each mix as numpy's ``(running +
+plane) / r`` does and scores it by the rules of ``metrics.score``; the
+first round scores each member alone. A library keeps no scores.
 ``ensemble_predict_proba``, the per-batch read path, predicts every row
 directly: finding one batch's distinct rows costs more there than it saves.
 Its members predict together (``pipeline.predict_pipelines``), so k-NN
@@ -38,8 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers import _kernels
 from .data import Batch
-from .metrics import score
+from .metrics import METRICS, NORMALIZED_AUC
+# selection scores in ``_kernels.c``: ``score`` stays only because perfbench/tracer.py wraps ensemble.score
+from .metrics import score  # noqa: F401
 from .pipeline import predict_pipelines
 from .search import ModelLibrary
 
@@ -80,25 +81,26 @@ def select_ensemble(lib: ModelLibrary, rounds: int = 50, metric: str | None = No
     metric = lib.metric if metric is None else metric
     planes, y, weight = lib.holdout.columns(
         np.stack([np.asarray(m.validation_proba, dtype=np.float64).T for m in lib.members]))
+    n_members, n_classes, n_columns = planes.shape
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    if metric == NORMALIZED_AUC and n_classes != 2:
+        raise ValueError("normalized_auc needs binary class probabilities")
+    if not n_columns:
+        raise ValueError(f"{metric} of an empty holdout is undefined")
 
-    trace: list[int] = []
-    prefix_scores: list[float] = []
-    running = np.zeros(planes.shape[1:])
-    mixes = np.empty_like(planes)  # every member's candidate mix, reused each round
-    for r in range(1, rounds + 1):
-        np.divide(np.add(running, planes, out=mixes), r, out=mixes)
-        scores = score(metric, y, mixes.transpose(0, 2, 1), weight)
-        # the lowest index among the best; NaN ranks below every real score,
-        # and with every candidate NaN the lowest index is kept
-        best = int(np.argmax(np.where(np.isnan(scores), -np.inf, scores)))
-        trace.append(best)
-        prefix_scores.append(float(scores[best]))
-        if prefix_scores[-1] == 1.0:
-            # no metric scores above 1.0 (accuracy is a count over its total,
-            # AUC's numerator is at most n_pos·n_neg, both exact), so later
-            # rounds can only tie, and the earliest best prefix is kept
-            break
-        running += planes[best]
+    planes = np.ascontiguousarray(planes)
+    y = np.ascontiguousarray(y, dtype=np.int64)
+    weight = np.ascontiguousarray(weight, dtype=np.int64)
+    running = np.zeros((n_classes, n_columns))
+    trace_at, scores_at = np.empty(rounds, dtype=np.int64), np.empty(rounds)
+    scratch = np.empty(5 * n_columns if metric == NORMALIZED_AUC else n_members + 2 * n_columns,
+                       dtype=np.int64)
+    ran = _kernels().select_rounds(
+        planes.ctypes.data, y.ctypes.data, weight.ctypes.data, n_members, n_classes,
+        n_columns, metric == NORMALIZED_AUC, rounds, running.ctypes.data,
+        trace_at.ctypes.data, scores_at.ctypes.data, scratch.ctypes.data)
+    trace, prefix_scores = trace_at[:ran].tolist(), scores_at[:ran].tolist()
 
     finite = [(s if not math.isnan(s) else -math.inf) for s in prefix_scores]
     best_len = int(np.argmax(finite)) + 1  # earliest best prefix

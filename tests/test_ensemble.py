@@ -207,24 +207,35 @@ def test_errors():
         select_ensemble(empty, rounds=1)
     with pytest.raises(EnsembleError):
         EnsembleModel((0, 1), (0.5, 0.6), 2, (0, 1))  # weights do not sum to 1
+    with pytest.raises(ValueError, match="unknown metric"):
+        select_ensemble(lib, rounds=1, metric="f1")
+    three_classes = stub_library([np.full((2, 3), 1 / 3)], [0, 1], NORMALIZED_AUC)
+    with pytest.raises(ValueError, match="binary"):
+        select_ensemble(three_classes, rounds=1)
+    no_rows = stub_library([np.empty((0, 2))], np.empty(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="empty holdout"):
+        select_ensemble(no_rows, rounds=1)
 
 
 @st.composite
 def libraries(draw):
-    """Tie-heavy random libraries: members predict a few row patterns, so
+    """Tie-heavy random libraries: members predict row patterns, so
     validation rows repeat (with differing labels), and probabilities come
     from a coarse grid, so members and their mixes tie between classes.
-    Accuracy libraries have 2 or 3 classes. Sometimes one class only, or a
-    NaN probability."""
+    Accuracy libraries have 2-5 classes. Up to 300 rows of up to 300
+    patterns give up to hundreds of scoring columns, and up to 60 rounds.
+    Sometimes one class only, or NaN and inf probabilities."""
     metric = draw(st.sampled_from(METRICS))
-    n_classes = 2 if metric == NORMALIZED_AUC else draw(st.integers(2, 3))
-    n_members, n_patterns = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    n_rows, rounds = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    n_classes = 2 if metric == NORMALIZED_AUC else draw(st.integers(2, 5))
+    n_members, n_patterns = draw(st.integers(1, 6)), draw(st.integers(1, 300))
+    n_rows, rounds = draw(st.integers(1, 300)), draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = np.array([0.0, 0.2, 0.25, 0.5, 0.75, 1.0])
     patterns = grid[rng.integers(0, grid.size, (n_members, n_patterns, n_classes))]
     if draw(st.integers(0, 3)) == 0:  # repeats with every row of its pattern
-        patterns[tuple(rng.integers(0, d) for d in patterns.shape)] = np.nan
+        n_bad = draw(st.integers(1, 3))
+        patterns.flat[rng.integers(0, patterns.size, n_bad)] = rng.choice(
+            [np.nan, np.inf, -np.inf], n_bad)
     probas = patterns[:, rng.integers(0, n_patterns, n_rows)]
     y = rng.integers(0, n_classes, n_rows)
     if draw(st.booleans()):
@@ -250,9 +261,35 @@ TIED_THREE = [np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
               np.array([[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])]
 
 
+# planes holding inf: a mix of inf and -inf is NaN from the second round on
+INF_PLANES = [np.array([[0.0, np.inf], [0.5, 0.5], [0.2, -np.inf]]),
+              np.array([[0.1, -np.inf], [0.5, 0.5], [0.3, 0.4]])]
+
+
+# round 2 mixes member 1's class-1 entry 0.0 with -5e-324 into -0.0, which
+# ties 0.0: a tie that lifts member 1's AUC above member 0's
+NEGATIVE_ZERO = [np.array([[0.5, -5e-324], [0.5, 0.0], [0.5, 0.3]]), np.full((3, 2), [0.5, 0.0])]
+
+
+def wide_library(n_classes, n_rows=1_100):
+    """Three members with distinct rows: more scoring columns than one
+    pass of the accuracy kernel takes."""
+    rng = np.random.default_rng(n_classes)
+    probas = [rng.dirichlet(np.ones(n_classes), n_rows) for _ in range(3)]
+    return stub_library(probas, rng.integers(0, n_classes, n_rows))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
 @settings(max_examples=300)
 @given(libraries())
+@example((stub_library(INF_PLANES, [1, 0, 1], NORMALIZED_AUC), 4))
+@example((stub_library(INF_PLANES, [1, 0, 0]), 4))
+@example((stub_library(PERFECT_MIX, [1, 1], NORMALIZED_AUC), 3))  # one class: every score NaN
+@example((stub_library(NEGATIVE_ZERO, [1, 0, 1], NORMALIZED_AUC), 3))
+@example((wide_library(2), 6))
+@example((wide_library(4), 6))
 @example((stub_library([NAN_REPEATS], [1, 0, 0, 1, 1], NORMALIZED_AUC), 1))
+@example((stub_library([NAN_REPEATS], [1, 0, 0, 1, 0], NORMALIZED_AUC), 1))  # NaN ranks by row
 @example((stub_library(PERFECT_MIX, [0, 1]), 6))
 @example((stub_library(TIED_BINARY, [0, 1, 1]), 4))
 @example((stub_library(TIED_THREE, [1, 2, 0]), 4))

@@ -1,12 +1,10 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftml import metrics
 from driftml.metrics import (
     ACCURACY,
     METRICS,
@@ -144,66 +142,19 @@ def test_unknown_metric():
         score("f1", np.array([0]), np.array([0]))
 
 
-@settings(max_examples=200)
-@given(tie_heavy(), st.integers(0, 2**32 - 1))
-def test_weighted_midranks_equal_the_midranks_of_the_repeated_rows(case, seed):
-    """Entry i of weight w ranks as w tied rows; weight 1 is the unweighted
-    form, and a stack of rows ranks each row on its own."""
-    _, s = case
-    s = np.where(np.isnan(s), 0.5, s)  # NaN ranks by row position: no weighted form
-    w = np.random.default_rng(seed).integers(1, 4, s.size)
-    assert np.array_equal(np.repeat(midranks(s, w), w), reference_midranks(np.repeat(s, w)))
-    assert np.array_equal(midranks(s, np.ones(s.size, dtype=np.int64)), midranks(s))
-    assert np.array_equal(midranks(np.stack([s, -s])), [midranks(s), midranks(-s)])
-
-
-@st.composite
-def weighted_blocks(draw):
-    """(metric, proba (M, G, C), labels, weights): M members' tie-heavy
-    probabilities on G weighted rows, sometimes with one class only."""
-    metric = draw(st.sampled_from(METRICS))
-    n_classes = 2 if metric == NORMALIZED_AUC else draw(st.integers(2, 4))
-    n_members, n_rows = draw(st.integers(1, 5)), draw(st.integers(1, 30))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    levels = [0.0, -0.0, 0.25, 0.5, 0.75, 1.0]
-    if metric == ACCURACY:
-        levels.append(np.nan)  # argmax takes a row's first NaN
-    proba = np.array(levels)[rng.integers(0, len(levels), (n_members, n_rows, n_classes))]
-    y = rng.integers(0, n_classes, n_rows)
-    if draw(st.booleans()):
-        y[:] = y[0]
-    return metric, proba, y, rng.integers(1, 5, n_rows)
-
-
-@settings(max_examples=300)
-@given(weighted_blocks())
-@example((NORMALIZED_AUC, np.array([[[0.5, 0.5], [0.2, 0.8]]]), np.array([1, 1]), np.array([2, 3])))
-@example((ACCURACY, np.array([[[0.5, 0.5], [np.nan, 0.1]]]), np.array([0, 1]), np.array([1, 4])))
-def test_one_weighted_batched_score_equals_a_per_member_loop_over_every_row(case):
-    metric, proba, y, w = case
-    planes = proba.transpose(0, 2, 1).copy()  # each class contiguous, as select_ensemble stacks them
-    rows_y = np.repeat(y, w)
-    expect = [reference_score(metric, rows_y, np.repeat(p, w, axis=0)) for p in proba]
-    assert np.array_equal(score(metric, y, planes.transpose(0, 2, 1), w), expect, equal_nan=True)
-    assert np.array_equal([score(metric, rows_y, np.repeat(p, w, axis=0)) for p in proba],
-                          expect, equal_nan=True)
-
-
 @st.composite
 def accuracy_stacks(draw):
-    """(proba, labels, weights): 2- or 3-class probability rows under 0-2
-    leading axes, from a coarse grid (exact class ties, -0.0 beside 0.0),
-    with weights 1-4 or none, and in some cases NaN or inf entries."""
+    """(proba, labels): 2- or 3-class probability rows from a coarse grid
+    (exact class ties, -0.0 beside 0.0), in some cases with NaN or inf
+    entries."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_classes, n_rows = draw(st.integers(2, 3)), draw(st.integers(1, 40))
-    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
     levels = np.array([0.0, -0.0, 0.25, 0.5, 1.0])
-    proba = levels[rng.integers(0, levels.size, lead + (n_rows, n_classes))]
+    proba = levels[rng.integers(0, levels.size, (n_rows, n_classes))]
     if draw(st.booleans()):
         n_bad = draw(st.integers(1, 3))
         proba.flat[rng.integers(0, proba.size, n_bad)] = rng.choice([np.nan, np.inf, -np.inf], n_bad)
-    weight = rng.integers(1, 5, n_rows) if draw(st.booleans()) else None
-    return proba, rng.integers(0, n_classes, n_rows), weight
+    return proba, rng.integers(0, n_classes, n_rows)
 
 
 TIED_ROWS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]])
@@ -211,34 +162,14 @@ TIED_ROWS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.0, 0
 
 @settings(max_examples=300)
 @given(accuracy_stacks())
-@example((TIED_ROWS, np.array([1, 2, 0, 0]), None))
-@example((TIED_ROWS[None], np.array([0, 1, 2, 1]), np.array([2, 1, 1, 3])))
-@example((np.array([[0.5, 0.5], [np.inf, 1.0]]), np.array([1, 0]), None))
+@example((TIED_ROWS, np.array([1, 2, 0, 0])))
+@example((np.array([[0.5, 0.5], [np.inf, 1.0]]), np.array([1, 0])))
 def test_accuracy_of_probability_rows_equals_argmax_then_accuracy(case):
-    """Finite stacks are compared and counted, others are argmaxed; both
-    give the bytes of ``accuracy`` on the argmax."""
-    proba, y, weight = case
-    want = accuracy(y, proba.argmax(axis=-1), weight)
-    with mock.patch.object(metrics, "_label_wins", wraps=metrics._label_wins) as compared:
-        got = score(ACCURACY, y, proba, weight)
-    assert type(got) is type(want)
+    proba, y = case
+    want = accuracy(y, proba.argmax(axis=-1))
+    got = score(ACCURACY, y, proba)
+    assert type(got) is type(want) is float  # reports hold the repr of per-batch scores
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    assert compared.called == bool(np.isfinite(proba).all())
-
-
-@settings(max_examples=200)
-@given(accuracy_stacks())
-def test_unweighted_accuracy_has_the_bytes_of_unit_weights(case):
-    """``weight=None`` counts hits without a weight vector; the scores keep
-    the bytes of explicit unit weights, for probability rows and for hard
-    predictions, alone or under leading axes."""
-    proba, y, _ = case
-    ones = np.ones(y.size, dtype=np.int64)
-    hard = proba.argmax(axis=-1)
-    for got, want in [(score(ACCURACY, y, proba), score(ACCURACY, y, proba, ones)),
-                      (accuracy(y, hard), accuracy(y, hard, ones))]:
-        assert type(got) is type(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_labels_outside_the_classes_count_as_wrong():
