@@ -54,6 +54,38 @@
  *     score is 2 * ((rank_sum - n_pos (n_pos + 1) / 2) / (n_pos n_neg)) - 1,
  *     rank_sum summing the label-1 weight of each run times its rank
  *     (kept doubled in an int64, exact); else NaN. scratch holds 5 G int64.
+ *
+ * tree_level: one depth of G decision-tree growths over P distinct pairs.
+ * Pair q has the values xt[j][q] (d x P) and the counts counts[q] (C + 1:
+ * its rows in its label's column and again in the last one). Growth g
+ * keeps, for each feature j, its pairs in order[g][j] (G x d x P) sorted by
+ * xt[j] (a stable argsort, NaN last); rule[g] holds its deepest max_depth,
+ * its min_leaf and whether it takes entropy. Node i of the depth (node[i]:
+ * growth, path, start, end, feature, left) holds the pairs at
+ * start..end-1 of every list of its growth and the totals total[i] (C + 1).
+ * A node is open when depth < max_depth, its n rows are at least
+ * 2 min_leaf and no class holds all of them. For each open node and each
+ * feature in order, the counts add up along the list from 0.0; the
+ * position after pair k is a candidate when its value differs from the
+ * next one's (!=, so NaN differs from NaN) and min_leaf <= nl <= n - min_leaf.
+ * A candidate's gain is parent - (nl * I(left) + nr * I(right)) / n, the
+ * right counts total - left, where I(counts of t rows) takes p = count / t
+ * and sums 1 - p * p (Gini) or -(p * log2 p, 0.0 where p == 0) (entropy)
+ * over the classes in numpy's order (pairwise above). A feature's first
+ * best position counts; then, in feature order, a feature whose best gain
+ * is above 1e-12 and above the best so far + 1e-12 takes the split. The
+ * threshold is (a + b) / 2 of the two values around the position (with
+ * two NaNs, b's, as numpy's scalar sum gives it). Every list of the node
+ * is partitioned stably, pairs with value <= threshold first (NaN goes
+ * right); the children go to child and child_total, left then right, path
+ * 2 path and 2 path + 1, numbered from first_id; feature and left of every
+ * node are written (-1 for a leaf) with its threshold. Returns the splits.
+ * Entropy takes numpy's log2: with listing != 0 the call only lists, for
+ * every open entropy node, the proportions above 0 of its totals, then of
+ * each candidate's left and right counts, in class order, in props (at
+ * most cap; the count is returned); the caller replaces each by its log2,
+ * and the next call (listing == 0) reads them in the same order. spare
+ * holds P int64.
  */
 #include <math.h>
 #include <stdint.h>
@@ -442,4 +474,193 @@ int64_t select_rounds(const double *planes, const int64_t *y, const int64_t *w,
             running[i] += planes[pick * C * G + i];
     }
     return rounds;
+}
+
+/* The sum of the n entries of a, in the order np.add.reduce takes a row of
+ * a contiguous array: in turn below 8 entries; else 8 running sums, one per
+ * lane of each block of 8, joined as ((r0 + r1) + (r2 + r3)) +
+ * ((r4 + r5) + (r6 + r7)), then the rest in turn; above 128 entries the
+ * sums of the two halves, split at a multiple of 8. */
+static double pairwise(const double *a, int64_t n);
+
+static inline double numpy_sum(const double *a, int64_t n)
+{
+    double s = -0.0;
+    if (n >= 8)
+        return pairwise(a, n);
+    for (int64_t i = 0; i < n; i++)
+        s += a[i];
+    return s;
+}
+
+static double pairwise(const double *a, int64_t n)
+{
+    int64_t half;
+    if (n < 8)
+        return numpy_sum(a, n);
+    if (n <= 128) {
+        double r[8], s;
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    half = n / 2 - n / 2 % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+/* The impurity of the class counts cnt of t rows: with p = cnt / t,
+ * 1 - sum p * p (Gini), or -sum p * log2(p) over the p > 0, whose logs
+ * come in turn from *logs (entropy); term (C doubles) is scratch. */
+static double impurity(const double *cnt, double t, int64_t C, int64_t entropy,
+                       const double **logs, double *term)
+{
+    for (int64_t c = 0; c < C; c++) {
+        double p = cnt[c] / t;
+        term[c] = !entropy ? p * p : cnt[c] > 0 ? p * *(*logs)++ : 0.0;
+    }
+    return entropy ? -(0.0 + numpy_sum(term, C)) : 1.0 - (0.0 + numpy_sum(term, C));
+}
+
+/* Lists the proportions cnt / t above 0, in class order, as props[*need..]
+ * (those past cap are counted, not written). */
+static void list_props(const double *cnt, double t, int64_t C, double *props, int64_t cap,
+                       int64_t *need)
+{
+    for (int64_t c = 0; c < C; c++)
+        if (cnt[c] > 0) {
+            if (*need < cap)
+                props[*need] = cnt[c] / t;
+            ++*need;
+        }
+}
+
+/* The best split of one node (feature -1: none), its position in *at; see
+ * tree_level. work holds 3 (C + 1) doubles. */
+static int64_t best_split(const double *xt, const double *counts, int64_t P, int64_t d,
+                          int64_t C, const int64_t *order, int64_t start,
+                          int64_t end, const double *tot, int64_t min_leaf, int64_t entropy,
+                          int64_t listing, double *props, int64_t cap, int64_t *need,
+                          const double **logs, double *work, int64_t *at)
+{
+    double n = tot[C], *cum = work, *rest = work + C + 1, *term = rest + C + 1;
+    double parent = 0.0, bar = 1e-12;
+    int64_t feature = -1;
+    if (listing)
+        list_props(tot, n, C, props, cap, need);
+    else
+        parent = impurity(tot, n, C, entropy, logs, term);
+    for (int64_t f = 0; f < d; f++) {
+        const int64_t *ord = order + f * P;
+        const double *x = xt + f * P;
+        double best = -INFINITY;
+        int64_t pos = 0;
+        for (int64_t c = 0; c <= C; c++)
+            cum[c] = 0.0;
+        for (int64_t k = start; k + 1 < end; k++) {
+            int64_t q = ord[k];
+            double nl, nr, left, right, gain;
+            for (int64_t c = 0; c <= C; c++)
+                cum[c] += counts[q * (C + 1) + c];
+            nl = cum[C];
+            if (!(x[q] != x[ord[k + 1]] && nl >= (double)min_leaf && nl <= n - (double)min_leaf))
+                continue;
+            nr = n - nl;
+            for (int64_t c = 0; c < C; c++)
+                rest[c] = tot[c] - cum[c];
+            if (listing) {
+                list_props(cum, nl, C, props, cap, need);
+                list_props(rest, nr, C, props, cap, need);
+                continue;
+            }
+            left = impurity(cum, nl, C, entropy, logs, term);
+            right = impurity(rest, nr, C, entropy, logs, term);
+            gain = parent - (nl * left + nr * right) / n;
+            if (gain > best) {
+                best = gain;
+                pos = k;
+            }
+        }
+        if (best > bar) {
+            feature = f;
+            bar = best + 1e-12;
+            *at = pos;
+        }
+    }
+    return feature;
+}
+
+int64_t tree_level(const double *xt, const double *counts, int64_t P, int64_t d, int64_t C,
+                   const int64_t *rule, int64_t depth, int64_t n,
+                   int64_t *node, const double *total, double *threshold, int64_t *order,
+                   double *props, int64_t cap, int64_t listing, int64_t first_id,
+                   int64_t *child, double *child_total, int64_t *spare)
+{
+    double work[3 * (C + 1)];
+    const double *logs = props;
+    int64_t need = 0, splits = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t *nd = node + 6 * i, g = nd[0], start = nd[2], end = nd[3], at = 0, f, mid = start;
+        const int64_t *r = rule + 3 * g, *ord;
+        const double *tot = total + i * (C + 1), *x;
+        double most = 0.0, a, b, thr, *lt, *rt;
+        int64_t *cl, *cr, *grown = order + g * d * P;
+        for (int64_t c = 0; c < C; c++)
+            if (tot[c] > most)
+                most = tot[c];
+        if (!listing) {
+            nd[4] = nd[5] = -1;
+            threshold[i] = 0.0;
+        }
+        if (!(depth < r[0] && tot[C] >= (double)(2 * r[1]) && most < tot[C]) || (listing && !r[2]))
+            continue;
+        f = best_split(xt, counts, P, d, C, grown, start, end, tot, r[1], r[2], listing,
+                       props, cap, &need, &logs, work, &at);
+        if (listing || f < 0)
+            continue;
+        ord = grown + f * P;
+        x = xt + f * P;
+        a = x[ord[at]];
+        b = x[ord[at + 1]];
+        thr = (b != b ? b : a + b) / 2.0; /* numpy's a + b: with two NaNs, b's */
+        for (int64_t h = 0; h < d; h++) {
+            int64_t *o = grown + h * P, m = 0;
+            mid = start;
+            for (int64_t k = start; k < end; k++) {
+                int64_t q = o[k];
+                if (x[q] <= thr)
+                    o[mid++] = q;
+                else
+                    spare[m++] = q;
+            }
+            memcpy(o + mid, spare, (size_t)m * sizeof *spare);
+        }
+        lt = child_total + 2 * splits * (C + 1);
+        rt = lt + C + 1;
+        for (int64_t c = 0; c <= C; c++)
+            lt[c] = 0.0;
+        for (int64_t k = start; k < mid; k++)
+            for (int64_t c = 0; c <= C; c++)
+                lt[c] += counts[grown[k] * (C + 1) + c];
+        for (int64_t c = 0; c <= C; c++)
+            rt[c] = tot[c] - lt[c];
+        cl = child + 12 * splits;
+        cr = cl + 6;
+        cl[0] = cr[0] = g;
+        cl[1] = 2 * nd[1];
+        cr[1] = 2 * nd[1] + 1;
+        cl[2] = start;
+        cl[3] = cr[2] = mid;
+        cr[3] = end;
+        nd[4] = f;
+        nd[5] = first_id + 2 * splits++;
+        threshold[i] = thr;
+    }
+    return listing ? need : splits;
 }

@@ -6,10 +6,10 @@ schema class set: rows are non-negative and sum to 1, classes absent from
 the training data may receive probability zero. Everything is deterministic
 given (data, hyperparameters, seed).
 
-Logistic SGD and k-NN run their inner loops in ``_kernels.c``, compiled
-with ``cc`` at its first use (a logistic fit, a k-NN prediction or an
-ensemble selection, whose rounds it also runs) and cached outside the
-package (``KernelBuildError`` when that fails). The kernels
+Trees, logistic SGD and k-NN run their inner loops in ``_kernels.c``,
+compiled with ``cc`` at its first use (a tree or logistic fit, a k-NN
+prediction or an ensemble selection, whose rounds it also runs) and cached
+outside the package (``KernelBuildError`` when that fails). The kernels
 sum and compare in a fixed order. SGD takes libm's ``exp``, so its weights
 do not depend on BLAS or on numpy's SIMD ``exp``; k-NN's distance product
 stays a BLAS product. A logistic fit is one call into ``sgd_fit``, which
@@ -25,8 +25,10 @@ The tree and k-NN kernels take fewer passes than the simple forms they
 replace and give the same bytes; ``tests/test_classifiers.py`` keeps each
 simple form as a reference, and a pure-Python form of the SGD kernel. A
 ``TreeGrower`` grows the trees fitted on one matrix (or a lone tree) level
-by level from its distinct (row, label) pairs weighted by count, with one
-split search per depth for the open nodes of all of them. k-NN keeps each
+by level from its distinct (row, label) pairs weighted by count: one call
+into ``tree_level`` per depth searches and splits the open nodes of all of
+them, and entropy's logs come from one ``np.log2`` call between a listing
+call and that one, so they are numpy's, not libm's. k-NN keeps each
 row's nearest references in the stable argsort's order as it forms their
 distances, and counts the votes of every k among them.
 
@@ -64,8 +66,6 @@ class DecisionTreeClassifier:
     lower feature index, then the lower threshold, so refits are identical.
     """
 
-    SPLIT_CELLS = 8192
-
     def __init__(self, n_classes: int, max_depth: int, min_leaf: int, split_criterion: str):
         self.n_classes = n_classes
         self.max_depth = max_depth
@@ -94,8 +94,8 @@ class DecisionTreeClassifier:
 class TreeGrower:
     """The trees fitted on one matrix, grown level by level from its ``tree_pairs``.
     Trees with one ``(split_criterion, min_leaf)`` share one growth to their deepest
-    ``max_depth``, each cut at its own depth; ``_best_splits`` searches the open
-    nodes of a depth, in every growth, as segments of one ``(features, pairs)`` array."""
+    ``max_depth``, each cut at its own depth; one call into ``tree_level`` of
+    ``_kernels.c`` searches and splits the open nodes of a depth, in every growth."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, trees: list):
         self.data, self.trees, self.nodes = (X, y, n_classes), trees, None
@@ -103,123 +103,55 @@ class TreeGrower:
     def tree(self, model: DecisionTreeClassifier) -> tuple:
         """``(feature, threshold, left, right, proba)`` of ``model``, one of ``trees``."""
         self.nodes = self.nodes or self._grow()
-        keys, order, growth, depth, feature, threshold, left, right, total = self.nodes
+        keys, order, growth, depth, feature, threshold, left, total = self.nodes
         order = order[(growth[order] == keys.index((model.split_criterion, model.min_leaf)))
                       & (depth[order] <= model.max_depth)]
         rank = np.empty(growth.size, np.int64)
         rank[order] = np.arange(order.size)
         inner, total = (feature[order] >= 0) & (depth[order] < model.max_depth), total[order]
         return (np.where(inner, feature[order], -1), np.where(inner, threshold[order], 0.0),
-                np.where(inner, rank[left[order]], -1), np.where(inner, rank[right[order]], -1),
-                np.where(inner[:, None], 0.0, total[:, :-2] / total[:, -2:-1]))
+                np.where(inner, rank[left[order]], -1), np.where(inner, rank[left[order] + 1], -1),
+                np.where(inner[:, None], 0.0, total[:, :-1] / total[:, -1:]))
 
     def _grow(self) -> tuple:
         """Each growth's key, the nodes grown in depth-first preorder, and their arrays."""
-        X, weights = tree_pairs(*self.data)
+        X, counts = tree_pairs(*self.data)
         keys = sorted({(tree.split_criterion, tree.min_leaf) for tree in self.trees})
-        max_depth = np.array([max(t.max_depth for t in self.trees
-                                  if (t.split_criterion, t.min_leaf) == key) for key in keys])
-        entropy = np.array([criterion == "entropy" for criterion, _ in keys])
-        min_leaf = np.array([leaf for _, leaf in keys])
-        # each node of a depth: growth, path (a bit a depth), totals of counts and pairs
-        growth, path = np.arange(len(keys)), np.zeros(len(keys), np.int64)
-        weights = np.column_stack([weights, np.ones(len(X))])  # and a column of pair counts
-        total = np.tile(weights.sum(axis=0), (growth.size, 1))
-        rows = X.T.argsort(axis=1, kind="stable").astype(np.min_scalar_type(-len(X)))
-        rows, side = np.tile(rows, growth.size), np.empty((growth.size, len(X)), np.uint8)
-        levels, grown = [], 0
-        for depth in range(max_depth.max() + 1):
-            limit = np.where(depth < max_depth, 2 * min_leaf, np.inf)[growth]
-            # a node holding one class has all its rows in that class's count
-            is_open = (total[:, -2] >= limit) & (total[:, :-2].max(axis=1) < total[:, -2])
-            rows = rows[:, is_open.repeat(total[:, -1].astype(np.intp))]
-            feature, left, right, threshold = *np.full((3, growth.size), -1), np.zeros(growth.size)
-            levels.append((growth, np.full(growth.size, depth), path, feature, threshold,
-                           left, right, total))
-            node = is_open.nonzero()[0]
-            if node.size == 0:
+        # each growth's deepest max_depth, its min_leaf and whether it takes entropy
+        rule = np.array([(max(t.max_depth for t in self.trees
+                              if (t.split_criterion, t.min_leaf) == (criterion, leaf)),
+                          leaf, criterion == "entropy") for criterion, leaf in keys], np.int64)
+        xt = np.ascontiguousarray(X.T)
+        order = np.tile(xt.argsort(axis=1, kind="stable"), (len(keys), 1, 1))
+        pairs = (xt, counts, *xt.shape[::-1], counts.shape[1] - 1, rule)
+        # each node of a depth: growth, path (a bit a depth), its span of pairs, feature, left
+        node = np.zeros((len(keys), 6), np.int64)
+        node[:, 0], node[:, 3] = np.arange(len(keys)), len(X)
+        total = np.tile(counts.sum(axis=0), (len(keys), 1))
+        level, spare, props = _kernels().tree_level, np.empty(len(X), np.int64), np.empty(0)
+        levels, grown, entropy = [], 0, rule[:, 2].any()
+        for depth in range(rule[:, 0].max() + 1):
+            threshold, grown = np.empty(len(node)), grown + len(node)
+            child = np.empty((2 * len(node), 6), np.int64)
+            child_total = np.empty((2 * len(node), total.shape[1]))
+            args = (*pairs, depth, len(node), node, total, threshold, order)
+            rest = (grown, child, child_total, spare)
+            if entropy:  # list the proportions whose logs entropy takes
+                need = level(*args, props, len(props), 1, *rest)
+                if need > len(props):
+                    props = np.empty(need)
+                    level(*args, props, need, 1, *rest)
+                np.log2(props[:need], out=props[:need])
+            splits = level(*args, props, len(props), 0, *rest)
+            levels.append((node, np.full(len(node), depth), threshold, total))
+            if not splits:
                 break
-            seglen = total[node, -1].astype(np.intp)
-            start = np.concatenate([[0], seglen.cumsum()])
-            feat, pos = _best_splits(X, weights, rows, start, total[node, :-1],
-                                     entropy[growth[node]], min_leaf[growth[node]])
-            has = feat >= 0
-            split, j, k = node[has], feat[has], pos[has]
-            feature[split] = j
-            threshold[split] = [float((a + b) / 2.0) for a, b in zip(X[rows[j, k], j],
-                                                                     X[rows[j, k + 1], j])]
-            grown += growth.size
-            left[split], right[split] = grown + np.arange(2 * split.size).reshape(2, -1)
-            # left children, then right ones (a NaN or inf threshold can leave one empty)
-            at = np.arange(node.size).repeat(seglen)  # node of each position
-            go = X[rows[0], feat[at]] <= threshold[node][at]  # any column where unsplit
-            went = np.add.reduceat(weights[rows[0]] * go[:, None], start[:-1])[has]
-            at_growth = growth[node][at]
-            side[at_growth, rows[0]] = np.where(has[at], ~go, 2)  # 2: unsplit
-            code = side[at_growth, rows]
-            rows = np.concatenate([rows[code == c].reshape(len(rows), -1) for c in (0, 1)], axis=1)
-            growth, path = np.tile(growth[split], 2), (2 * path[split] + [[0], [1]]).ravel()
-            total = np.concatenate([went, total[split] - went])
-        growth, depth, path, *rest = (np.concatenate(part) for part in zip(*levels))
+            node, total = child[:2 * splits], child_total[:2 * splits]
+        node, depth, threshold, total = (np.concatenate(part) for part in zip(*levels))
+        growth, path, feature, left = node[:, 0], node[:, 1], node[:, 4], node[:, 5]
         # preorder: by growth, then by path, each node before its subtrees
         return (keys, np.lexsort((depth, path << (depth.max() - depth), growth)),
-                growth, depth, *rest)
-
-
-def _impurity(counts: np.ndarray, total: np.ndarray, entropy: np.ndarray) -> np.ndarray:
-    """Impurity of count rows with sums ``total``: entropy where ``entropy`` holds, else Gini."""
-    p = counts / total
-    if not entropy.any():
-        return 1.0 - np.square(p).sum(axis=-1)
-    val = -(p * np.where(p > 0, np.log2(np.maximum(p, 1e-300)), 0.0)).sum(axis=-1)
-    val[~entropy] = 1.0 - np.square(p[~entropy]).sum(axis=-1)
-    return val
-
-
-def _best_splits(X, weights, rows, start, total, entropy, min_leaf) -> tuple:
-    """``(feature, position)`` of each node's best split (feature -1: none); node
-    i holds ``rows[:, start[i]:start[i + 1]]``, ``total[i]``, ``entropy[i]`` and
-    ``min_leaf[i]``. A pass takes about ``SPLIT_CELLS`` (feature, pair) cells."""
-    d, n_nodes, cells = len(rows), start.size - 1, DecisionTreeClassifier.SPLIT_CELLS
-    seglen, n = start[1:] - start[:-1], total[:, -1]
-    parent = _impurity(total[:, :-1], total[:, -1:], entropy)
-    top, first = np.empty((d, n_nodes)), np.empty((d, n_nodes), np.intp)
-    chunk = (start[1:-1] // cells != start[:-2] // cells).nonzero()[0] + 1
-    for s0, s1 in zip([0, *chunk.tolist()], [*chunk.tolist(), n_nodes]):
-        r0, width = start[s0], start[s1] - start[s0]
-        lens, local = seglen[s0:s1], start[s0:s1] - r0
-        at = np.arange(s0, s1).repeat(lens)  # node of each position
-        step = max(1, cells // width)
-        for f0 in range(0, d, step):
-            block = rows[f0:f0 + step, r0:r0 + width]
-            sv = X[block, np.arange(f0, f0 + len(block))[:, None]]
-            cum = weights[block, :-1]
-            cum[:, local[1:]] -= total[s0:s1 - 1]  # so each segment sums from 0
-            np.cumsum(cum, axis=1, out=cum)
-            # after a segment's last position no pair is left on the right
-            ok = (cum[:, :, -1] >= min_leaf[at]) & (cum[:, :, -1] <= n[at] - min_leaf[at])
-            ok[:, :-1] &= sv[:, :-1] != sv[:, 1:]
-            cell = ok.ravel().nonzero()[0]
-            node, left = at[cell % width], cum.reshape(-1, cum.shape[2])[cell]
-            right, crit = total[node] - left, entropy[node]
-            gains = np.full(ok.shape, -np.inf)
-            gains.flat[cell] = parent[node] - (
-                left[:, -1] * _impurity(left[:, :-1], left[:, -1:], crit)
-                + right[:, -1] * _impurity(right[:, :-1], right[:, -1:], crit)) / n[node]
-            best = np.maximum.reduceat(gains, local, axis=1)
-            pos = np.where(gains == best.repeat(lens, axis=1), np.arange(width), width)
-            top[f0:f0 + len(block), s0:s1] = best
-            first[f0:f0 + len(block), s0:s1] = np.minimum.reduceat(pos, local, axis=1) + r0
-    # the fixed tie-break (in feature order, a gain above 1e-12 and the best so far + 1e-12)
-    # takes the first best feature unless another comes within 1e-12 of it
-    best, feature = top.max(axis=0), top.argmax(axis=0)
-    feature[best <= 1e-12] = -1
-    for i in ((top + 1e-12 >= best).sum(axis=0) > 1).nonzero()[0].tolist():
-        feature[i], bar = -1, 1e-12
-        for f, gain in enumerate(top[:, i].tolist()):
-            if gain > bar:
-                feature[i], bar = f, gain + 1e-12
-    return feature, first[feature, np.arange(n_nodes)]
+                growth, depth, feature, threshold, left, total)
 
 
 def tree_pairs(X: np.ndarray, y: np.ndarray, n_classes: int
@@ -393,9 +325,18 @@ def _kernels():
         lib.knn_votes.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3
                                   + [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
                                   + [ctypes.c_void_p] * 2)
-        lib.select_rounds.restype = ctypes.c_int64
+        lib.select_rounds.restype = lib.tree_level.restype = ctypes.c_int64
         lib.select_rounds.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 5
                                       + [ctypes.c_void_p] * 4)
+
+        def array(dtype, ndim):
+            return np.ctypeslib.ndpointer(dtype, ndim, flags="C_CONTIGUOUS")
+
+        f8, i8, count = np.float64, np.int64, ctypes.c_int64
+        lib.tree_level.argtypes = [
+            array(f8, 2), array(f8, 2), count, count, count, array(i8, 2),
+            count, count, array(i8, 2), array(f8, 2), array(f8, 1), array(i8, 3), array(f8, 1),
+            count, count, count, array(i8, 2), array(f8, 2), array(i8, 1)]
         _kernel = lib
     return _kernel
 

@@ -13,7 +13,8 @@ a read-only tuple in application order together with the transformed
 training matrix. ``fit_classifiers`` fits each config's classifier on its
 matrix; each classifier config maps to its classifier in one table
 (``_CLASSIFIERS``), built from the config's fields, and trees that share a
-matrix grow together through one ``TreeGrower``. Pipelines of one prefix
+matrix grow together through one ``TreeGrower``, one compiled call per
+depth for all of them. Pipelines of one prefix
 may share one stage tuple: fitted stages are never mutated, and their
 arrays are read-only. Every config checks its ranges when it is built, and
 every pipeline predicts through ``predict_pipelines``.

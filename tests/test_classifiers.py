@@ -296,16 +296,15 @@ def tree_matrix(draw, n_classes, large=True):
     """Data for trees: tie-heavy integer grids (as on STAGGER), where rows
     repeat, some with two labels, or all-distinct floats, with 1-16
     columns. With ``large``, one case in twelve is all-distinct with
-    5,000-12,000 rows, so the split search takes the root's features in
-    more than one block of ``SPLIT_CELLS`` cells. Some cases add a copied
-    column (gain ties between features, across blocks when the copy lands
-    in another), a constant column, -0.0 beside 0.0, or NaN and +-inf
-    cells, sparse or in a fifth of the cells (so NaN rows repeat)."""
+    5,000-12,000 rows, so a node's proportions fill lists of tens of
+    thousands of entries for ``np.log2``. Some cases add a copied column
+    (gain ties between features), a constant column, -0.0 beside 0.0, or
+    NaN and +-inf cells, sparse or in a fifth of the cells (so NaN rows
+    repeat)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     large = large and draw(st.integers(0, 11)) == 0
     if large:
         n, d = draw(st.integers(5_000, 12_000)), draw(st.integers(2, 8))
-        assert n * d > DecisionTreeClassifier.SPLIT_CELLS
     else:
         n = draw(st.one_of(st.integers(1, 60), st.integers(200, 3_000)))
         d = draw(st.integers(1, 16))
@@ -411,6 +410,37 @@ NEAR_TIE = (trees((3, 1, "gini"), (2, 1, "gini"), n_classes=4),
             np.array([[2.0, 2], [0, 0], [0, 1], [2, 1], [1, 0], [2, 1], [2, 2], [1, 2]]),
             np.array([0, 0, 0, 0, 3, 2, 0, 2]))
 
+# NaN beside -NaN: the midpoint of two NaNs keeps the bits numpy's scalar
+# sum gives it
+NAN_PAYLOAD = (trees((2, 1, "gini"), (3, 1, "entropy")),
+               np.array([[1.0], [NAN], [-NAN]]), np.array([0, 0, 1]))
+
+
+def many_classes(n_classes):
+    """Entropy trees with ``n_classes`` classes (8 and up: numpy sums the
+    class axis with eight accumulators) on a tie-heavy grid."""
+    rng = np.random.default_rng(n_classes)
+    return (trees((6, 1, "entropy"), (3, 2, "entropy"), (4, 1, "gini"), n_classes=n_classes),
+            rng.integers(0, 4, (400, 3)).astype(np.float64), rng.integers(0, n_classes, 400))
+
+
+
+
+def depth_32():
+    """Random labels on 1,000 distinct rows: the growths reach depth 32."""
+    rng = np.random.default_rng(1)
+    return trees((32, 1, "gini"), (32, 1, "entropy")), rng.normal(size=(1_000, 2)), \
+        rng.integers(0, 2, 1_000)
+
+
+def stagger_like():
+    """A lone tree on STAGGER's 27 (size, color, shape) rows, one-hot
+    encoded beside their codes (12 features), under concept 2."""
+    codes = np.array([(s, c, h) for s in range(3) for c in range(3) for h in range(3)], float)
+    X = np.column_stack([codes, *(codes[:, [j]] == np.arange(3) for j in range(3))])
+    return trees((5, 1, "entropy")), X.astype(np.float64), ((codes[:, 1] == 1)
+                                                               | (codes[:, 0] == 0)).astype(int)
+
 
 @settings(max_examples=60, deadline=None)
 @given(tree_group_case())
@@ -418,14 +448,28 @@ NEAR_TIE = (trees((3, 1, "gini"), (2, 1, "gini"), n_classes=4),
 @example(NEAR_TIE)
 @example(EMPTY_RIGHT)
 @example(CUT)
+@example(NAN_PAYLOAD)
+@example(many_classes(8))
+@example(many_classes(12))
+@example(depth_32())
+@example(stagger_like())
 def test_trees_grown_together_equal_the_row_by_row_reference(case):
     assert_fits_equal_the_reference(*case)
+
+
+def tree_depth(model, node=0):
+    if model.feature_[node] < 0:
+        return 0
+    return 1 + max(tree_depth(model, model.left_[node]), tree_depth(model, model.right_[node]))
 
 
 def test_the_tree_examples_reach_their_cases():
     """``NAN_MIDPOINTS`` splits on NaN thresholds and grows empty left
     children, ``EMPTY_RIGHT`` an empty right one, and ``CUT``'s shallower
-    trees stop above nodes that its deepest tree splits."""
+    trees stop above nodes that its deepest tree splits. ``NAN_PAYLOAD``'s
+    root threshold is the second NaN's (sign bit set); the many-class
+    entropy trees and the lone STAGGER-like tree split, and ``depth_32``
+    grows to depth 32."""
     def fitted(case):
         models, X, y = case
         models = trees(*[(m.max_depth, m.min_leaf, m.split_criterion) for m in models],
@@ -441,29 +485,36 @@ def test_the_tree_examples_reach_their_cases():
         assert np.isnan(model.proba_[model.right_[model.feature_ >= 0]]).all()
     shallow, deep, *_ = fitted(CUT)
     assert 0 < shallow.feature_.size < deep.feature_.size
+    for model in fitted(NAN_PAYLOAD):
+        assert np.isnan(model.threshold_[0]) and np.signbit(model.threshold_[0])
+    for case in (many_classes(8), many_classes(12), stagger_like()):
+        assert (fitted(case)[0].feature_ >= 0).sum() >= 2
+    assert stagger_like()[1].shape == (27, 12)
+    assert [tree_depth(model) for model in fitted(depth_32())] == [32, 32]
 
 
-def test_a_cell_cap_of_64_grows_the_same_trees(monkeypatch):
-    """Levels split into passes of nodes and features of about
-    ``SPLIT_CELLS`` cells leave every tree as it is."""
-    rng = np.random.default_rng(3)
-    X = rng.integers(0, 6, (500, 4)).astype(np.float64)
-    X[:, 3] = rng.normal(size=500)
-    y = rng.integers(0, 3, 500)
-    specs = [(6, 1, "gini"), (12, 2, "entropy"), (3, 1, "gini")]
-    want = [(m.feature_, m.threshold_, m.left_, m.right_, m.proba_)
-            for m in grown(specs, X, y)]
-    monkeypatch.setattr(DecisionTreeClassifier, "SPLIT_CELLS", 64)
-    for model in grown(specs, X, y):
-        got = (model.feature_, model.threshold_, model.left_, model.right_, model.proba_)
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want.pop(0)))
-    assert_fits_equal_the_reference(trees(*specs, n_classes=3), X, y)
+def test_the_tree_kernel_binding_rejects_a_wrong_array_before_the_call():
+    """``tree_level``'s typed argtypes refuse an array of the wrong dtype,
+    a non-contiguous one and one of the wrong shape with
+    ``ctypes.ArgumentError``, before the kernel writes anything."""
+    import ctypes
 
-
-def grown(specs, X, y):
-    models = trees(*specs, n_classes=3)
-    grower = TreeGrower(X, y, 3, models)
-    return [model.fit(X, y, None, grower) for model in models]
+    X = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
+    counts = np.array([[2.0, 0.0, 2.0], [0.0, 1.0, 1.0], [2.0, 0.0, 2.0], [0.0, 3.0, 3.0]])
+    xt = np.ascontiguousarray(X.T)
+    node = np.array([[0, 0, 0, 4, 7, 7]])
+    threshold, child, child_total = np.full(1, 5.0), np.full((2, 6), 9), np.full((2, 3), 9.0)
+    args = [xt, counts, 4, 2, 2, np.array([[3, 1, 0]]), 0, 1, node, counts.sum(axis=0)[None],
+            threshold, xt.argsort(axis=1, kind="stable")[None], np.empty(0), 0, 0, 2,
+            child, child_total, np.empty(4, np.int64)]
+    outputs = [a.copy() for a in (node, threshold, child, child_total)]
+    level = classifiers._kernels().tree_level
+    for at, bad in [(1, counts.astype(np.float32)), (0, X.T), (9, counts.sum(axis=0))]:
+        with pytest.raises(ctypes.ArgumentError):
+            level(*args[:at], bad, *args[at + 1:])
+        for got, want in zip((node, threshold, child, child_total), outputs):
+            assert got.tobytes() == want.tobytes()
+    assert level(*args) == 1 and node[0, 4] == 0 and threshold[0] == 2.5
 
 
 def reference_logistic_fit(model, X, y, rng):
