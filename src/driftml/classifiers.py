@@ -39,6 +39,7 @@ digests change).
 
 from __future__ import annotations
 
+import ctypes
 import os
 
 import numpy as np
@@ -97,8 +98,13 @@ class TreeGrower:
     ``max_depth``, each cut at its own depth; one call into ``tree_level`` of
     ``_kernels.c`` searches and splits the open nodes of a depth, in every growth."""
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, trees: list):
-        self.data, self.trees, self.nodes = (X, y, n_classes), trees, None
+    def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, trees: list,
+                 rows: tuple = None):
+        """``rows`` is ``(first, inverse)`` of ``X``'s rows (``tree_pairs``):
+        the fit batch's distinct rows, or ``distinct_rows(X)`` when None."""
+        X = np.asarray(X, dtype=np.float64)
+        self.data = (X, y, n_classes, *(distinct_rows(X) if rows is None else rows))
+        self.trees, self.nodes = trees, None
 
     def tree(self, model: DecisionTreeClassifier) -> tuple:
         """``(feature, threshold, left, right, proba)`` of ``model``, one of ``trees``."""
@@ -123,26 +129,31 @@ class TreeGrower:
                           leaf, criterion == "entropy") for criterion, leaf in keys], np.int64)
         xt = np.ascontiguousarray(X.T)
         order = np.tile(xt.argsort(axis=1, kind="stable"), (len(keys), 1, 1))
-        pairs = (xt, counts, *xt.shape[::-1], counts.shape[1] - 1, rule)
         # each node of a depth: growth, path (a bit a depth), its span of pairs, feature, left
         node = np.zeros((len(keys), 6), np.int64)
         node[:, 0], node[:, 3] = np.arange(len(keys)), len(X)
         total = np.tile(counts.sum(axis=0), (len(keys), 1))
         level, spare, props = _kernels().tree_level, np.empty(len(X), np.int64), np.empty(0)
+        # the arrays every depth passes are checked and converted once
+        pin = {name: _pin(level, name, a) for name, a in
+               (("xt", xt), ("counts", counts), ("rule", rule), ("order", order),
+                ("spare", spare), ("props", props))}
+        pairs = (pin["xt"], pin["counts"], *xt.shape[::-1], counts.shape[1] - 1, pin["rule"])
         levels, grown, entropy = [], 0, rule[:, 2].any()
         for depth in range(rule[:, 0].max() + 1):
             threshold, grown = np.empty(len(node)), grown + len(node)
             child = np.empty((2 * len(node), 6), np.int64)
             child_total = np.empty((2 * len(node), total.shape[1]))
-            args = (*pairs, depth, len(node), node, total, threshold, order)
-            rest = (grown, child, child_total, spare)
+            args = (*pairs, depth, len(node), node, total, threshold, pin["order"])
+            rest = (grown, child, child_total, pin["spare"])
             if entropy:  # list the proportions whose logs entropy takes
-                need = level(*args, props, len(props), 1, *rest)
+                need = level(*args, pin["props"], len(props), 1, *rest)
                 if need > len(props):
                     props = np.empty(need)
-                    level(*args, props, need, 1, *rest)
+                    pin["props"] = _pin(level, "props", props)
+                    level(*args, pin["props"], need, 1, *rest)
                 np.log2(props[:need], out=props[:need])
-            splits = level(*args, props, len(props), 0, *rest)
+            splits = level(*args, pin["props"], len(props), 0, *rest)
             levels.append((node, np.full(len(node), depth), threshold, total))
             if not splits:
                 break
@@ -154,27 +165,55 @@ class TreeGrower:
                 growth, depth, feature, threshold, left, total)
 
 
-def tree_pairs(X: np.ndarray, y: np.ndarray, n_classes: int
-               ) -> tuple[np.ndarray, np.ndarray]:
+class _Address(ctypes.c_void_p):
+    """An array's address that ``_pin`` checked for a ``tree_level`` argument."""
+
+
+# tree_level's array arguments that stay the same across a growth's depths
+_PINNED = {"xt": 0, "counts": 1, "rule": 5, "order": 11, "props": 12, "spare": 18}
+
+
+def _pin(level, name: str, a: np.ndarray) -> _Address:
+    """``a`` checked as ``level``'s typed argument ``name`` checks it at a
+    call (``TypeError`` if it fails), then its address, which that argument
+    passes as it is. The caller keeps ``a`` alive."""
+    level.argtypes[_PINNED[name]].from_param(a)
+    return _Address(a.ctypes.data)
+
+
+def tree_pairs(X: np.ndarray, y: np.ndarray, n_classes: int, first: np.ndarray,
+               inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, counts)`` that a tree on ``X`` and ``y`` grows from: each
-    distinct (row, label) pair once, with its count in its label's column
-    and again in the last column, the row count that min_leaf reads.
+    distinct (row, label) pair once, in the order of its first row, with
+    its count in its label's column and again in the last column, the row
+    count that min_leaf reads.
+
+    Row ``i`` of ``X`` equals row ``first[inverse[i]]`` byte for byte (the
+    fit batch's distinct rows after row-wise stages, or ``distinct_rows(X)``),
+    so only ``X[first]`` is read: its distinct rows, found among a few
+    dozen, composed with ``inverse`` and ``y``, name each row's pair.
 
     Split gains, min_leaf checks and leaf probabilities read only integer
     counts, which float64 sums exactly, so the tree is the one grown row by
     row. A row holding NaN stays apart: NaN != NaN, so the row-by-row scan
     may split between two copies of it.
     """
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    nan_row = np.isnan(X).any(axis=1)
-    first, inverse = distinct_rows(
-        np.column_stack([X, y, np.where(nan_row, np.arange(y.size), -1)]))
-    counts = np.zeros((first.size, n_classes + 1))
-    weight = np.bincount(inverse, minlength=first.size)
-    counts[np.arange(first.size), y[first]] = weight
-    counts[:, -1] = weight
-    return X[first], counts
+    table = X[first]
+    nan = np.isnan(table).any(axis=1)[inverse]
+    merged = distinct_rows(table)[1]
+    pair = merged[inverse] * n_classes + y
+    pair[nan] = (merged.max(initial=-1) + 1) * n_classes + np.flatnonzero(nan)
+    start = np.full(pair.max(initial=-1) + 1, y.size)
+    np.minimum.at(start, pair, np.arange(y.size))
+    weight = np.bincount(pair, minlength=start.size)
+    found = np.flatnonzero(weight)
+    found = found[np.argsort(start[found])]
+    rows = start[found]
+    counts = np.zeros((rows.size, n_classes + 1))
+    counts[np.arange(rows.size), y[rows]] = weight[found]
+    counts[:, -1] = weight[found]
+    return X[rows], counts
 
 
 class NaiveBayesClassifier:
@@ -297,7 +336,6 @@ def _kernels():
     imported here, not with the package."""
     global _kernel
     if _kernel is None:
-        import ctypes
         import hashlib
         import shutil
 
@@ -330,7 +368,11 @@ def _kernels():
                                       + [ctypes.c_void_p] * 4)
 
         def array(dtype, ndim):
-            return np.ctypeslib.ndpointer(dtype, ndim, flags="C_CONTIGUOUS")
+            """A typed array argument: an ndarray is checked (dtype, ndim,
+            C-contiguous) and converted at every call, an ``_Address`` passes."""
+            typed = np.ctypeslib.ndpointer(dtype, ndim, flags="C_CONTIGUOUS")
+            return type(typed.__name__, (typed,), {"from_param": classmethod(
+                lambda cls, a: a if isinstance(a, _Address) else typed.from_param(a))})
 
         f8, i8, count = np.float64, np.int64, ctypes.c_int64
         lib.tree_level.argtypes = [

@@ -89,10 +89,12 @@ class Batch:
 
     Arrival order is preserved exactly (the drift detector consumes
     correctness in this order). The backing arrays are read-only. The
-    constructor checks and copies its input; ``take`` does neither.
+    constructor checks and copies its input; ``take`` does neither. The
+    batch finds its byte-distinct rows the first time they are asked for
+    (``distinct_rows``) and keeps them.
     """
 
-    __slots__ = ("schema", "X", "y")
+    __slots__ = ("schema", "X", "y", "_distinct")
 
     def __init__(self, schema: Schema, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
@@ -113,6 +115,7 @@ class Batch:
         self.schema = schema
         self.X = X
         self.y = y
+        self._distinct = None
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -120,6 +123,16 @@ class Batch:
     @property
     def fully_labeled(self) -> bool:
         return bool((self.y >= 0).all())
+
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, inverse)`` of ``distinct_rows(self.X)``, read-only,
+        found at the first call and kept for the later ones."""
+        if self._distinct is None:
+            found = distinct_rows(self.X)
+            for a in found:
+                a.setflags(write=False)
+            self._distinct = found
+        return self._distinct
 
     def take(self, rows) -> "Batch":
         """The instances at ``rows`` (a slice or an index array), same schema.
@@ -129,6 +142,7 @@ class Batch:
         """
         cut = Batch.__new__(Batch)  # the rows of a valid batch need no checks
         cut.schema, cut.X, cut.y = self.schema, self.X[rows], self.y[rows]
+        cut._distinct = None
         cut.X.setflags(write=False)
         cut.y.setflags(write=False)
         return cut

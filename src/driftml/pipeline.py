@@ -10,14 +10,21 @@ operates on the encoded matrix.
 ``prefix`` (imputation, one-hot, standardize, selector); it is the one place
 that order and the optional stages are written, and it returns the stages as
 a read-only tuple in application order together with the transformed
-training matrix. ``fit_classifiers`` fits each config's classifier on its
-matrix; each classifier config maps to its classifier in one table
-(``_CLASSIFIERS``), built from the config's fields, and trees that share a
-matrix grow together through one ``TreeGrower``, one compiled call per
-depth for all of them. Pipelines of one prefix
-may share one stage tuple: fitted stages are never mutated, and their
-arrays are read-only. Every config checks its ranges when it is built, and
-every pipeline predicts through ``predict_pipelines``.
+training matrix. It fits and applies them on the training batch's
+distinct rows (``Batch.distinct_rows``, found once per batch), weighted by
+their counts, where a fit only counts values (modes, one-hot levels,
+mutual-information edges and tables); a fit that sums floats (mean
+imputation, the standardizer, the variance selector) reads every row,
+since a weighted sum would round differently. The matrix is the
+transformed table gathered back to every row. ``fit_classifiers`` fits
+each config's classifier on its matrix; each classifier config maps to its
+classifier in one table (``_CLASSIFIERS``), built from the config's fields,
+and trees that share a matrix grow together through one ``TreeGrower``,
+one compiled call per depth for all of them, from pairs found on the
+batch's distinct rows. Pipelines of one prefix may share one stage tuple:
+fitted stages are never mutated, and their arrays are read-only. Every
+config checks its ranges when it is built, and every pipeline predicts
+through ``predict_pipelines``.
 """
 
 from __future__ import annotations
@@ -145,22 +152,65 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Table:
+    """The fit batch's distinct rows as the stages fitted so far leave them.
+
+    Row ``i`` of the batch is row ``gather[i]`` of ``X``, and ``by_label``
+    holds each distinct row's number of rows per class (``weight`` in all).
+    A fit that only counts values reads ``X`` with those weights. A fit
+    that sums floats (a mean, a variance) reads ``rows()``, every row of
+    the batch, because numpy sums a column pairwise in row order and a
+    weighted sum would round differently. A batch whose rows are all
+    distinct is its own table, with ``gather`` the identity.
+    """
+
+    def __init__(self, batch: Batch):
+        first, self.gather = batch.distinct_rows()
+        n_classes = batch.schema.n_classes
+        self.X = batch.X if first.size == len(batch) else batch.X[first]
+        self.by_label = np.bincount(self.gather * n_classes + batch.y,
+                                    minlength=first.size * n_classes).reshape(-1, n_classes)
+        self.weight = self.by_label.sum(axis=1)
+        self._rows = batch.X
+
+    def rows(self) -> np.ndarray:
+        """The batch's matrix after the stages: ``X`` gathered by ``gather``, once."""
+        if self._rows is None:
+            self._rows = self.X if self.X.shape[0] == self.gather.size else self.X[self.gather]
+        return self._rows
+
+    def apply(self, stage) -> None:
+        self.X, self._rows = stage.transform(self.X), None
+
+
+def _mode(table: _Table, j: int, take: np.ndarray) -> float:
+    """The most frequent value of column ``j`` among the rows that ``take``
+    marks in ``table.X``, the lowest at a tie. It is counted on the table,
+    except where the values hold 0.0 and -0.0: ``np.unique`` merges the two
+    and reports the sign its sort lands on, so those are counted on the
+    rows, as ``np.unique`` sorts them there."""
+    values = table.X[take, j]
+    zero = np.signbit(values[values == 0.0])
+    if zero.any() and not zero.all():
+        uniq, count = np.unique(table.rows()[take[table.gather], j], return_counts=True)
+    else:
+        uniq, at = np.unique(values, return_inverse=True)
+        count = np.bincount(at, weights=table.weight[take], minlength=uniq.size)
+    return float(uniq[np.argmax(count)])
+
+
 class _Imputer:
-    def fit(self, X: np.ndarray, categorical: np.ndarray, strategy: str):
-        fill = np.zeros(X.shape[1])
-        for j in range(X.shape[1]):
-            col = X[:, j]
-            if categorical[j]:
-                obs = col[(~np.isnan(col)) & (col >= 0)]
-                fill[j] = _mode(obs) if obs.size else 0.0
+    def fit(self, table: _Table, categorical: np.ndarray, strategy: str):
+        fill = np.zeros(table.X.shape[1])
+        for j in range(fill.size):
+            if categorical[j] or strategy == "mode":
+                col = table.X[:, j]
+                take = ~np.isnan(col) & (col >= 0) if categorical[j] else ~np.isnan(col)
+                fill[j] = _mode(table, j, take) if take.any() else 0.0
             else:
-                obs = col[~np.isnan(col)]
-                if obs.size == 0:
-                    fill[j] = 0.0
-                elif strategy == "mean":
-                    fill[j] = obs.mean()
-                else:
-                    fill[j] = _mode(obs)
+                obs = table.rows()[:, j]
+                obs = obs[~np.isnan(obs)]
+                fill[j] = obs.mean() if obs.size else 0.0
         self.fill_ = _read_only(fill)
         return self
 
@@ -172,11 +222,6 @@ class _Imputer:
         return X
 
 
-def _mode(values: np.ndarray) -> float:
-    uniq, counts = np.unique(values, return_counts=True)
-    return float(uniq[np.argmax(counts)])
-
-
 class _OneHotEncoder:
     """Expand categorical level indices into indicator blocks.
 
@@ -185,15 +230,16 @@ class _OneHotEncoder:
     column that absorbs rarer and unseen levels.
     """
 
-    def fit(self, X: np.ndarray, categorical: np.ndarray):
+    def fit(self, table: _Table, categorical: np.ndarray):
         level_columns = []
-        for j in range(X.shape[1]):
+        for j in range(table.X.shape[1]):
             if not categorical[j]:
                 level_columns.append(None)
                 continue
-            col = X[:, j].astype(np.int64)
-            col = col[col >= 0]
-            levels, counts = np.unique(col, return_counts=True)
+            col = table.X[:, j].astype(np.int64)
+            take = col >= 0
+            levels, at = np.unique(col[take], return_inverse=True)
+            counts = np.bincount(at, weights=table.weight[take], minlength=levels.size)
             order = np.lexsort((levels, -counts))
             level_columns.append(_read_only(np.sort(levels[order][:MAX_ONE_HOT_LEVELS])))
         self.level_columns_ = tuple(level_columns)
@@ -220,7 +266,8 @@ class _OneHotEncoder:
 
 
 class _Standardizer:
-    def fit(self, X: np.ndarray):
+    def fit(self, table: _Table):
+        X = table.rows()
         self.mean_ = _read_only(X.mean(axis=0))
         std = X.std(axis=0)
         self.std_ = _read_only(np.where(std > 1e-12, std, 1.0))
@@ -230,13 +277,42 @@ class _Standardizer:
         return (X - self.mean_) / self.std_
 
 
-def _mutual_information(col: np.ndarray, y: np.ndarray, n_classes: int) -> float:
-    """Discrete MI between a (quantile-binned) column and the label."""
-    edges = np.unique(np.quantile(col, np.linspace(0, 1, 17)[1:-1]))
-    binned = np.digitize(col, edges)
-    bins = binned.max() + 1
-    table = np.zeros((bins, n_classes))
-    np.add.at(table, (binned, y), 1.0)
+_QUANTILES = np.linspace(0, 1, 17)[1:-1]
+
+
+def _quantile_edges(values: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``np.unique(np.quantile(rows, _QUANTILES))`` of the rows that hold
+    each of ``values`` (free of NaN) ``count`` times, equal in value (a
+    zero's sign may differ, as numpy's partition places it). numpy's linear
+    method reads the order statistics at the floor of each virtual index
+    ``(n - 1) q`` and the one after (both the last at or past ``n - 1``)
+    and blends them as ``numpy.lib._function_base_impl._lerp`` does."""
+    n = int(count.sum())
+    order = np.argsort(values, kind="stable")
+    ends = np.cumsum(count[order])
+    virtual = (n - 1) * _QUANTILES
+    below = np.floor(virtual).astype(np.intp)
+    above = below + 1
+    last = virtual >= n - 1
+    below[last] = above[last] = -1
+
+    def at(position):
+        return values[order[np.searchsorted(ends, position % n, side="right")]]
+
+    a, b, t = at(below), at(above), virtual - below
+    diff = b - a
+    edges = a + diff * t
+    np.subtract(b, diff * (1 - t), out=edges, where=t >= 0.5)
+    return np.unique(edges)
+
+
+def _mutual_information(col: np.ndarray, by_label: np.ndarray, edges: np.ndarray) -> float:
+    """Discrete MI between a column binned at ``edges`` and the label:
+    ``col[i]`` stands for ``by_label[i, c]`` rows of class ``c``."""
+    binned, n_classes = np.digitize(col, edges), by_label.shape[1]
+    cell = binned[:, None] * n_classes + np.arange(n_classes)
+    table = np.bincount(cell.ravel(), weights=by_label.ravel(),
+                        minlength=(binned.max() + 1) * n_classes).reshape(-1, n_classes)
     n = table.sum()
     pxy = table / n
     px = pxy.sum(axis=1, keepdims=True)
@@ -247,15 +323,22 @@ def _mutual_information(col: np.ndarray, y: np.ndarray, n_classes: int) -> float
 
 
 class _Selector:
-    def fit(self, X: np.ndarray, y: np.ndarray, cfg: SelectorConfig, n_classes: int):
-        d = X.shape[1]
+    def fit(self, table: _Table, cfg: SelectorConfig):
+        d = table.X.shape[1]
         if isinstance(cfg, VarianceThresholdConfig):
-            keep = np.nonzero(X.var(axis=0) > cfg.tau)[0]
+            keep = np.nonzero(table.rows().var(axis=0) > cfg.tau)[0]
             if keep.size == 0:
                 keep = np.arange(d)  # never emit an empty matrix
         else:
             k = min(cfg.k, d)
-            mi = np.array([_mutual_information(X[:, j], y, n_classes) for j in range(d)])
+            mi = np.empty(d)
+            for j in range(d):
+                col = table.X[:, j]
+                if np.isnan(col).any():  # numpy's quantiles are then the NaN it sorts last
+                    edges = np.unique(np.quantile(table.rows()[:, j], _QUANTILES))
+                else:
+                    edges = _quantile_edges(col, table.weight)
+                mi[j] = _mutual_information(col, table.by_label, edges)
             order = np.lexsort((np.arange(d), -mi))
             keep = np.sort(order[:k])
         self.keep_ = _read_only(keep)
@@ -353,30 +436,30 @@ def fit_stages(config: PipelineConfig, train: Batch) -> tuple[tuple, np.ndarray]
     if not train.fully_labeled:
         raise PipelineError("training batch must be fully labeled")
 
-    schema = train.schema
-    categorical = np.array([f.is_categorical for f in schema.features])
-    stages, X, y = [], train.X, train.y
+    categorical = np.array([f.is_categorical for f in train.schema.features])
+    table, stages = _Table(train), []
 
     def add(stage):
-        nonlocal X
         stages.append(stage)
-        X = stage.transform(X)
+        table.apply(stage)
 
-    add(_Imputer().fit(X, categorical, config.imputation))
+    add(_Imputer().fit(table, categorical, config.imputation))
     if config.one_hot and categorical.any():
-        add(_OneHotEncoder().fit(X, categorical))
+        add(_OneHotEncoder().fit(table, categorical))
     if config.standardize:
-        add(_Standardizer().fit(X))
+        add(_Standardizer().fit(table))
     if config.selector is not None:
-        add(_Selector().fit(X, y, config.selector, schema.n_classes))
-    return tuple(stages), _read_only(X)
+        add(_Selector().fit(table, config.selector))
+    return tuple(stages), _read_only(table.rows())
 
 
 def fit_classifiers(configs: Sequence[PipelineConfig], matrices: Sequence[np.ndarray],
                     train: Batch, seeds: Sequence[int]) -> list:
     """The classifier of each config, fitted on its matrix (``train``'s rows
     after the config's stages) with a generator seeded by its seed. Trees
-    that share a matrix grow together: the first of them to fit grows all."""
+    that share a matrix grow together: the first of them to fit grows all,
+    from pairs read at ``train``'s distinct rows, which the row-wise stages
+    keep equal in the matrix."""
     n_classes, y = train.schema.n_classes, train.y
     present = np.unique(y)
     if present.size == 1:
@@ -386,7 +469,8 @@ def fit_classifiers(configs: Sequence[PipelineConfig], matrices: Sequence[np.nda
     growers = {}  # id of a matrix that trees fit on -> the grower of its trees
     for classifier, X in zip(classifiers, matrices):
         if isinstance(classifier, DecisionTreeClassifier):
-            growers.setdefault(id(X), TreeGrower(X, y, n_classes, [])).trees.append(classifier)
+            growers.setdefault(id(X), TreeGrower(X, y, n_classes, [], train.distinct_rows())
+                               ).trees.append(classifier)
     for classifier, X, seed in zip(classifiers, matrices, seeds):
         grower = (growers[id(X)],) if isinstance(classifier, DecisionTreeClassifier) else ()
         classifier.fit(X, y, np.random.default_rng(seed), *grower)

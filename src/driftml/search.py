@@ -33,8 +33,13 @@ whole.
 Candidates admitted together are evaluated together
 (``evaluate_candidates``): each distinct preprocessing prefix is fitted once
 on the fit batch and its pipelines share the fitted stages, and trees on one
-matrix share its distinct (row, label) pairs. Every member gets the bytes it
-gets when fitted alone (``evaluate_candidate``). With ``max_seconds`` unset,
+matrix share its distinct (row, label) pairs. The fit batch finds its
+distinct rows once (``Batch.distinct_rows``), and every prefix's stages
+and every tree's pairs start from them, so a search scans whole batches
+for distinct rows twice, its fit batch and its holdout, and never a
+transformed matrix; on STAGGER the table holds 27 rows for thousands.
+Every member gets the bytes it gets when fitted alone
+(``evaluate_candidate``). With ``max_seconds`` unset,
 results are bit-deterministic under a fixed seed: each candidate draws from
 its own seed, and members are assembled by candidate index. A failure at any
 step has one fallback: each candidate is evaluated alone. A kernel library
@@ -52,7 +57,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Batch, DataError, Schema, distinct_rows
+from .data import Batch, DataError, Schema
 # search scores nothing: ``score`` stays only because perfbench/tracer.py patches search.score
 from .metrics import ACCURACY, score  # noqa: F401
 from .pipeline import (
@@ -153,7 +158,7 @@ class Holdout:
         if widest_encoding(batch.schema) > DISTINCT_ROWS_MAX_WIDTH:
             inverse = np.arange(len(batch))
         else:
-            first, inverse = distinct_rows(batch.X)
+            first, inverse = batch.distinct_rows()
             if first.size == 1:
                 # numpy multiplies a one-row block as a matrix-vector product,
                 # whose sums round differently from the matrix product that a

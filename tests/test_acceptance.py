@@ -9,6 +9,7 @@ dataset has not been placed under ``data/`` (see README).
 import itertools
 import math
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -43,7 +44,7 @@ def report_line(name, ok, detail):
 
 @pytest.fixture(scope="module")
 def stagger_comparison(tmp_path_factory):
-    cfg = parse_config(open(os.path.join(CONFIG_DIR, "stagger.conf")).read())
+    cfg = parse_config(pathlib.Path(CONFIG_DIR, "stagger.conf").read_text())
     cfg.strategies = (
         Strategy.BASE, Strategy.REPLACEMENT, Strategy.WU_ALL, Strategy.WU_LATEST,
     )
@@ -256,7 +257,7 @@ def test_criterion_5c_truncation_equivalence():
 
 
 def test_criterion_5d_full_runs_byte_identical(tmp_path):
-    text = open(os.path.join(CONFIG_DIR, "stagger.conf")).read()
+    text = pathlib.Path(CONFIG_DIR, "stagger.conf").read_text()
     cfg = parse_config(text)
     cfg.n_instances = 4_000
     cfg.drift_points = (2_000,)
@@ -269,8 +270,8 @@ def test_criterion_5d_full_runs_byte_identical(tmp_path):
     run_experiment(cfg, str(tmp_path / "a"))
     run_experiment(cfg, str(tmp_path / "b"))
     for name in files:
-        a = open(tmp_path / "a" / name, "rb").read()
-        b = open(tmp_path / "b" / name, "rb").read()
+        a = (tmp_path / "a" / name).read_bytes()
+        b = (tmp_path / "b" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
     report_line("criterion 5d (determinism)", True,
                 f"{len(files)} report files byte-identical across reruns")

@@ -18,7 +18,9 @@ from driftml.classifiers import (
     TreeGrower,
     knn_predict_proba,
     reservoir_sample,
+    tree_pairs,
 )
+from driftml.data import distinct_rows
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -364,6 +366,51 @@ def test_tree_fit_equals_the_row_by_row_reference_exactly(case):
     """One tree fitted alone, or two fitted on one ``TreeGrower`` of their
     matrix (as ``fit_classifiers`` fits them), each equal to the reference."""
     assert_fits_equal_the_reference(*case)
+
+
+def row_tree_pairs(X, y, n_classes):
+    """The pairs as a scan of every row finds them: the distinct rows of
+    each row beside its label and, for a row holding NaN, its index."""
+    nan_row = np.isnan(X).any(axis=1)
+    first, inverse = distinct_rows(
+        np.column_stack([X, y, np.where(nan_row, np.arange(y.size), -1)]))
+    counts = np.zeros((first.size, n_classes + 1))
+    weight = np.bincount(inverse, minlength=first.size)
+    counts[np.arange(first.size), y[first]] = weight
+    counts[:, -1] = weight
+    return X[first], counts
+
+
+def assert_pairs_equal_the_row_scan(X, y, n_classes, first, inverse):
+    got, want = tree_pairs(X, y, n_classes, first, inverse), row_tree_pairs(X, y, n_classes)
+    for g, w in zip(got, want, strict=True):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda c: st.tuples(st.just(c), tree_matrix(c, large=False))),
+       st.data())
+def test_tree_pairs_from_the_distinct_rows_equal_the_row_scan(case, data):
+    """Pairs found from the distinct rows of the raw rows (which a column
+    selection may merge) or of ``X`` itself equal the row scan's byte for
+    byte: the same rows, in order of their first row, with the same counts."""
+    n_classes, (raw, y) = case
+    columns = data.draw(st.lists(st.integers(0, raw.shape[1] - 1), min_size=1, unique=True))
+    X = raw[:, columns]
+    for first, inverse in (distinct_rows(raw), distinct_rows(X)):
+        assert_pairs_equal_the_row_scan(X, y, n_classes, first, inverse)
+
+
+def test_tree_pairs_of_an_all_distinct_batch_and_of_repeated_nan_rows():
+    """An all-distinct batch is its own table; NaN rows that are one
+    distinct row stay apart, each its own pair in row order."""
+    X = np.random.default_rng(3).normal(size=(40, 3))
+    y = np.arange(40) % 3
+    assert_pairs_equal_the_row_scan(X, y, 3, *distinct_rows(X))
+    X = np.array([[np.nan, 1.0], [0.0, 1.0], [np.nan, 1.0], [-0.0, 1.0], [np.nan, 1.0]] * 3)
+    y = np.array([0, 1, 1, 1, 0] * 3)
+    assert_pairs_equal_the_row_scan(X, y, 2, *distinct_rows(X))
+    assert tree_pairs(X, y, 2, *distinct_rows(X))[0].shape == (3 * 3 + 2, 2)
 
 
 @st.composite

@@ -125,7 +125,7 @@ def test_run_base_only(tmp_path):
     out = str(tmp_path / "out")
     reports = run_experiment(cfg, out)
     assert len(reports) == 1
-    table = open(os.path.join(out, "report_Base.tsv")).read()
+    table = pathlib.Path(out, "report_Base.tsv").read_text()
     rows = [l for l in table.splitlines() if l and not l.startswith("#")]
     assert rows[0] == "batch\tmetric\tdrift\tadapted"
     assert len(rows) == 1 + 4  # header + 4 test batches
@@ -137,7 +137,7 @@ def test_comparison_ranks_are_midranks(tmp_path):
         strategies="Base, Replacement, WU-all, WU-latest, Add-New"))
     out = str(tmp_path / "out")
     run_experiment(cfg, out)
-    lines = [l for l in open(os.path.join(out, "comparison.tsv")).read().splitlines()
+    lines = [l for l in pathlib.Path(out, "comparison.tsv").read_text().splitlines()
              if l and not l.startswith("#")]
     assert lines[0] == "strategy\tmean_accuracy\trank"
     assert len(lines) == 6
@@ -151,8 +151,8 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(["run", cfg_path, "--out", str(tmp_path / "b")]) == EXIT_OK
     for name in ("report_Base.tsv", "report_Replacement.tsv", "comparison.tsv",
                  "config.normalized.txt"):
-        a = open(tmp_path / "a" / name, "rb").read()
-        b = open(tmp_path / "b" / name, "rb").read()
+        a = (tmp_path / "a" / name).read_bytes()
+        b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
 
 
@@ -160,7 +160,7 @@ def test_seed_override_lands_in_provenance(tmp_path):
     cfg_path = config_file(tmp_path, SMALL_STAGGER.format(strategies="Base"))
     out = tmp_path / "o"
     assert main(["run", cfg_path, "--seed", "99", "--out", str(out)]) == EXIT_OK
-    assert "seed = 99" in open(out / "config.normalized.txt").read()
+    assert "seed = 99" in (out / "config.normalized.txt").read_text()
 
 
 def test_report_deltas_two_strategies(tmp_path):

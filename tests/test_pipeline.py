@@ -407,3 +407,143 @@ def test_predict_pipelines_applies_each_stage_tuple_once():
         predict_pipelines(pipelines, batch)
     distinct = {id(model.stages): model.stages for model in pipelines}
     assert sorted(map(id, applied)) == sorted(distinct)
+
+
+# ---------------------------------------------------------------------------
+# stages fitted on the batch's distinct rows against fits that read every row
+
+def row_mode(values):
+    uniq, counts = np.unique(values, return_counts=True)
+    return float(uniq[np.argmax(counts)])
+
+
+def row_mutual_information(col, y, n_classes):
+    edges = np.unique(np.quantile(col, np.linspace(0, 1, 17)[1:-1]))
+    binned = np.digitize(col, edges)
+    table = np.zeros((binned.max() + 1, n_classes))
+    np.add.at(table, (binned, y), 1.0)
+    pxy = table / table.sum()
+    px = pxy.sum(axis=1, keepdims=True)
+    py = pxy.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.nansum(pxy * np.log(pxy / (px * py))))
+
+
+def row_fit(stage, X, y, config, schema):
+    """The arrays ``stage`` holds when its fit reads every row of ``X``."""
+    categorical = [f.is_categorical for f in schema.features]
+    if isinstance(stage, pipeline._Imputer):
+        fill = np.zeros(X.shape[1])
+        for j, col in enumerate(X.T):
+            obs = col[~np.isnan(col) & (col >= 0)] if categorical[j] else col[~np.isnan(col)]
+            if obs.size:
+                mean = not categorical[j] and config.imputation == "mean"
+                fill[j] = obs.mean() if mean else row_mode(obs)
+        return [fill]
+    if isinstance(stage, pipeline._OneHotEncoder):
+        kept = []
+        for j, col in enumerate(X.T):
+            if categorical[j]:
+                col = col.astype(np.int64)
+                levels, counts = np.unique(col[col >= 0], return_counts=True)
+                order = np.lexsort((levels, -counts))
+                kept.append(np.sort(levels[order][:pipeline.MAX_ONE_HOT_LEVELS]))
+        return kept
+    if isinstance(stage, pipeline._Standardizer):
+        std = X.std(axis=0)
+        return [X.mean(axis=0), np.where(std > 1e-12, std, 1.0)]
+    if isinstance(config.selector, VarianceThresholdConfig):
+        keep = np.nonzero(X.var(axis=0) > config.selector.tau)[0]
+        return [keep if keep.size else np.arange(X.shape[1])]
+    mi = np.array([row_mutual_information(col, y, schema.n_classes) for col in X.T])
+    order = np.lexsort((np.arange(X.shape[1]), -mi))
+    return [np.sort(order[:min(config.selector.k, X.shape[1])])]
+
+
+def stage_arrays(stage):
+    return [part for value in vars(stage).values()
+            for part in (value if isinstance(value, tuple) else (value,))
+            if isinstance(part, np.ndarray)]
+
+
+# Cells that the table must not merge or split wrongly: NaN, both zeros,
+# an unseen level (-1), repeated values and values whose sums round.
+NUMERIC_CELLS = [np.nan, -0.0, 0.0, 0.0, 0.1, 0.7, -2.0, 1 / 3, UNSEEN]
+
+
+@st.composite
+def repeated_batch(draw):
+    """A batch of 2 numeric columns and one categorical column of 3 or 70
+    levels (every one of the 70 present, so the 64 kept are chosen by their
+    counts): up to 90 distinct rows, each repeated 1-4 times, shuffled."""
+    n_levels = draw(st.sampled_from([3, 70]))
+    level = st.one_of(st.integers(0, n_levels - 1).map(float),
+                      st.sampled_from([np.nan, UNSEEN, -0.0, 0.0]))
+    numeric = st.sampled_from(NUMERIC_CELLS)
+    pool = draw(st.lists(st.tuples(numeric, numeric, level), min_size=1, max_size=20))
+    if n_levels == 70:
+        pool += [(draw(numeric), draw(numeric), float(c)) for c in draw(st.permutations(range(70)))]
+    pool = np.array(pool, dtype=float)
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(pool), max_size=len(pool)))
+    X = np.repeat(pool, repeats, axis=0)
+    X = X[np.random.default_rng(draw(st.integers(0, 99))).permutation(len(X))]
+    y = draw(st.lists(st.integers(0, 2), min_size=len(X), max_size=len(X)))
+    schema = Schema((Feature("a"), Feature("b"), Feature("c", tuple(map(str, range(n_levels))))),
+                    "y", ("0", "1", "2"))
+    return batch_of(schema, X, y)
+
+
+TABLE_PREFIXES = [
+    PipelineConfig(imputation=imputation, one_hot=one_hot, standardize=standardize,
+                   selector=selector)
+    for imputation in ("mean", "mode") for one_hot in (False, True)
+    for standardize in (False, True)
+    for selector in (None, VarianceThresholdConfig(0.01), TopKMutualInfoConfig(3))
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_batch())
+def test_stages_fitted_on_the_distinct_rows_equal_the_row_fits(batch):
+    """Every stage's arrays, and the matrix after the stages, equal byte for
+    byte those of fits that read every row, for every prefix."""
+    for config in TABLE_PREFIXES:
+        with np.errstate(all="ignore"):
+            stages, matrix = fit_stages(config, batch)
+            X = batch.X
+            for stage in stages:
+                want, got = row_fit(stage, X, batch.y, config, batch.schema), stage_arrays(stage)
+                assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+                       [(a.dtype, a.shape, a.tobytes()) for a in want], (config, stage)
+                X = stage.transform(X)
+        assert matrix.tobytes() == X.tobytes(), config
+
+
+def test_the_mode_of_both_zeros_is_the_sign_the_rows_give():
+    """A column whose distinct rows hold 0.0 and -0.0 takes its mode from
+    the rows: on these, ``np.unique`` of the rows reports -0.0 for the
+    modal zero, and of the two distinct zeros, weighted, 0.0."""
+    schema = Schema((Feature("a"), Feature("b")), "y", ("0", "1"))
+    col = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, -0.0, 1.0, 1.0, np.nan])
+    X = np.column_stack([col, np.arange(col.size) % 2])
+    batch = batch_of(schema, X, np.arange(col.size) % 2)
+    (imputer,), _ = fit_stages(PipelineConfig(imputation="mode"), batch)
+    assert np.signbit(imputer.fill_[0]) and np.signbit(row_mode(col[:-1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 7.0, np.inf, -np.inf, 1e308]),
+                          st.integers(1, 6)), min_size=1, max_size=12),
+       st.integers(0, 99))
+def test_quantile_edges_from_value_counts_equal_the_row_quantiles(pairs, seed):
+    """The mutual-information edges found from (value, count) pairs equal in
+    value ``np.quantile`` of the rows (a zero's sign may differ, as numpy's
+    partition places it), so every value falls in the same bin."""
+    values = np.array([v for v, _ in pairs])
+    counts = np.array([c for _, c in pairs])
+    rows = np.random.default_rng(seed).permutation(np.repeat(values, counts))
+    with np.errstate(invalid="ignore"):
+        got = pipeline._quantile_edges(values, counts)
+        want = np.unique(np.quantile(rows, np.linspace(0, 1, 17)[1:-1]))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.digitize(rows, got), np.digitize(rows, want))

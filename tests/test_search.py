@@ -7,7 +7,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from driftml import classifiers, pipeline, search
+from driftml import classifiers, data, pipeline, search
 from driftml.classifiers import (
     DecisionTreeClassifier,
     KernelBuildError,
@@ -370,6 +370,28 @@ def test_search_members_equal_each_candidate_fitted_alone(dataset):
         assert member.pipeline.stages is stages
         assert not any(a.flags.writeable for a in stage_arrays(stages))
     assert len(shared) < len(configs)
+
+
+def test_a_stagger_search_finds_distinct_rows_once_per_batch(monkeypatch):
+    """A STAGGER search finds the distinct rows of its fit batch once and
+    of its holdout once; its stages and trees read only the fit batch's
+    distinct rows (27 at most), never a whole transformed matrix."""
+    train = generate_stagger(StaggerConfig(n_instances=900, seed=4))
+    budget = SearchBudget(max_candidates=16, seed=11)
+    fit_batch, holdout, _ = search_parts(train, budget, default_config_portfolio())
+    sizes, find = [], data.distinct_rows
+
+    def counted(X):
+        sizes.append(len(X))
+        return find(X)
+
+    monkeypatch.setattr(data, "distinct_rows", counted)
+    monkeypatch.setattr(classifiers, "distinct_rows", counted)
+    lib = run_search(train, budget, default_config_portfolio())
+    assert any(isinstance(m.pipeline.classifier, DecisionTreeClassifier) for m in lib.members)
+    assert sizes.count(len(fit_batch)) == sizes.count(len(holdout)) == 1
+    assert len(sizes) > 2
+    assert all(size <= 27 for size in sizes if size not in (len(fit_batch), len(holdout)))
 
 
 def test_budget_validation():
