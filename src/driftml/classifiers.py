@@ -6,44 +6,29 @@ schema class set: rows are non-negative and sum to 1, classes absent from
 the training data may receive probability zero. Everything is deterministic
 given (data, hyperparameters, seed).
 
-Trees, logistic SGD and k-NN run their inner loops in ``_kernels.c``,
-compiled with ``cc`` at its first use (a tree or logistic fit, a k-NN
-prediction or an ensemble selection, whose rounds it also runs) and cached
-outside the package (``KernelBuildError`` when that fails). The kernels
-sum and compare in a fixed order. SGD takes libm's ``exp``, so its weights
-do not depend on BLAS or on numpy's SIMD ``exp``; k-NN's distance product
-stays a BLAS product. A logistic fit is one call into ``sgd_fit``, which
-draws each epoch's row order from the bit generator of the fit's
-``Generator`` with numpy's ``Generator.permutation`` algorithm, so the
-weights also depend on numpy keeping that algorithm (a test pins the
-draws to ``Generator.permutation``). k-NN has one prediction routine,
-``knn_predict_proba``, which serves several models of one reference set
-from one distance product per chunk; ``KnnClassifier.predict_proba`` is
-its one-model call.
+Trees, logistic SGD and k-NN run their inner loops in ``_kernels.c``
+(through ``kernels``), which sums and compares in a fixed order. SGD takes
+libm's ``exp``, so its weights do not depend on BLAS or on numpy's SIMD
+``exp``; k-NN's distance product stays a BLAS product. A logistic fit is
+one call into ``sgd_fit``, which draws each epoch's row order from the bit
+generator of the fit's ``Generator`` with numpy's ``Generator.permutation``
+algorithm, so the weights also depend on numpy keeping that algorithm (a
+test pins the draws to ``Generator.permutation``).
 
 The tree and k-NN kernels take fewer passes than the simple forms they
 replace and give the same bytes; ``tests/test_classifiers.py`` keeps each
 simple form as a reference, and a pure-Python form of the SGD kernel. A
 ``TreeGrower`` grows the trees fitted on one matrix (or a lone tree) level
-by level from its distinct (row, label) pairs weighted by count: one call
-into ``tree_level`` per depth searches and splits the open nodes of all of
-them, and entropy's logs come from one ``np.log2`` call between a listing
-call and that one, so they are numpy's, not libm's. k-NN keeps each
-row's nearest references in the stable argsort's order as it forms their
-distances, and counts the votes of every k among them.
-
-k-NN forms one distance product per ``CHUNK`` = 1,024 query rows, whose
-shape pins the bytes (at 256 rows the recorded normalized-AUC report
-digests change).
+by level from its distinct (row, label) pairs weighted by count: one
+``kernels.tree_level`` per depth searches and splits the open nodes of all
+of them, with entropy's logs from numpy's ``np.log2``, not libm's.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
-
 import numpy as np
 
+from . import kernels
 from .data import distinct_rows
 
 
@@ -133,27 +118,11 @@ class TreeGrower:
         node = np.zeros((len(keys), 6), np.int64)
         node[:, 0], node[:, 3] = np.arange(len(keys)), len(X)
         total = np.tile(counts.sum(axis=0), (len(keys), 1))
-        level, spare, props = _kernels().tree_level, np.empty(len(X), np.int64), np.empty(0)
-        # the arrays every depth passes are checked and converted once
-        pin = {name: _pin(level, name, a) for name, a in
-               (("xt", xt), ("counts", counts), ("rule", rule), ("order", order),
-                ("spare", spare), ("props", props))}
-        pairs = (pin["xt"], pin["counts"], *xt.shape[::-1], counts.shape[1] - 1, pin["rule"])
-        levels, grown, entropy = [], 0, rule[:, 2].any()
+        props, levels, grown = np.empty(0), [], 0
         for depth in range(rule[:, 0].max() + 1):
-            threshold, grown = np.empty(len(node)), grown + len(node)
-            child = np.empty((2 * len(node), 6), np.int64)
-            child_total = np.empty((2 * len(node), total.shape[1]))
-            args = (*pairs, depth, len(node), node, total, threshold, pin["order"])
-            rest = (grown, child, child_total, pin["spare"])
-            if entropy:  # list the proportions whose logs entropy takes
-                need = level(*args, pin["props"], len(props), 1, *rest)
-                if need > len(props):
-                    props = np.empty(need)
-                    pin["props"] = _pin(level, "props", props)
-                    level(*args, pin["props"], need, 1, *rest)
-                np.log2(props[:need], out=props[:need])
-            splits = level(*args, pin["props"], len(props), 0, *rest)
+            grown += len(node)
+            splits, threshold, child, child_total, props = kernels.tree_level(
+                xt, counts, rule, order, depth, node, total, props, grown)
             levels.append((node, np.full(len(node), depth), threshold, total))
             if not splits:
                 break
@@ -163,22 +132,6 @@ class TreeGrower:
         # preorder: by growth, then by path, each node before its subtrees
         return (keys, np.lexsort((depth, path << (depth.max() - depth), growth)),
                 growth, depth, feature, threshold, left, total)
-
-
-class _Address(ctypes.c_void_p):
-    """An array's address that ``_pin`` checked for a ``tree_level`` argument."""
-
-
-# tree_level's array arguments that stay the same across a growth's depths
-_PINNED = {"xt": 0, "counts": 1, "rule": 5, "order": 11, "props": 12, "spare": 18}
-
-
-def _pin(level, name: str, a: np.ndarray) -> _Address:
-    """``a`` checked as ``level``'s typed argument ``name`` checks it at a
-    call (``TypeError`` if it fails), then its address, which that argument
-    passes as it is. The caller keeps ``a`` alive."""
-    level.argtypes[_PINNED[name]].from_param(a)
-    return _Address(a.ctypes.data)
 
 
 def tree_pairs(X: np.ndarray, y: np.ndarray, n_classes: int, first: np.ndarray,
@@ -275,10 +228,6 @@ class NaiveBayesClassifier:
         return out / out.sum(axis=1, keepdims=True)
 
 
-class KernelBuildError(RuntimeError):
-    """The kernels of ``_kernels.c`` could not be compiled or loaded."""
-
-
 class LogisticSgdClassifier:
     """Multinomial logistic regression trained with seeded mini-batch SGD
     (L2 on the weights, not the bias). A fit is one call into ``sgd_fit``
@@ -298,111 +247,14 @@ class LogisticSgdClassifier:
         the kernel draws from ``rng``'s bit generator as numpy does."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         y = np.ascontiguousarray(y, dtype=np.int64)
-        (n, d), n_classes = X.shape, self.n_classes
-        if y.shape != (n,):
-            raise ValueError(f"logistic labels have shape {y.shape}, not ({n},)")
-        if n and not 0 <= y.min() <= y.max() < n_classes:
-            raise ValueError("logistic labels must index the classes")
-        W, b = np.zeros((d, n_classes)), np.zeros(n_classes)
-        m = min(self.MINIBATCH, n)
-        rows, scratch = np.empty(n, dtype=np.int64), np.empty(m * (d + n_classes))
-        fit, bits = _kernels().sgd_fit, rng.bit_generator
-        draw = bits.ctypes
-        with bits.lock:
-            fit(X.ctypes.data, y.ctypes.data, n, d, n_classes, m, self.epochs,
-                self.learning_rate, self.l2, draw.state_address, draw.next_uint32,
-                draw.next_uint64, W.ctypes.data, b.ctypes.data, rows.ctypes.data,
-                scratch.ctypes.data)
-        self.W_, self.b_ = W, b
+        self.W_, self.b_ = kernels.sgd_fit(X, y, self.n_classes, self.MINIBATCH, self.epochs,
+                                           self.learning_rate, self.l2, rng)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         logits = np.asarray(X, dtype=np.float64) @ self.W_ + self.b_
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
-
-
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_kernel = None
-
-
-def _kernels():
-    """The library of ``_kernels.c``, compiled with ``cc`` at its first use.
-
-    The library is cached in ``$XDG_CACHE_HOME/driftml`` (``~/.cache/driftml``
-    when unset) under the sha256 of the source, the flags and the ``cc``
-    found on ``PATH``, named by its resolved path, size and mtime, so
-    loading a cached library starts no process. The modules for this are
-    imported here, not with the package."""
-    global _kernel
-    if _kernel is None:
-        import hashlib
-        import shutil
-
-        source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
-        cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
-                             "driftml")
-        cc = shutil.which("cc")
-        try:
-            if cc is None:
-                raise FileNotFoundError("no cc on PATH")
-            compiler = os.path.realpath(cc)
-            found = os.stat(compiler)
-            with open(source, "rb") as fh:
-                key = hashlib.sha256(fh.read() + repr(
-                    (_KERNEL_FLAGS, compiler, found.st_size, found.st_mtime_ns)).encode())
-            library = os.path.join(cache, f"_kernels-{key.hexdigest()[:24]}.so")
-            if not os.path.exists(library):
-                _build(cc, source, library)
-            lib = ctypes.CDLL(library)
-        except OSError as exc:
-            raise KernelBuildError(f"cannot build {source} with cc: {exc}") from exc
-        lib.sgd_fit.restype = lib.knn_votes.restype = None
-        lib.sgd_fit.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64] * 5
-                                + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 7)
-        lib.knn_votes.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3
-                                  + [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
-                                  + [ctypes.c_void_p] * 2)
-        lib.select_rounds.restype = lib.tree_level.restype = ctypes.c_int64
-        lib.select_rounds.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 5
-                                      + [ctypes.c_void_p] * 4)
-
-        def array(dtype, ndim):
-            """A typed array argument: an ndarray is checked (dtype, ndim,
-            C-contiguous) and converted at every call, an ``_Address`` passes."""
-            typed = np.ctypeslib.ndpointer(dtype, ndim, flags="C_CONTIGUOUS")
-            return type(typed.__name__, (typed,), {"from_param": classmethod(
-                lambda cls, a: a if isinstance(a, _Address) else typed.from_param(a))})
-
-        f8, i8, count = np.float64, np.int64, ctypes.c_int64
-        lib.tree_level.argtypes = [
-            array(f8, 2), array(f8, 2), count, count, count, array(i8, 2),
-            count, count, array(i8, 2), array(f8, 2), array(f8, 1), array(i8, 3), array(f8, 1),
-            count, count, count, array(i8, 2), array(f8, 2), array(i8, 1)]
-        _kernel = lib
-    return _kernel
-
-
-def _build(cc: str, source: str, library: str) -> None:
-    """Compile ``source`` with ``cc`` into a name of its own beside
-    ``library``, then rename it into place, so processes that build at once
-    each load a whole library."""
-    import subprocess
-    import tempfile
-
-    os.makedirs(os.path.dirname(library), exist_ok=True)
-    fd, built = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(library))
-    os.close(fd)
-    try:
-        done = subprocess.run([cc, *_KERNEL_FLAGS, "-o", built, source, "-lm"],
-                              capture_output=True)
-        if done.returncode:
-            raise KernelBuildError(f"cannot build {source} with cc: "
-                                   f"{done.stderr.decode(errors='replace')}".strip())
-        os.replace(built, library)
-    finally:
-        if os.path.exists(built):
-            os.unlink(built)
 
 
 def reservoir_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -461,20 +313,10 @@ def knn_predict_proba(models, X: np.ndarray) -> list[np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     first = models[0]
     ref_X, n_classes = first.ref_X_, first.n_classes
-    ref_sq = np.ascontiguousarray(first.ref_sq_, dtype=np.float64)
-    ref_y = np.ascontiguousarray(first.ref_y_, dtype=np.int64)
-    if ref_y.size and not 0 <= ref_y.min() <= ref_y.max() < n_classes:
-        raise ValueError("k-NN reference labels must index the classes")
     k = np.array([min(model.k, ref_X.shape[0]) for model in models], dtype=np.int64)
     outs = [np.empty((X.shape[0], n_classes)) for _ in models]
-    out_at = np.array([out.ctypes.data for out in outs], dtype=np.uintp)
-    near, labels = np.empty(k.max()), np.empty(k.max() + n_classes, dtype=np.int64)
-    votes = _kernels().knn_votes
     for start in range(0, X.shape[0], first.CHUNK):
         xb = X[start : start + first.CHUNK]
-        prod = (2.0 * xb) @ ref_X.T
-        sq = np.square(xb).sum(axis=1)
-        votes(prod.ctypes.data, sq.ctypes.data, ref_sq.ctypes.data, ref_y.ctypes.data,
-              xb.shape[0], ref_X.shape[0], n_classes, k.ctypes.data, out_at.ctypes.data,
-              len(models), start, near.ctypes.data, labels.ctypes.data)
+        kernels.knn_votes((2.0 * xb) @ ref_X.T, np.square(xb).sum(axis=1), first.ref_sq_,
+                          first.ref_y_, k, outs, start)
     return outs

@@ -11,7 +11,7 @@ round that scores 1.0, which no metric exceeds.
 Member weights are selection frequencies within the kept prefix, so they are
 positive, sum to one, and can be reconstructed from the trace.
 
-Every round runs in one call into ``select_rounds`` of ``_kernels.c``. The
+Every round runs in one call into ``kernels.select_rounds``. The
 members' predictions on the holdout's distinct rows are stacked as
 ``(members, classes, distinct rows)``, so each class is one contiguous
 plane, and scored on the holdout's columns (``Holdout.columns``), one per
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import _kernels
+from . import kernels
 from .data import Batch
 from .metrics import METRICS, NORMALIZED_AUC
 # selection scores in ``_kernels.c``: ``score`` stays only because perfbench/tracer.py wraps ensemble.score
@@ -81,26 +81,14 @@ def select_ensemble(lib: ModelLibrary, rounds: int = 50, metric: str | None = No
     metric = lib.metric if metric is None else metric
     planes, y, weight = lib.holdout.columns(
         np.stack([np.asarray(m.validation_proba, dtype=np.float64).T for m in lib.members]))
-    n_members, n_classes, n_columns = planes.shape
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    if metric == NORMALIZED_AUC and n_classes != 2:
-        raise ValueError("normalized_auc needs binary class probabilities")
-    if not n_columns:
+    if not planes.shape[2]:
         raise ValueError(f"{metric} of an empty holdout is undefined")
 
-    planes = np.ascontiguousarray(planes)
-    y = np.ascontiguousarray(y, dtype=np.int64)
-    weight = np.ascontiguousarray(weight, dtype=np.int64)
-    running = np.zeros((n_classes, n_columns))
-    trace_at, scores_at = np.empty(rounds, dtype=np.int64), np.empty(rounds)
-    scratch = np.empty(5 * n_columns if metric == NORMALIZED_AUC else n_members + 2 * n_columns,
-                       dtype=np.int64)
-    ran = _kernels().select_rounds(
-        planes.ctypes.data, y.ctypes.data, weight.ctypes.data, n_members, n_classes,
-        n_columns, metric == NORMALIZED_AUC, rounds, running.ctypes.data,
-        trace_at.ctypes.data, scores_at.ctypes.data, scratch.ctypes.data)
-    trace, prefix_scores = trace_at[:ran].tolist(), scores_at[:ran].tolist()
+    trace, prefix_scores = (a.tolist() for a in kernels.select_rounds(
+        np.ascontiguousarray(planes), np.ascontiguousarray(y, dtype=np.int64),
+        np.ascontiguousarray(weight, dtype=np.int64), metric == NORMALIZED_AUC, rounds))
 
     finite = [(s if not math.isnan(s) else -math.inf) for s in prefix_scores]
     best_len = int(np.argmax(finite)) + 1  # earliest best prefix

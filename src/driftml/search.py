@@ -43,7 +43,7 @@ Every member gets the bytes it gets when fitted alone
 results are bit-deterministic under a fixed seed: each candidate draws from
 its own seed, and members are assembled by candidate index. A failure at any
 step has one fallback: each candidate is evaluated alone. A kernel library
-that cannot be built (``classifiers.KernelBuildError``, at the first
+that cannot be built (``kernels.KernelBuildError``, at the first tree or
 logistic fit or k-NN prediction) is not a candidate's failure, so it fails
 the search.
 """

@@ -136,3 +136,33 @@ def test_only_search_reads_the_holdout_columns():
 def test_the_holdout_guard_sees_a_field_read_but_not_a_method_call():
     tree = ast.parse("planes.take(holdout.rows)\nkept.count(1)\nw = holdout.count\n")
     assert holdout_field_reads(tree) == [(1, "rows"), (3, "count")]
+
+
+def pointer_uses(tree) -> list:
+    """Imports of ``ctypes`` and reads of a ``ctypes`` or ``ctypeslib``
+    attribute (``a.ctypes.data``, ``np.ctypeslib``), with their line numbers."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "ctypes"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes":
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Attribute) and node.attr in ("ctypes", "ctypeslib"):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_only_kernels_handles_the_c_abi():
+    uses = {
+        name: pointer_uses(parse(name))
+        for name in sorted(os.listdir(SRC))
+        if name.endswith(".py") and name != "kernels.py"
+    }
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_the_abi_guard_sees_imports_and_attribute_reads():
+    tree = ast.parse("import ctypes.util\nfrom ctypes import CDLL\nx = a.ctypes.data\n"
+                     "p = np.ctypeslib.ndpointer\nimport os\n")
+    assert pointer_uses(tree) == [(1, "ctypes.util"), (2, "ctypes"), (3, "ctypes"),
+                                  (4, "ctypeslib")]

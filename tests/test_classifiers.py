@@ -1,8 +1,4 @@
 import math
-import os
-import shutil
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -10,7 +6,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from driftml import classifiers
 from driftml.classifiers import (
     DecisionTreeClassifier,
     KnnClassifier,
@@ -21,8 +16,6 @@ from driftml.classifiers import (
     tree_pairs,
 )
 from driftml.data import distinct_rows
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def reference_knn_proba(model, X):
@@ -540,30 +533,6 @@ def test_the_tree_examples_reach_their_cases():
     assert [tree_depth(model) for model in fitted(depth_32())] == [32, 32]
 
 
-def test_the_tree_kernel_binding_rejects_a_wrong_array_before_the_call():
-    """``tree_level``'s typed argtypes refuse an array of the wrong dtype,
-    a non-contiguous one and one of the wrong shape with
-    ``ctypes.ArgumentError``, before the kernel writes anything."""
-    import ctypes
-
-    X = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
-    counts = np.array([[2.0, 0.0, 2.0], [0.0, 1.0, 1.0], [2.0, 0.0, 2.0], [0.0, 3.0, 3.0]])
-    xt = np.ascontiguousarray(X.T)
-    node = np.array([[0, 0, 0, 4, 7, 7]])
-    threshold, child, child_total = np.full(1, 5.0), np.full((2, 6), 9), np.full((2, 3), 9.0)
-    args = [xt, counts, 4, 2, 2, np.array([[3, 1, 0]]), 0, 1, node, counts.sum(axis=0)[None],
-            threshold, xt.argsort(axis=1, kind="stable")[None], np.empty(0), 0, 0, 2,
-            child, child_total, np.empty(4, np.int64)]
-    outputs = [a.copy() for a in (node, threshold, child, child_total)]
-    level = classifiers._kernels().tree_level
-    for at, bad in [(1, counts.astype(np.float32)), (0, X.T), (9, counts.sum(axis=0))]:
-        with pytest.raises(ctypes.ArgumentError):
-            level(*args[:at], bad, *args[at + 1:])
-        for got, want in zip((node, threshold, child, child_total), outputs):
-            assert got.tobytes() == want.tobytes()
-    assert level(*args) == 1 and node[0, 4] == 0 and threshold[0] == 2.5
-
-
 def reference_logistic_fit(model, X, y, rng):
     """Reference for ``LogisticSgdClassifier.fit``: the steps of ``sgd_fit``
     over ``rng.permutation(n)`` per epoch, in Python floats and ``math.exp``, each sum in the kernel's order and
@@ -814,61 +783,3 @@ def test_the_nan_examples_reach_nan_where_their_docstrings_say():
     assert np.isfinite(model.fit(X, y, np.random.default_rng(seed)).b_).all()
     model, X, y, seed = late_first_logit_nan(2)
     assert not np.isfinite(model.fit(X, y, np.random.default_rng(seed)).b_).all()
-
-
-def fit_in_a_fresh_process(cache, X, y):
-    """A process that fits a logistic model with ``cache`` as
-    ``XDG_CACHE_HOME`` and prints its weights' bytes as hex."""
-    script = ("import sys, numpy as np; from driftml.classifiers import LogisticSgdClassifier; "
-              "X, y = np.load(sys.argv[1]), np.load(sys.argv[2]); "
-              "m = LogisticSgdClassifier(3, 0.1, 1e-4, 5).fit(X, y, np.random.default_rng(7)); "
-              "print(m.W_.tobytes().hex(), m.b_.tobytes().hex())")
-    env = dict(os.environ, XDG_CACHE_HOME=str(cache),
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.Popen([sys.executable, "-c", script, str(X), str(y)], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-
-
-def test_two_processes_building_the_kernel_at_once_fit_the_same_bytes(tmp_path):
-    rng = np.random.default_rng(2)
-    X, y = rng.normal(size=(100, 6)), rng.integers(0, 3, 100)
-    np.save(tmp_path / "X.npy", X)
-    np.save(tmp_path / "y.npy", y)
-    cache = tmp_path / "cache"
-    procs = [fit_in_a_fresh_process(cache, tmp_path / "X.npy", tmp_path / "y.npy")
-             for _ in range(2)]
-    outs = [proc.communicate(timeout=120) for proc in procs]
-    assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outs]
-    model = LogisticSgdClassifier(3, 0.1, 1e-4, 5).fit(X, y, np.random.default_rng(7))
-    here = f"{model.W_.tobytes().hex()} {model.b_.tobytes().hex()}\n"
-    assert [out for out, _ in outs] == [here, here]
-    assert [p.suffix for p in (cache / "driftml").iterdir()] == [".so"]  # no build left over
-
-
-def test_a_load_from_a_warm_cache_starts_no_process(monkeypatch, tmp_path):
-    """Only a build runs ``cc``: the cache key reads the compiler's file."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(classifiers, "_kernel", None)
-    classifiers._kernels()
-    monkeypatch.setattr(classifiers, "_kernel", None)
-
-    def no_process(*args, **kwargs):
-        raise AssertionError(f"started a process: {args}")
-
-    monkeypatch.setattr(subprocess, "run", no_process)
-    monkeypatch.setattr(subprocess, "Popen", no_process)
-    assert classifiers._kernels() is not None
-    assert len(list((tmp_path / "driftml").iterdir())) == 1
-
-
-def test_the_kernels_compile_without_warnings(tmp_path):
-    """``_kernels.c`` builds with the production flags and ``-Wall -Wextra
-    -Werror``."""
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no cc on PATH")
-    source = os.path.join(SRC, "driftml", "_kernels.c")
-    done = subprocess.run([cc, *classifiers._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "kernels.so"), source, "-lm"],
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr

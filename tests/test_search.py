@@ -7,15 +7,15 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from driftml import classifiers, data, pipeline, search
+from driftml import classifiers, data, kernels, pipeline, search
 from driftml.classifiers import (
     DecisionTreeClassifier,
-    KernelBuildError,
     KnnClassifier,
     LogisticSgdClassifier,
     NaiveBayesClassifier,
 )
 from driftml.data import Batch, DataError, Feature, Schema
+from driftml.kernels import KernelBuildError
 from driftml.metrics import score
 from driftml.pipeline import (
     DecisionTreeConfig,
@@ -194,7 +194,7 @@ def test_without_a_compiler_a_logistic_search_fails_with_a_kernel_build_error(
     """With no ``cc`` on the PATH and an empty cache, the first logistic fit
     raises ``KernelBuildError``, which fails the search instead of skipping
     the candidate."""
-    monkeypatch.setattr(classifiers, "_kernel", None)
+    monkeypatch.setattr(kernels, "_library", None)
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     portfolio = [PipelineConfig(classifier=DecisionTreeConfig(max_depth=3)),
@@ -209,7 +209,7 @@ def test_without_a_compiler_a_knn_search_fails_with_a_kernel_build_error(
     """k-NN votes through the same compiled library: with no ``cc`` on the
     PATH and an empty cache, a search whose only other candidate is a tree
     fails with ``KernelBuildError`` at the first k-NN prediction."""
-    monkeypatch.setattr(classifiers, "_kernel", None)
+    monkeypatch.setattr(kernels, "_library", None)
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     portfolio = [PipelineConfig(classifier=DecisionTreeConfig(max_depth=3)),
