@@ -29,8 +29,9 @@
  * references ordered by (distance, reference index), NaN after every
  * number: the first k_max of a stable argsort. Model m then gets
  * count_c / k[m] over the first k[m] of those (k[m] <= k_max; 0 / 0 for
- * k[m] = 0) in row at + i of its (rows, C) output outs[m]. Every ref_y is
- * in [0, C). near (k_max doubles) and labels (k_max + C int64) are scratch.
+ * k[m] = 0) in row at + i of its (rows, C) output outs[m]. k_max <= n_ref
+ * and every ref_y is in [0, C). near (k_max doubles) and labels (k_max + C
+ * int64) are scratch.
  *
  * select_rounds: greedy ensemble selection with replacement, at most
  * rounds rounds. Member m's plane is the C x G block at planes + m * C * G,
@@ -225,6 +226,18 @@ static int after(double a, double d)
     return a > d || (a != a && d == d);
 }
 
+/* Puts distance d with label y at near[pos] (a free slot) and moves it
+ * ahead past every kept distance that sorts after it. */
+static void keep(double *near, int64_t *labels, int64_t pos, double d, int64_t y)
+{
+    for (; pos > 0 && after(near[pos - 1], d); pos--) {
+        near[pos] = near[pos - 1];
+        labels[pos] = labels[pos - 1];
+    }
+    near[pos] = d;
+    labels[pos] = y;
+}
+
 void knn_votes(const double *prod, const double *sq, const double *ref_sq,
                const int64_t *ref_y, int64_t rows, int64_t n_ref, int64_t C,
                const int64_t *k, double *const *outs, int64_t n_out, int64_t at,
@@ -237,22 +250,18 @@ void knn_votes(const double *prod, const double *sq, const double *ref_sq,
     count = labels + k_max;
     for (int64_t i = 0; i < rows; i++) {
         const double *p = prod + i * n_ref;
-        int64_t kept = 0;
-        for (int64_t j = 0; j < n_ref; j++) {
-            double d = (sq[i] - p[j]) + ref_sq[j];
-            int64_t pos;
-            if (kept < k_max)
-                pos = kept++;
-            else if (after(near[k_max - 1], d))
-                pos = k_max - 1;
-            else
-                continue;
-            for (; pos > 0 && after(near[pos - 1], d); pos--) {
-                near[pos] = near[pos - 1];
-                labels[pos] = labels[pos - 1];
+        if (k_max > 0) {
+            int64_t j = 0;
+            for (; j < k_max; j++)
+                keep(near, labels, j, (sq[i] - p[j]) + ref_sq[j], ref_y[j]);
+            double worst = near[k_max - 1];
+            for (; j < n_ref; j++) {
+                double d = (sq[i] - p[j]) + ref_sq[j];
+                if (after(worst, d)) {
+                    keep(near, labels, k_max - 1, d, ref_y[j]);
+                    worst = near[k_max - 1];
+                }
             }
-            near[pos] = d;
-            labels[pos] = ref_y[j];
         }
         for (int64_t c = 0; c < C; c++)
             count[c] = 0;

@@ -118,7 +118,13 @@ class TreeGrower:
         node = np.zeros((len(keys), 6), np.int64)
         node[:, 0], node[:, 3] = np.arange(len(keys)), len(X)
         total = np.tile(counts.sum(axis=0), (len(keys), 1))
-        props, levels, grown = np.empty(0), [], 0
+        # entropy's proportions at the root: C for its totals and 2 C at each value change
+        changes = 0
+        if rule[:, 2].any():
+            ranked = np.take_along_axis(xt, order[0], axis=1)
+            changes = np.count_nonzero(ranked[:, 1:] != ranked[:, :-1])
+        props = np.empty(rule[:, 2].sum() * (counts.shape[1] - 1) * (1 + 2 * changes))
+        levels, grown = [], 0
         for depth in range(rule[:, 0].max() + 1):
             grown += len(node)
             splits, threshold, child, child_total, props = kernels.tree_level(

@@ -17,8 +17,10 @@ are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -163,7 +165,7 @@ def _levels(cells: Sequence[str]) -> tuple[str, ...]:
 
 def _level_indices(cells: Sequence[str], levels: tuple[str, ...], missing) -> list:
     index = {level: i for i, level in enumerate(levels)}
-    return [index.get(cell, missing) for cell in cells]
+    return list(map(index.get, cells, repeat(missing)))
 
 
 def _decode_column(cells: Sequence[str], out: np.ndarray) -> Optional[tuple[str, ...]]:
@@ -173,6 +175,12 @@ def _decode_column(cells: Sequence[str], out: np.ndarray) -> Optional[tuple[str,
     is a finite number: ``out`` holds those numbers, NaN where missing.
     Otherwise each cell holds its index in the column's levels.
     """
+    try:  # one pass for a column of present finite numbers, the common case
+        out[:] = np.fromiter(map(float, cells), np.float64, len(cells))
+        if np.isfinite(out).all():
+            return None
+    except ValueError:
+        pass
     if any(cell not in _MISSING_TOKENS for cell in cells):
         try:
             out[:] = [MISSING if c in _MISSING_TOKENS else _parse_numeric(c) for c in cells]
@@ -182,6 +190,42 @@ def _decode_column(cells: Sequence[str], out: np.ndarray) -> Optional[tuple[str,
     levels = _levels(cells)
     out[:] = _level_indices(cells, levels, MISSING)
     return levels
+
+
+def _read_columns(path: str) -> tuple[Optional[list[str]], list[int], list[Sequence[str]]]:
+    """``(header, widths, columns)`` of the file at ``path`` as ``csv.reader``
+    reads it: the first row (None when there is none), the cell count of
+    each later row, and the later rows' columns, which hold their cells when
+    every count is the header's.
+
+    A text with no quote and no carriage return is split on line feeds and
+    commas directly, a blank line being a row of no cells, and column ``j``
+    is a stride slice of the data rows' cells; quoted fields and CR line
+    ends need the ``csv`` module. Either way a field longer than
+    ``csv.field_size_limit()`` raises ``csv.Error``.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    if '"' in text or "\r" in text:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        if not rows:
+            return None, [], []
+        return rows[0], list(map(len, rows[1:])), list(zip(*rows[1:]))
+    lines = text.split("\n")
+    del text  # the cells are the load's peak: one copy of the text lives beside them
+    if lines[-1] == "":
+        del lines[-1]  # a final newline ends the last row
+    if not lines:
+        return None, [], []
+    limit = csv.field_size_limit()
+    if max(map(len, lines)) > limit and max(map(len, ",".join(lines).split(","))) > limit:
+        raise csv.Error(f"field larger than field limit ({limit})")
+    header = lines[0].split(",") if lines[0] else []
+    widths = [line.count(",") + 1 if line else 0 for line in lines[1:]]
+    data = ",".join(lines[1:])
+    del lines
+    cells = data.split(",")
+    return header, widths, [cells[j::len(header)] for j in range(len(header))]
 
 
 def load_csv(path: str, label_column: str) -> tuple[Schema, Batch]:
@@ -194,40 +238,36 @@ def load_csv(path: str, label_column: str) -> tuple[Schema, Batch]:
     missing label is ``-1``.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            rows = list(reader)
+        header, widths, columns = _read_columns(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if header is None:
+        raise DataError(f"{path}: empty file")
 
     header = [h.strip() for h in header]
     if label_column not in header:
         raise DataError(f"{path}: label column {label_column!r} not in header {header}")
-    if not rows:
+    if not widths:
         raise DataError(f"{path}: no data rows")
     width = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
+    for i, count in enumerate(widths):
+        if count != width:
+            raise DataError(f"{path}: row {i + 2} has {count} cells, expected {width}")
 
     label_pos = header.index(label_column)
-    X = np.empty((len(rows), width - 1), dtype=np.float64)
+    Xt = np.empty((width - 1, len(widths)), dtype=np.float64)  # a row per feature
     features = []
-    for j, cells in enumerate(zip(*rows)):
+    for j, cells in enumerate(columns):
         if j == label_pos:
             classes = _levels(cells)
             y = np.array(_level_indices(cells, classes, -1), dtype=np.int64)
         else:
-            levels = _decode_column(cells, X[:, len(features)])
+            levels = _decode_column(cells, Xt[len(features)])
             features.append(Feature(header[j], levels))
     if len(classes) < 2:
         raise DataError(f"label column {label_column!r} holds fewer than 2 classes")
     schema = Schema(tuple(features), label_column, classes)
-    return schema, Batch(schema, X, y)
+    return schema, Batch(schema, Xt.T, y)
 
 
 def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -148,8 +148,10 @@ def tree_level(xt: np.ndarray, counts: np.ndarray, rule: np.ndarray, order: np.n
                depth: int, node: np.ndarray, total: np.ndarray, props: np.ndarray,
                first_id: int) -> tuple:
     """One depth: ``(splits, threshold, child, child_total, props)``. Entropy's
-    proportions are listed into ``props`` (returned larger if it was short),
-    replaced by numpy's ``log2`` and read by the splitting call."""
+    proportions are listed into ``props``, replaced by numpy's ``log2`` and
+    read by the splitting call. A ``props`` too short for them is replaced by
+    one twice the need, which is returned, so the next depths of a growth
+    that keep it seldom list twice."""
     xt_at, rule_at, node_at = _at(xt, F8, -1, -1), _at(rule, I8, -1, 3), _at(node, I8, -1, 6)
     (d, n_pairs), n = xt.shape, len(node)
     counts_at = _at(counts, F8, n_pairs, -1)
@@ -163,8 +165,8 @@ def tree_level(xt: np.ndarray, counts: np.ndarray, rule: np.ndarray, order: np.n
     if rule[:, 2].any():
         need = level(*head, props_at, len(props), 1, *tail)
         if need > len(props):
-            props = np.empty(need)
+            props = np.empty(2 * need)
             props_at = props.ctypes.data
-            level(*head, props_at, need, 1, *tail)
+            level(*head, props_at, len(props), 1, *tail)
         np.log2(props[:need], out=props[:need])
     return level(*head, props_at, len(props), 0, *tail), threshold, child, child_total, props

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from driftml.data import (
     Batch,
@@ -141,21 +141,116 @@ def csv_grid(draw):
     return header, [list(row) for row in zip(*columns)], header[label_pos]
 
 
+def csv_module_load(path, label):
+    """``load_csv`` as the ``csv`` module reads the file row by row, with
+    ``reference_load`` decoding its cells: ``(schema, X, y)`` or the
+    ``DataError`` (``csv.Error`` for a field over the module's limit)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header, rows = [h.strip() for h in rows[0]], rows[1:]
+    if label not in header:
+        raise DataError(f"{path}: label column {label!r} not in header {header}")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
+    features, classes, X, y = reference_load(header, rows, label)
+    if len(classes) < 2:
+        raise DataError(f"label column {label!r} holds fewer than 2 classes")
+    return Schema(tuple(features), label, classes), X, np.array(y, dtype=np.int64)
+
+
+def outcome(load, path, label):
+    """What ``load`` gives: the schema and the bytes of X and y, or the
+    error's type and message."""
+    try:
+        schema, *arrays = load(path, label)
+    except (DataError, csv.Error) as exc:
+        return type(exc), str(exc)
+    if isinstance(arrays[0], Batch):
+        arrays = [arrays[0].X, arrays[0].y]
+    return schema, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
 @given(csv_grid())
 def test_load_csv_equals_per_cell_reference(tmp_path_factory, grid):
+    """Each grid written by ``csv.writer`` (CRLF line ends, so the ``csv``
+    module reads it) and as plain ``\\n`` lines (split directly)."""
     header, rows, label = grid
-    path = str(tmp_path_factory.mktemp("grid") / "grid.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    folder = tmp_path_factory.mktemp("grid")
+    with open(folder / "quoted.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([header] + rows)
+    plain = "".join(",".join(row) + "\n" for row in [header] + rows)
+    (folder / "plain.csv").write_bytes(plain.encode())
+    assert b"\r\n" in (folder / "quoted.csv").read_bytes()
     features, classes, X, y = reference_load(header, rows, label)
-    if len(classes) < 2 or any(f.levels == () for f in features):
-        with pytest.raises(DataError):
-            load_csv(path, label)
-        return
-    schema, batch = load_csv(path, label)
-    assert schema == Schema(tuple(features), label, classes)
-    assert np.array_equal(batch.X, X, equal_nan=True) and batch.X.shape == X.shape
-    assert batch.y.tolist() == y
+    for name in ("quoted.csv", "plain.csv"):
+        path = str(folder / name)
+        if name == "plain.csv" and len(header) == 1 and "" in (r[0] for r in rows):
+            with pytest.raises(DataError, match="has 0 cells"):  # a blank line is a row of none
+                load_csv(path, label)
+        elif len(classes) < 2 or any(f.levels == () for f in features):
+            with pytest.raises(DataError):
+                load_csv(path, label)
+        else:
+            schema, batch = load_csv(path, label)
+            assert schema == Schema(tuple(features), label, classes)
+            assert batch.X.tobytes() == X.tobytes() and batch.X.shape == X.shape
+            assert batch.y.tolist() == y
+
+
+RAW = ',\n"\r?_-.e0123456789abxy '
+LIMIT = csv.field_size_limit()  # the module's default
+
+
+@st.composite
+def raw_csv(draw):
+    """The text of a small CSV file and the ``csv`` module's field size
+    limit to read it under. The header names ``y`` or not; most rows hold
+    the header's count of cells from ``CELLS`` and ``LABELS``, and any
+    cell, line or header name may instead be a short text of ``RAW`` (a
+    delimiter, a line end or a quote among others), or a line blank. Rows
+    end in ``\\n`` or ``\\r\\n``, the last one perhaps in nothing."""
+    width = draw(st.integers(1, 3))
+    raw = st.text(RAW, max_size=4)
+
+    def rare(common, other):  # ``common`` nine times in ten
+        return draw(common) if draw(st.integers(0, 9)) else draw(other)
+
+    names = [rare(st.sampled_from(["a", "b"]), raw) for _ in range(width)]
+    if draw(st.integers(0, 4)):
+        names[draw(st.integers(0, width - 1))] = draw(st.sampled_from(["y", " y ", '"y"']))
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(1, 10))):
+        row = [rare(st.sampled_from(CELLS + LABELS), raw) for _ in range(width)]
+        lines.append(rare(st.just(",".join(row)), st.sampled_from(["", draw(raw)])))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return text, draw(st.sampled_from([LIMIT] * 3 + [3]))
+
+
+@settings(max_examples=300)
+@given(raw_csv())
+@example(("a,y\n1,0\n\n2,1\n", LIMIT))  # a blank line
+@example(("a,y\n1,0\n2,1", LIMIT))  # no final newline
+@example(("y\n0\n1\n", LIMIT))  # one column, no features
+@example(("y\n0\n\n1\n", LIMIT))  # one column, a blank line
+@example(("a,y\n1,0\n22222,1\n", 4))  # a field over the limit
+@example(('a,y\r\n"1,5",0\r\n2,1\r\n', LIMIT))  # quoted, CRLF
+def test_load_csv_reads_any_text_as_the_csv_module_does(tmp_path_factory, case):
+    """``load_csv`` gives the schema, X and y, or the error, of the ``csv``
+    module's reading of the file under its field size limit."""
+    text, limit = case
+    path = tmp_path_factory.mktemp("raw") / "raw.csv"
+    path.write_bytes(text.encode())
+    before = csv.field_size_limit(limit)
+    try:
+        assert outcome(load_csv, str(path), "y") == outcome(csv_module_load, str(path), "y")
+    finally:
+        csv.field_size_limit(before)
 
 
 def test_split_sizes():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from driftml import kernels
-from driftml.classifiers import LogisticSgdClassifier
+from driftml.classifiers import DecisionTreeClassifier, LogisticSgdClassifier, TreeGrower
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -27,6 +27,15 @@ def knn_case():
             np.array([0, 1, 1]), np.array([1, 3]), outs, 2]
     return kernels.knn_votes, args, {(0,): 0, (1,): 0, (2,): 0, (3,): 0, (4,): 0, (5, 0): 0,
                                      (5, 1): 0}
+
+
+def knn_without_k_case():
+    """Every k 0 beside references: each output row is 0 / 0 and no
+    reference is kept."""
+    outs = [np.full((3, 2), 9.0)]
+    args = [np.ones((3, 5)), np.zeros(3), np.zeros(5), np.zeros(5, np.int64), np.array([0]),
+            outs, 0]
+    return kernels.knn_votes, args, {}
 
 
 def select_case():
@@ -119,15 +128,92 @@ def test_knn_votes_refuses_labels_ks_and_rows_outside_their_ranges():
         assert all((out == 9.0).all() for out in args[5])
 
 
+def run_python(script, **env):
+    """``script`` run by a fresh interpreter that imports this package and
+    these tests, with ``env`` added to its environment."""
+    path = os.pathsep.join(filter(None, [SRC, os.path.dirname(os.path.abspath(__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=dict(os.environ, **env,
+                          PYTHONPATH=path), capture_output=True, text=True, timeout=300)
+
+
+def test_knn_votes_with_every_k_zero_keeps_no_reference():
+    """All k 0 with references left the kernel writing one slot before its
+    scratch, which glibc aborts on later; the outputs are 0 / 0. It runs in
+    its own process, so a regression fails this test alone."""
+    done = run_python("import numpy as np, test_kernels as t\n"
+                      "for _ in range(100):\n"
+                      "    call, args, _ = t.knn_without_k_case()\n"
+                      "    call(*args)\n"
+                      "    assert np.isnan(args[5][0]).all()\n"
+                      "print('ok')")
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
+
+
+def test_the_kernels_run_clean_under_address_sanitizer(tmp_path):
+    """Each kernel's valid case, the every-k-zero one and an entropy tree
+    growth through a library built with ``-fsanitize=address`` (its
+    runtime preloaded into a fresh interpreter) read and write only their
+    arrays."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no cc on PATH")
+    runtime = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True).stdout.strip()
+    source = os.path.join(SRC, "driftml", "_kernels.c")
+    built = subprocess.run([cc, *kernels.FLAGS, "-fsanitize=address", "-o",
+                            str(tmp_path / "probe.so"), source, "-lm"], capture_output=True)
+    if not os.path.isabs(runtime) or built.returncode:
+        pytest.skip("cc cannot build with AddressSanitizer")
+    done = run_python(
+        "import numpy as np, test_kernels as t\n"
+        "from driftml import kernels\n"
+        "from driftml.classifiers import DecisionTreeClassifier\n"
+        "kernels.FLAGS += ('-fsanitize=address',)\n"
+        "for case in (t.sgd_case, t.knn_case, t.knn_without_k_case, t.select_case, t.tree_case):\n"
+        "    call, args, _ = case()\n"
+        "    call(*args)\n"
+        "rng = np.random.default_rng(8)\n"
+        "X, y = rng.integers(0, 4, (400, 3)).astype(float), rng.integers(0, 8, 400)\n"
+        "DecisionTreeClassifier(8, 6, 1, 'entropy').fit(X, y)\n"
+        "print('ok')",
+        LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0", XDG_CACHE_HOME=str(tmp_path))
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr[-3000:]
+    assert any(name.endswith(".so") for name in os.listdir(tmp_path / "driftml"))
+
+
+def test_an_entropy_growth_lists_its_proportions_once_a_depth(monkeypatch):
+    """The proportions' buffer starts with room for the root and grows to
+    twice a depth's need when short, so the listing call repeats only at the
+    depth that outgrew it (here depth 1; each depth listed twice before)."""
+    rng = np.random.default_rng(8)
+    X, y = rng.integers(0, 4, (400, 3)).astype(float), rng.integers(0, 8, 400)
+    models = [DecisionTreeClassifier(8, 6, 1, "entropy"),
+              DecisionTreeClassifier(8, 3, 2, "entropy")]
+    lib, depths = kernels._lib(), []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def tree_level(self, *args):
+            depths.append((args[6], args[14]))  # the depth and whether the call lists
+            return lib.tree_level(*args)
+
+    monkeypatch.setattr(kernels, "_library", Counting())
+    grower = TreeGrower(X, y, 8, models)
+    for model in models:
+        model.fit(X, y, None, grower)
+    listed = [depth for depth, listing in depths if listing]
+    assert listed == [0, 1, 1, 2, 3, 4, 5, 6]
+    assert len(depths) - len(listed) == 7
+
+
 def test_importing_the_package_loads_no_build_module():
     """The build's modules are imported at the first build or load, not with
     the package: ``hashlib`` is most of a warm load's time."""
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, driftml; print(sorted({'hashlib', 'subprocess'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True)
+    done = run_python("import sys, driftml; "
+                      "print(sorted({'hashlib', 'subprocess'} & set(sys.modules)))")
     assert done.stdout == "[]\n", done.stderr
 
 
